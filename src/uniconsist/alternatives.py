@@ -303,7 +303,7 @@ def make_spike_tail(family: FamilyRule, m_list, C_list,
         sig = _make_signal(family.basis, np.array([m_l]), np.array([norm]))
         signals[n_l] = sig
         seminorms.append(besov_seminorm(sig, s))
-    ratios = [m / signals_family_k(family, n) for m, n in zip(m_list, n_list)]
+    ratios = [m / family.k_of(n) for m, n in zip(m_list, n_list)]
     if np.any(np.diff(ratios) <= 0.0):
         raise ValidationError("m_l / k_n failed to diverge under this schedule")
     return AlternativeSequence(
@@ -311,10 +311,6 @@ def make_spike_tail(family: FamilyRule, m_list, C_list,
         norm_lo=norm_const, norm_hi=norm_const, kind="spike-tail",
         metadata={"m_list": m_list, "C_list": C_list, "s": s,
                   "seminorms": seminorms})
-
-
-def signals_family_k(family: FamilyRule, n: int) -> int:
-    return int(family.k_of(int(n)))
 
 
 def combine(a: AlternativeSequence, b: AlternativeSequence,

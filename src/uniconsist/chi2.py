@@ -68,22 +68,33 @@ class Chi2Config:
 
 
 def cell_counts(points: np.ndarray, m: int) -> np.ndarray:
-    """Occupancy counts of the m equal cells; boundary points go right."""
+    """Occupancy counts of the m equal cells per sample along the last axis;
+    boundary points go right."""
     points = np.asarray(points, dtype=float)
     if m < 2:
         raise ValidationError("m must be at least 2")
     if points.size == 0:
         raise ValidationError("empty sample")
     idx = np.clip(np.floor(points * m).astype(np.int64), 0, m - 1)
-    return np.bincount(idx, minlength=m)
+    lead = idx.shape[:-1]
+    samples = math.prod(lead)
+    offsets = (np.arange(samples) * m).reshape(lead + (1,))
+    return np.bincount((idx + offsets).ravel(),
+                       minlength=samples * m).reshape(lead + (m,))
 
 
-def chi2_statistic(points: np.ndarray, m: int) -> float:
-    """T_n = n m Sum_l (p_hat_l - 1/m)^2 (equals the Pearson statistic)."""
+def chi2_statistic(points: np.ndarray, m: int):
+    """T_n = n m Sum_l (p_hat_l - 1/m)^2 (equals the Pearson statistic), one
+    value per sample along the last axis."""
     counts = cell_counts(points, m)
-    n = counts.sum()
-    p_hat = counts / n
-    return float(n * m * np.sum(np.square(p_hat - 1.0 / m)))
+    n = np.shape(points)[-1]
+    stat = n * m * np.sum(np.square(counts / n - 1.0 / m), axis=-1)
+    return stat if stat.ndim else float(stat)
+
+
+def chi2_standardize(stat, m: int):
+    """(T_n - m + 1) / sqrt(2 m); the test rejects when it exceeds x_alpha."""
+    return (stat - m + 1.0) / math.sqrt(2.0 * m)
 
 
 def cell_integrals(signal: SignalSpec, m: int) -> np.ndarray:
@@ -194,7 +205,7 @@ def decide_and_predict(points: np.ndarray, config: Chi2Config, n: int,
         raise ValidationError(f"sample size {points.size} != n = {n}")
     m = config.cells(n)
     stat = chi2_statistic(points, m)
-    standardized = (stat - m + 1.0) / math.sqrt(2.0 * m)
+    standardized = chi2_standardize(stat, m)
     beta = None if signal is None else chi2_predicted_beta(signal, config, n)
     t_pop = None if signal is None else n * m * chi2_population(signal, m)
     return TestReport(

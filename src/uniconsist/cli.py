@@ -118,8 +118,10 @@ def _statistic_kernel(data, path: str) -> dict:
 
 def _statistic_chi2(data, path: str) -> dict:
     m_rule = data.get("m_rule")
-    config = Chi2Config(alpha=float(_require(data, "alpha", path)),
-                        m=data.get("m"),
+    m = data.get("m")
+    if m is not None and not isinstance(m, int):
+        raise ValidationError(f"{path}: 'm' must be an integer, got {m!r}")
+    config = Chi2Config(alpha=float(_require(data, "alpha", path)), m=m,
                         m_rule=None if m_rule is None else tuple(m_rule))
     points = np.asarray(_require(data, "points", path), dtype=float)
     signal = data.get("signal")
@@ -131,9 +133,8 @@ def _statistic_chi2(data, path: str) -> dict:
 def _statistic_cvm(data, path: str) -> dict:
     table_ref = _require(data, "table", path)
     if isinstance(table_ref, str):
-        table = CvmNullTable.from_json(Path(table_ref).read_text(encoding="utf-8"))
-    else:
-        table = CvmNullTable.from_json(json.dumps(table_ref))
+        table_ref = _load_json(table_ref)
+    table = CvmNullTable.from_json(json.dumps(table_ref))
     points = np.asarray(_require(data, "points", path), dtype=float)
     return cvm_decide(points, table, float(_require(data, "alpha", path))
                       ).to_json_dict()

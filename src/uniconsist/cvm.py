@@ -31,14 +31,16 @@ from .signals import Basis, SignalSpec
 _TABLE_BLOCK = 4096
 
 
-def cvm_statistic(points: np.ndarray) -> float:
-    """Exact value of n T^2(Fhat - F0) from the order statistics."""
-    u = np.sort(np.asarray(points, dtype=float))
-    n = u.size
-    if n == 0:
+def cvm_statistic(points: np.ndarray):
+    """Exact value of n T^2(Fhat - F0) from the order statistics, one value
+    per sample along the last axis."""
+    u = np.sort(np.asarray(points, dtype=float), axis=-1)
+    if u.size == 0:
         raise ValidationError("empty sample")
+    n = u.shape[-1]
     grid = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    return float(np.sum(np.square(u - grid)) + 1.0 / (12.0 * n))
+    stat = np.sum(np.square(u - grid), axis=-1) + 1.0 / (12.0 * n)
+    return stat if stat.ndim else float(stat)
 
 
 def cvm_population(signal: SignalSpec) -> float:

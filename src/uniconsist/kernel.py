@@ -258,16 +258,23 @@ def _weights(config: KernelTestConfig, J: int, h: float) -> np.ndarray:
     return np.square(config.kernel.khat(np.arange(J + 1) * h))
 
 
-def kernel_statistic_fourier(obs: KernelObservations, config: KernelTestConfig,
-                             n: int) -> float:
-    """The standardized statistic T_n from coefficient-space observations."""
+def kernel_statistic(y0, pairs: np.ndarray, w: np.ndarray,
+                     config: KernelTestConfig, n: int):
+    """Standardized T_n per observation: ``y0`` has shape (...), ``pairs``
+    (..., J, 2), and ``w`` holds the weights |Khat(j h)|^2 for j = 0..J."""
     h = config.bandwidth(n)
-    w = _weights(config, obs.J, h)
-    core = w[0] * obs.y0 ** 2 + float(w[1:] @ np.sum(np.square(obs.pairs), axis=1))
+    core = w[0] * np.square(y0) + np.sum(np.square(pairs), axis=-1) @ w[1:]
     sigma = config.noise_sigma
     center = (sigma ** 2 / n) * (w[0] + 2.0 * float(np.sum(w[1:])))
     gamma = math.sqrt(config.kernel.gamma_sq)
-    return float(n * math.sqrt(h) / (sigma ** 2 * gamma) * (core - center))
+    return n * math.sqrt(h) / (sigma ** 2 * gamma) * (core - center)
+
+
+def kernel_statistic_fourier(obs: KernelObservations, config: KernelTestConfig,
+                             n: int) -> float:
+    """The standardized statistic T_n from coefficient-space observations."""
+    w = _weights(config, obs.J, config.bandwidth(n))
+    return float(kernel_statistic(obs.y0, obs.pairs, w, config, n))
 
 
 def t1n(theta: SignalSpec, config: KernelTestConfig, n: int | None = None) -> float:

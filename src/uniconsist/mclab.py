@@ -9,6 +9,13 @@ byte-identical summaries on any schedule.
 Pairing: all variant signals within a run share the replicate's noise (the
 xi vector in the sequence model, the uniform sample in the i.i.d. model),
 so variant contrasts are common-random-number comparisons.
+
+Loop contract: every family's ``*_rejections`` supplies only its noise draw
+(a method call on the replicate's generator) and its ``reject`` callable,
+which applies the family module's own statistic and decision to a block of
+noise rows and one variant. Pairing and determinism come from the single
+block loop ``_rejections``, which fills each block from the substreams and
+evaluates every variant on it.
 """
 
 from __future__ import annotations
@@ -19,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chi2 import Chi2Config
-from .cvm import CvmNullTable
+from .chi2 import Chi2Config, chi2_standardize, chi2_statistic
+from .cvm import CvmNullTable, cvm_statistic
 from .errors import ValidationError
-from .kernel import KernelTestConfig, _weights
-from .quad import FixedKappa, QuadTestConfig
+from .kernel import KernelTestConfig, _weights, kernel_statistic
+from .quad import (FixedKappa, QuadTestConfig, fixed_kappa_statistic,
+                   quad_standardize, quad_statistic)
 from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, substream
 from .signals import Basis, DensitySpec, SignalSpec, invert_cdf
 
@@ -110,59 +118,66 @@ class PowerReport:
         return {"rows": list(self.rows)}
 
 
-def _run_blocks(mc: MCConfig, n_variants: int, block_fn) -> np.ndarray:
-    out = np.empty((mc.replicates, n_variants), dtype=bool)
-    spans = [(lo, min(lo + BLOCK_ROWS, mc.replicates))
-             for lo in range(0, mc.replicates, BLOCK_ROWS)]
+def _rejections(mc: MCConfig, stream: int, width: int, draw, variants,
+                reject) -> np.ndarray:
+    """The one block loop behind every family's rejection matrix.
 
-    def work(span):
-        lo, hi = span
-        out[lo:hi] = block_fn(np.arange(lo, hi))
+    Row i of a block holds ``draw(substream(seed, stream, i))``, a length
+    ``width`` noise row; column v holds ``reject(block, variants[v])``.
+    """
+    out = np.empty((mc.replicates, len(variants)), dtype=bool)
 
+    def work(lo: int):
+        hi = min(lo + BLOCK_ROWS, mc.replicates)
+        noise = np.empty((hi - lo, width))
+        for row, i in enumerate(range(lo, hi)):
+            noise[row] = draw(substream(mc.seed, stream, i))
+        for v, variant in enumerate(variants):
+            out[lo:hi, v] = reject(noise, variant)
+
+    starts = range(0, mc.replicates, BLOCK_ROWS)
     if mc.threads == 1:
-        for span in spans:
-            work(span)
+        for lo in starts:
+            work(lo)
     else:
         with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            list(pool.map(work, spans))
+            list(pool.map(work, starts))
     return out
 
 
-def _theta_rows(thetas, J: int) -> np.ndarray:
-    rows = np.zeros((len(thetas), J))
-    for v, theta in enumerate(thetas):
-        if theta is None:
+def _rows(variants, shape: tuple, coeffs) -> np.ndarray:
+    """Variants packed as rows of the given shape; None is the zero row.
+
+    ``coeffs(v, variant)`` applies the family's own check and returns the
+    variant's coefficients; support past the truncation shape[0] must be 0.
+    """
+    rows = np.zeros((len(variants),) + shape)
+    J = shape[0]
+    for v, variant in enumerate(variants):
+        if variant is None:
             continue
-        if isinstance(theta, SignalSpec):
-            if theta.basis is Basis.TRIG_FULL:
-                raise ValidationError("sequence-model runs need a 1-D basis signal")
-            vec = np.asarray(theta.coeffs, dtype=float)
-        else:
-            vec = np.asarray(theta, dtype=float)
-        if vec.size > J:
+        vec = coeffs(v, variant)
+        if vec.shape[0] > J:
             if np.any(vec[J:] != 0.0):
                 raise ValidationError(
                     f"variant {v} has support beyond the truncation J = {J}")
             vec = vec[:J]
-        rows[v, :vec.size] = vec
+        rows[v, :vec.shape[0]] = vec
     return rows
 
 
-def _pair_blocks(thetas, J: int) -> np.ndarray:
-    rows = np.zeros((len(thetas), J, 2))
-    for v, theta in enumerate(thetas):
-        if theta is None:
-            continue
-        if not isinstance(theta, SignalSpec) or theta.basis is not Basis.TRIG_FULL:
-            raise ValidationError("kernel runs take TrigFull signals (or None)")
-        coeffs = np.asarray(theta.coeffs, dtype=float)
-        if coeffs.shape[0] > J:
-            if np.any(coeffs[J:] != 0.0):
-                raise ValidationError(
-                    f"variant {v} has support beyond the truncation J = {J}")
-            coeffs = coeffs[:J]
-        rows[v, :coeffs.shape[0]] = coeffs
-    return rows
+def _sequence_coeffs(v, theta) -> np.ndarray:
+    if isinstance(theta, SignalSpec):
+        if theta.basis is Basis.TRIG_FULL:
+            raise ValidationError("sequence-model runs need a 1-D basis signal")
+        return np.asarray(theta.coeffs, dtype=float)
+    return np.asarray(theta, dtype=float)
+
+
+def _pair_coeffs(v, theta) -> np.ndarray:
+    if not isinstance(theta, SignalSpec) or theta.basis is not Basis.TRIG_FULL:
+        raise ValidationError("kernel runs take TrigFull signals (or None)")
+    return np.asarray(theta.coeffs, dtype=float)
 
 
 def quad_rejections(mc: MCConfig, config: QuadTestConfig, n: int,
@@ -171,54 +186,30 @@ def quad_rejections(mc: MCConfig, config: QuadTestConfig, n: int,
     profile = config.profile
     profile.require_n(n)
     J = profile.J
-    w = profile.kappa_sq[n]
-    sigma = profile.sigma
-    scale = sigma / math.sqrt(n)
-    center = sigma ** 2 * profile.rho[n] / n
-    std = math.sqrt(2.0 * profile.A[n]) / (sigma ** (-4) * n ** 2)
-    theta_rows = _theta_rows(thetas, J)
+    scale = profile.sigma / math.sqrt(n)
 
-    def block(idx: np.ndarray) -> np.ndarray:
-        xi = np.empty((idx.size, J))
-        for row, i in enumerate(idx):
-            xi[row] = substream(mc.seed, STREAM_SEQUENCE_MODEL, int(i)
-                                ).standard_normal(J)
-        rej = np.empty((idx.size, len(thetas)), dtype=bool)
-        for v in range(theta_rows.shape[0]):
-            y = theta_rows[v] + scale * xi
-            t_raw = np.square(y) @ w - center
-            rej[:, v] = t_raw > config.x_alpha * std
-        return rej
+    def reject(noise, theta):
+        t_raw = quad_statistic(theta + noise, profile, n)
+        return quad_standardize(t_raw, profile, n) > config.x_alpha
 
-    return _run_blocks(mc, len(thetas), block)
+    return _rejections(mc, STREAM_SEQUENCE_MODEL, J,
+                       lambda g: scale * g.standard_normal(J),
+                       _rows(thetas, (J,), _sequence_coeffs), reject)
 
 
 def kernel_rejections(mc: MCConfig, config: KernelTestConfig, n: int,
                       thetas, J: int) -> np.ndarray:
     """Rejection matrix of the kernel test; one column per theta variant."""
-    h = config.bandwidth(n)
-    w = _weights(config, J, h)
-    sigma = config.noise_sigma
-    scale = sigma / math.sqrt(n)
-    center = (sigma ** 2 / n) * (w[0] + 2.0 * float(np.sum(w[1:])))
-    factor = n * math.sqrt(h) / (sigma ** 2 * math.sqrt(config.kernel.gamma_sq))
-    pair_rows = _pair_blocks(thetas, J)
+    w = _weights(config, J, config.bandwidth(n))
+    scale = config.noise_sigma / math.sqrt(n)
 
-    def block(idx: np.ndarray) -> np.ndarray:
-        z = np.empty((idx.size, 1 + 2 * J))
-        for row, i in enumerate(idx):
-            z[row] = substream(mc.seed, STREAM_SEQUENCE_MODEL, int(i)
-                               ).standard_normal(1 + 2 * J)
-        y0 = scale * z[:, 0]
-        noise = z[:, 1:].reshape(idx.size, J, 2)
-        rej = np.empty((idx.size, len(thetas)), dtype=bool)
-        for v in range(pair_rows.shape[0]):
-            pairs = pair_rows[v] + scale * noise
-            core = w[0] * np.square(y0) + np.sum(np.square(pairs), axis=2) @ w[1:]
-            rej[:, v] = factor * (core - center) >= config.x_alpha
-        return rej
+    def reject(noise, pairs):
+        y_pairs = pairs + noise[:, 1:].reshape(-1, J, 2)
+        return kernel_statistic(noise[:, 0], y_pairs, w, config, n) >= config.x_alpha
 
-    return _run_blocks(mc, len(thetas), block)
+    return _rejections(mc, STREAM_SEQUENCE_MODEL, 1 + 2 * J,
+                       lambda g: scale * g.standard_normal(1 + 2 * J),
+                       _rows(thetas, (J, 2), _pair_coeffs), reject)
 
 
 def _variant_points(u: np.ndarray, density) -> np.ndarray:
@@ -233,44 +224,22 @@ def chi2_rejections(mc: MCConfig, config: Chi2Config, n: int,
                     densities) -> np.ndarray:
     """Rejection matrix of the chi-square test; one column per density."""
     m = config.cells(n)
-    threshold = config.x_alpha * math.sqrt(2.0 * m) + (m - 1)
 
-    def block(idx: np.ndarray) -> np.ndarray:
-        u = np.empty((idx.size, n))
-        for row, i in enumerate(idx):
-            u[row] = substream(mc.seed, STREAM_IID, int(i)).random(n)
-        offsets = (np.arange(idx.size) * m)[:, None]
-        rej = np.empty((idx.size, len(densities)), dtype=bool)
-        for v, density in enumerate(densities):
-            x = _variant_points(u, density)
-            cell = np.clip(np.floor(x * m).astype(np.int64), 0, m - 1)
-            counts = np.bincount((cell + offsets).ravel(),
-                                 minlength=idx.size * m).reshape(idx.size, m)
-            t = n * m * np.sum(np.square(counts / n - 1.0 / m), axis=1)
-            rej[:, v] = t > threshold
-        return rej
+    def reject(u, density):
+        stat = chi2_statistic(_variant_points(u, density), m)
+        return chi2_standardize(stat, m) > config.x_alpha
 
-    return _run_blocks(mc, len(densities), block)
+    return _rejections(mc, STREAM_IID, n, lambda g: g.random(n), densities,
+                       reject)
 
 
 def cvm_rejections(mc: MCConfig, table: CvmNullTable, alpha: float, n: int,
                    densities) -> np.ndarray:
     """Rejection matrix of the omega-square test; one column per density."""
     critical = table.critical(alpha)
-    grid = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-
-    def block(idx: np.ndarray) -> np.ndarray:
-        u = np.empty((idx.size, n))
-        for row, i in enumerate(idx):
-            u[row] = substream(mc.seed, STREAM_IID, int(i)).random(n)
-        rej = np.empty((idx.size, len(densities)), dtype=bool)
-        for v, density in enumerate(densities):
-            x = np.sort(_variant_points(u, density), axis=1)
-            stat = np.sum(np.square(x - grid), axis=1) + 1.0 / (12.0 * n)
-            rej[:, v] = stat > critical
-        return rej
-
-    return _run_blocks(mc, len(densities), block)
+    return _rejections(
+        mc, STREAM_IID, n, lambda g: g.random(n), densities,
+        lambda u, density: cvm_statistic(_variant_points(u, density)) > critical)
 
 
 def _dispatch_rejections(config, n: int, mc: MCConfig, variants, *,
@@ -322,25 +291,14 @@ def fixed_rejections(mc: MCConfig, fk: FixedKappa, critical: float,
     """Rejection matrix of the fixed-weight test; one column per shift."""
     L = fk.L
     scales = fk.scales()
-    eta_rows = np.zeros((len(etas), L))
-    for v, eta in enumerate(etas):
-        if eta is None:
-            continue
+
+    def shift(v, eta) -> np.ndarray:
         vec = np.asarray(eta, dtype=float)
         if vec.shape != (L,):
             raise ValidationError(f"shift {v} must have shape ({L},)")
-        eta_rows[v] = vec
+        return vec
 
-    def block(idx: np.ndarray) -> np.ndarray:
-        xi = np.empty((idx.size, L))
-        for row, i in enumerate(idx):
-            xi[row] = substream(mc.seed, STREAM_SEQUENCE_MODEL, int(i)
-                                ).standard_normal(L)
-        noise = scales * xi
-        rej = np.empty((idx.size, len(etas)), dtype=bool)
-        for v in range(eta_rows.shape[0]):
-            t = np.square(eta_rows[v] + noise) @ fk.kappa_sq
-            rej[:, v] = t > critical
-        return rej
-
-    return _run_blocks(mc, len(etas), block)
+    return _rejections(
+        mc, STREAM_SEQUENCE_MODEL, L, lambda g: scales * g.standard_normal(L),
+        _rows(etas, (L,), shift),
+        lambda noise, eta: fixed_kappa_statistic(eta + noise, fk) > critical)

@@ -201,14 +201,20 @@ class QuadTestConfig:
         object.__setattr__(self, "x_alpha", x)
 
 
-def quad_statistic(y: np.ndarray, profile: KappaProfile, n: int) -> float:
-    """Raw centered statistic T_n(y) for one observation vector."""
+def quad_statistic(y: np.ndarray, profile: KappaProfile, n: int):
+    """Raw centered statistic T_n(y), one value per row along the last axis."""
     profile.require_n(n)
     y = np.asarray(y, dtype=float)
-    if y.shape != (profile.J,):
+    if y.shape[-1:] != (profile.J,):
         raise ValidationError(f"observation length {y.shape} != (J,) = ({profile.J},)")
     w = profile.kappa_sq[n]
-    return float(w @ np.square(y) - profile.sigma ** 2 * profile.rho[n] / n)
+    t_raw = np.square(y) @ w - profile.sigma ** 2 * profile.rho[n] / n
+    return t_raw if t_raw.ndim else float(t_raw)
+
+
+def quad_standardize(t_raw, profile: KappaProfile, n: int):
+    """sigma^{-4} n^2 T_n / sqrt(2 A_n); the test rejects when it exceeds x_alpha."""
+    return profile.sigma ** (-4) * n ** 2 * t_raw / math.sqrt(2.0 * profile.A[n])
 
 
 def noncentrality(theta, profile: KappaProfile, n: int) -> float:
@@ -242,7 +248,7 @@ def decide_and_predict(y: np.ndarray, config: QuadTestConfig, n: int,
     profile = config.profile
     t_raw = quad_statistic(y, profile, n)
     A_n = profile.A[n]
-    standardized = profile.sigma ** (-4) * n ** 2 * t_raw / math.sqrt(2.0 * A_n)
+    standardized = quad_standardize(t_raw, profile, n)
     r_n = None if theta is None else noncentrality(theta, profile, n)
     beta = None if r_n is None else predict_beta(r_n, A_n, config.x_alpha)
     return TestReport(
@@ -293,9 +299,10 @@ class FixedKappa:
         return self.sigmas
 
 
-def fixed_kappa_statistic(z: np.ndarray, fk: FixedKappa) -> float:
-    """T(z) = Sum_j kappa_j^2 z_j^2 over the stored weight length."""
+def fixed_kappa_statistic(z: np.ndarray, fk: FixedKappa):
+    """T(z) = Sum_j kappa_j^2 z_j^2, one value per row along the last axis."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (fk.L,):
+    if z.shape[-1:] != (fk.L,):
         raise ValidationError(f"observation length {z.shape} != ({fk.L},)")
-    return float(fk.kappa_sq @ np.square(z))
+    t = np.square(z) @ fk.kappa_sq
+    return t if t.ndim else float(t)

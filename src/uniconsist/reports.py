@@ -67,21 +67,3 @@ class TestReport:
             "ingredients": {k: (float(v) if v is not None else None)
                             for k, v in self.ingredients.items()},
         }
-
-
-QUAD_CSV_COLUMNS = ("n", "statistic", "reject", "predicted_beta", "R_n", "A_n")
-CHI2_CSV_COLUMNS = ("n", "m", "statistic", "standardized", "reject", "predicted_beta")
-
-
-def quad_csv_row(report: TestReport) -> list[str]:
-    ing = report.ingredients
-    return [str(report.n), fmt_float(report.statistic),
-            "1" if report.reject else "0", fmt_float(report.predicted_beta),
-            fmt_float(ing.get("R_n")), fmt_float(ing.get("A_n"))]
-
-
-def chi2_csv_row(report: TestReport) -> list[str]:
-    ing = report.ingredients
-    return [str(report.n), str(int(ing["m"])), fmt_float(report.statistic),
-            fmt_float(report.standardized), "1" if report.reject else "0",
-            fmt_float(report.predicted_beta)]

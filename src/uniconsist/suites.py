@@ -14,6 +14,7 @@ strictly.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -79,12 +80,13 @@ def write_result(result: SuiteResult, out_dir) -> list[str]:
 
 
 def merge_config(default: dict, override: dict | None) -> dict:
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in default.items()}
+    """A deep copy of the defaults with the override merged in at every depth."""
+    out = copy.deepcopy(default)
     for k, v in (override or {}).items():
         if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = {**out[k], **v}
+            out[k] = merge_config(out[k], v)
         else:
-            out[k] = v
+            out[k] = copy.deepcopy(v)
     return out
 
 

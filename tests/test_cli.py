@@ -167,6 +167,23 @@ def test_statistic_malformed_json_anchor(tmp_path, capsys):
     assert f"{path}:2:" in capsys.readouterr().err
 
 
+def test_statistic_cvm_missing_table_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no_table.json"
+    data = {"alpha": 0.05, "points": [0.2, 0.5, 0.8], "table": str(missing)}
+    code = main(["statistic", "cvm", "--data",
+                 _write(tmp_path, "v.json", data)])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_statistic_chi2_non_integer_cells_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "c.json",
+                  {"alpha": 0.05, "m": "x", "points": [0.1, 0.6]})
+    code = main(["statistic", "chi2", "--data", path])
+    assert code == 2
+    assert path in capsys.readouterr().err
+
+
 def test_statistic_missing_key(tmp_path, capsys):
     code = main(["statistic", "quad", "--data",
                  _write(tmp_path, "m.json", {"alpha": 0.05})])

@@ -78,6 +78,42 @@ def test_quad_rejections_thread_invariance():
     assert rej1.shape == (600, 2)
 
 
+def _kernel_run(mc):
+    cfg = KernelTestConfig(kernel=box_kernel(), alpha=0.05, h=0.1)
+    sig = SignalSpec(Basis.TRIG_FULL, np.array([[0.3, 0.1]]))
+    return kernel_rejections(mc, cfg, 64, [None, sig], 32)
+
+
+def _chi2_run(mc):
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.4])))
+    return chi2_rejections(mc, Chi2Config(alpha=0.05, m=8), 100, [None, dens])
+
+
+def _cvm_run(mc):
+    table = build_cvm_null_table([0.05], replicates=4000, seed=9, J_null=256)
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.5])))
+    return cvm_rejections(mc, table, 0.05, 50, [None, dens])
+
+
+def _fixed_run(mc):
+    j = np.arange(1, 65, dtype=float)
+    fk = FixedKappa(1.0 / (math.pi ** 2 * j ** 2), np.linspace(0.5, 1.5, 64))
+    eta = np.zeros(64)
+    eta[0] = 1.0
+    return fixed_rejections(mc, fk, 0.3, [None, eta])
+
+
+@pytest.mark.parametrize("run", [_kernel_run, _chi2_run, _cvm_run, _fixed_run],
+                         ids=["kernel", "chi2", "cvm", "fixed"])
+def test_rejections_thread_invariance(run):
+    """Every family's matrix is the same at 1 and 4 threads (two blocks)."""
+    rej1 = run(MCConfig(600, seed=1, threads=1))
+    rej4 = run(MCConfig(600, seed=1, threads=4))
+    assert np.array_equal(rej1, rej4)
+    assert rej1.shape == (600, 2)
+    assert 0 < rej1.sum() < rej1.size
+
+
 def test_quad_rejections_match_single_decision():
     """Replicate i of a run equals a fresh decision on the same substream draw."""
     theta = np.zeros(PROFILE.J)

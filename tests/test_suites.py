@@ -5,8 +5,8 @@ import json
 import pytest
 
 from uniconsist.errors import ValidationError
-from uniconsist.suites import (SUITES, default_config, merge_config,
-                               run_suite, write_result)
+from uniconsist.suites import (INTERACTION_DEFAULT, SUITES, default_config,
+                               merge_config, run_suite, write_result)
 
 SMOKE = {
     "consistency": {"replicates": 400},
@@ -49,6 +49,14 @@ def test_merge_config_nested():
     merged["quad"]["r"] = 99
     assert default["quad"]["r"] == 0.3
     assert merge_config(default, None)["a"] == 1
+    # a 3-level override keeps the sibling keys of the default
+    deep = merge_config(INTERACTION_DEFAULT, {"quad": {"head": {"norm_const": 2}}})
+    assert deep["quad"]["head"] == {**INTERACTION_DEFAULT["quad"]["head"],
+                                    "norm_const": 2}
+    assert deep["quad"]["J"] == INTERACTION_DEFAULT["quad"]["J"]
+    # depth-2 dicts are copies, not the defaults themselves
+    fresh = merge_config(INTERACTION_DEFAULT, None)
+    assert fresh["quad"]["head"] is not INTERACTION_DEFAULT["quad"]["head"]
 
 
 def test_default_config_copies():
