@@ -67,29 +67,43 @@ class Chi2Config:
         return m
 
 
-def cell_counts(points: np.ndarray, m: int) -> np.ndarray:
-    """Occupancy counts of the m equal cells per sample along the last axis;
-    boundary points go right."""
+def _cells(points: np.ndarray, m: int) -> np.ndarray:
+    """Cell index floor(x m) in 0..m-1 of each point; boundary points go right."""
     points = np.asarray(points, dtype=float)
     if m < 2:
         raise ValidationError("m must be at least 2")
     if points.size == 0:
         raise ValidationError("empty sample")
-    idx = np.clip(np.floor(points * m).astype(np.int64), 0, m - 1)
-    lead = idx.shape[:-1]
+    return np.clip(np.floor(points * m).astype(np.int64), 0, m - 1)
+
+
+def _occupancy(cells: np.ndarray, m: int) -> np.ndarray:
+    lead = cells.shape[:-1]
     samples = math.prod(lead)
     offsets = (np.arange(samples) * m).reshape(lead + (1,))
-    return np.bincount((idx + offsets).ravel(),
+    return np.bincount((cells + offsets).ravel(),
                        minlength=samples * m).reshape(lead + (m,))
+
+
+def cell_counts(points: np.ndarray, m: int) -> np.ndarray:
+    """Occupancy counts of the m equal cells per sample along the last axis;
+    boundary points go right."""
+    return _occupancy(_cells(points, m), m)
+
+
+def cell_statistic(cells: np.ndarray, m: int):
+    """T_n = n m Sum_l (p_hat_l - 1/m)^2 from each point's cell index in
+    0..m-1, one value per sample along the last axis."""
+    counts = _occupancy(cells, m)
+    n = cells.shape[-1]
+    stat = n * m * np.sum(np.square(counts / n - 1.0 / m), axis=-1)
+    return stat if stat.ndim else float(stat)
 
 
 def chi2_statistic(points: np.ndarray, m: int):
     """T_n = n m Sum_l (p_hat_l - 1/m)^2 (equals the Pearson statistic), one
     value per sample along the last axis."""
-    counts = cell_counts(points, m)
-    n = np.shape(points)[-1]
-    stat = n * m * np.sum(np.square(counts / n - 1.0 / m), axis=-1)
-    return stat if stat.ndim else float(stat)
+    return cell_statistic(_cells(points, m), m)
 
 
 def chi2_standardize(stat, m: int):

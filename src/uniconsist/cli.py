@@ -29,7 +29,8 @@ from .kernel import decide_and_predict as kernel_decide
 from .quad import FixedKappa, QuadTestConfig, build_profile, fixed_kappa_statistic
 from .quad import decide_and_predict as quad_decide
 from .signals import signal_from_json
-from .suites import SUITES, run_suite, write_result
+from .suites import (SUITES, default_config, merge_config, run_suite,
+                     write_result)
 
 
 def _load_json(path: str):
@@ -76,6 +77,11 @@ def cmd_suite(args) -> int:
     config = _load_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ValidationError(f"{args.config}:1: suite config must be a JSON object")
+    defaults = default_config(args.name)
+    try:
+        config = merge_config(defaults, config)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.config}: {exc}") from exc
     seed = _env_seed()
     if seed is not None:
         config = {**config, "seed": seed}

@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chi2 import Chi2Config, chi2_standardize, chi2_statistic
+from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
 from .cvm import CvmNullTable, cvm_statistic
 from .errors import ValidationError
 from .kernel import KernelTestConfig, _weights, kernel_statistic
 from .quad import (FixedKappa, QuadTestConfig, fixed_kappa_statistic,
                    quad_standardize, quad_statistic)
 from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, substream
-from .signals import Basis, DensitySpec, SignalSpec, invert_cdf
+from .signals import Basis, DensitySpec, SignalSpec, cdf_offset, invert_cdf
 
 BLOCK_ROWS = 512
 _Z95 = 1.959963984540054
@@ -212,25 +212,28 @@ def kernel_rejections(mc: MCConfig, config: KernelTestConfig, n: int,
                        _rows(thetas, (J, 2), _pair_coeffs), reject)
 
 
-def _variant_points(u: np.ndarray, density) -> np.ndarray:
-    if density is None:
-        return u
-    if not isinstance(density, DensitySpec):
+def _densities(variants) -> list:
+    if any(d is not None and not isinstance(d, DensitySpec) for d in variants):
         raise ValidationError("i.i.d. runs take DensitySpec variants (or None)")
-    return invert_cdf(density, u.ravel()).reshape(u.shape)
+    return list(variants)
 
 
 def chi2_rejections(mc: MCConfig, config: Chi2Config, n: int,
                     densities) -> np.ndarray:
     """Rejection matrix of the chi-square test; one column per density."""
     m = config.cells(n)
+    # F is monotone, so F^{-1}(u) lies in cell l iff F(l/m) <= u < F((l+1)/m):
+    # count the uniforms' cells against F at the interior edges, not invert.
+    edges = np.arange(1, m) / m
+    cuts = [None if d is None else edges + cdf_offset(d.signal, edges)
+            for d in _densities(densities)]
 
-    def reject(u, density):
-        stat = chi2_statistic(_variant_points(u, density), m)
+    def reject(u, cut):
+        stat = (chi2_statistic(u, m) if cut is None else
+                cell_statistic(np.searchsorted(cut, u, side="right"), m))
         return chi2_standardize(stat, m) > config.x_alpha
 
-    return _rejections(mc, STREAM_IID, n, lambda g: g.random(n), densities,
-                       reject)
+    return _rejections(mc, STREAM_IID, n, lambda g: g.random(n), cuts, reject)
 
 
 def cvm_rejections(mc: MCConfig, table: CvmNullTable, alpha: float, n: int,
@@ -238,8 +241,9 @@ def cvm_rejections(mc: MCConfig, table: CvmNullTable, alpha: float, n: int,
     """Rejection matrix of the omega-square test; one column per density."""
     critical = table.critical(alpha)
     return _rejections(
-        mc, STREAM_IID, n, lambda g: g.random(n), densities,
-        lambda u, density: cvm_statistic(_variant_points(u, density)) > critical)
+        mc, STREAM_IID, n, lambda g: g.random(n), _densities(densities),
+        lambda u, density: cvm_statistic(
+            u if density is None else invert_cdf(density, u)) > critical)
 
 
 def _dispatch_rejections(config, n: int, mc: MCConfig, variants, *,

@@ -31,6 +31,9 @@ DENSITY_TOL = -1e-10
 # Residual guarantee of inverse-CDF sampling: |F(x) - u| <= this, every draw.
 INVCDF_TOL = 1e-12
 
+# Inverse-CDF sampling refines at most this many points at a time (memory cap).
+INVCDF_CHUNK = 65536
+
 
 class Basis(str, Enum):
     COSINE_PI = "CosinePi"
@@ -119,20 +122,19 @@ def evaluate(signal: SignalSpec, t) -> np.ndarray | float:
 
 def _evaluate_interior(signal: SignalSpec, t: np.ndarray) -> np.ndarray:
     # No domain check: internal callers may evaluate at 0/1 where the
-    # trigonometric expressions are still well defined.
+    # trigonometric expressions are still well defined. Loops visit only the
+    # nonzero coefficients, in ascending j: that order fixes the rounding.
     out = np.zeros_like(t)
+    coeffs = np.asarray(signal.coeffs)
     if signal.basis is Basis.TRIG_FULL:
-        for j, (a, b) in enumerate(np.asarray(signal.coeffs), start=1):
-            if a == 0.0 and b == 0.0:
-                continue
-            w = 2.0 * math.pi * j * t
+        for i in np.flatnonzero(coeffs.any(axis=1)).tolist():
+            a, b = coeffs[i]
+            w = 2.0 * math.pi * (i + 1) * t
             out += (SQRT2 * a) * np.cos(w) + (SQRT2 * b) * np.sin(w)
         return out
     fn = np.cos if signal.basis is Basis.COSINE_PI else np.sin
-    for j, c in enumerate(np.asarray(signal.coeffs), start=1):
-        if c == 0.0:
-            continue
-        out += (SQRT2 * c) * fn(math.pi * j * t)
+    for i in np.flatnonzero(coeffs).tolist():
+        out += (SQRT2 * coeffs[i]) * fn(math.pi * (i + 1) * t)
     return out
 
 
@@ -143,25 +145,19 @@ def cdf_offset(signal: SignalSpec, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
+    coeffs = np.asarray(signal.coeffs)
     if signal.basis is Basis.TRIG_FULL:
-        for j, (a, b) in enumerate(np.asarray(signal.coeffs), start=1):
-            if a == 0.0 and b == 0.0:
-                continue
-            w = 2.0 * math.pi * j
+        for i in np.flatnonzero(coeffs.any(axis=1)).tolist():
+            a, b = coeffs[i]
+            w = 2.0 * math.pi * (i + 1)
             out += (SQRT2 * a / w) * np.sin(w * x) + (SQRT2 * b / w) * (1.0 - np.cos(w * x))
         return out
-    if signal.basis is Basis.COSINE_PI:
-        for j, c in enumerate(np.asarray(signal.coeffs), start=1):
-            if c == 0.0:
-                continue
-            w = math.pi * j
-            out += (SQRT2 * c / w) * np.sin(w * x)
-        return out
-    for j, c in enumerate(np.asarray(signal.coeffs), start=1):
-        if c == 0.0:
-            continue
-        w = math.pi * j
-        out += (SQRT2 * c / w) * (1.0 - np.cos(w * x))
+    for i in np.flatnonzero(coeffs).tolist():
+        w = math.pi * (i + 1)
+        if signal.basis is Basis.COSINE_PI:
+            out += (SQRT2 * coeffs[i] / w) * np.sin(w * x)
+        else:
+            out += (SQRT2 * coeffs[i] / w) * (1.0 - np.cos(w * x))
     return out
 
 
@@ -309,43 +305,43 @@ def invert_cdf(density: DensitySpec, u: np.ndarray,
 
     Each uniform is inverted by bracketed Newton/bisection until the
     residual |F(x) - u| is at most ``tol`` (guaranteed; raises otherwise).
+    The inversion is elementwise, so the chunking changes no bit.
     """
     signal = density.signal
     u = np.asarray(u, dtype=float)
-    # Bracket on a monotone CDF grid, then refine with safeguarded Newton.
+    flat = u.ravel()
+    x = np.empty_like(flat)
+    # Bracket on a monotone CDF grid, then refine with safeguarded Newton on
+    # the points still above tolerance; a point leaves for good once within.
     G = 2048
     gx = np.linspace(0.0, 1.0, G + 1)
     gF = gx + cdf_offset(signal, gx)
-    idx = np.clip(np.searchsorted(gF, u, side="left"), 1, G)
-    lo = gx[idx - 1].copy()
-    hi = gx[idx].copy()
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        r = (x + cdf_offset(signal, x)) - u
-        gt = r > 0.0
-        hi = np.where(gt, x, hi)
-        lo = np.where(gt, lo, x)
-        dens = 1.0 + _evaluate_interior(signal, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - r / dens
-        ok = (dens > 1e-8) & (xn > lo) & (xn < hi)
-        x = np.where(ok, xn, 0.5 * (lo + hi))
-    r = (x + cdf_offset(signal, x)) - u
-    active = np.abs(r) > tol
-    rounds = 0
-    while np.any(active):
-        rounds += 1
-        if rounds > 200:
+    for start in range(0, flat.size, INVCDF_CHUNK):
+        active = np.arange(start, min(start + INVCDF_CHUNK, flat.size))
+        idx = np.clip(np.searchsorted(gF, flat[active], side="left"), 1, G)
+        lo, hi = gx[idx - 1], gx[idx]
+        xa = 0.5 * (lo + hi)
+        for _ in range(200):
+            r = (xa + cdf_offset(signal, xa)) - flat[active]
+            done = np.abs(r) <= tol
+            x[active[done]] = xa[done]
+            if done.all():
+                break
+            keep = ~done
+            active, xa, r, lo, hi = active[keep], xa[keep], r[keep], lo[keep], hi[keep]
+            gt = r > 0.0
+            hi = np.where(gt, xa, hi)
+            lo = np.where(gt, lo, xa)
+            dens = 1.0 + _evaluate_interior(signal, xa)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xn = xa - r / dens
+            # Newton only inside the closed bracket and only if it moves x.
+            ok = (dens > 1e-8) & (xn >= lo) & (xn <= hi) & (xn != xa)
+            xa = np.where(ok, xn, 0.5 * (lo + hi))
+        else:
             raise ValidationError("inverse-CDF sampling failed to reach tolerance")
-        xa = 0.5 * (lo[active] + hi[active])
-        ra = (xa + cdf_offset(signal, xa)) - u[active]
-        gt = ra > 0.0
-        hi[active] = np.where(gt, xa, hi[active])
-        lo[active] = np.where(gt, lo[active], xa)
-        x[active] = xa
-        r[active] = ra
-        active = np.abs(r) > tol
-    return np.clip(x, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    x = np.clip(x, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return x.reshape(u.shape)
 
 
 @dataclass(frozen=True)

@@ -80,14 +80,23 @@ def write_result(result: SuiteResult, out_dir) -> list[str]:
 
 
 def merge_config(default: dict, override: dict | None) -> dict:
-    """A deep copy of the defaults with the override merged in at every depth."""
-    out = copy.deepcopy(default)
-    for k, v in (override or {}).items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = merge_config(out[k], v)
-        else:
-            out[k] = copy.deepcopy(v)
-    return out
+    """A deep copy of the defaults with the override merged in at every depth.
+
+    A key the defaults do not have raises ValidationError naming its dotted
+    path, so a misspelled key cannot silently leave its default in force.
+    """
+    def merge(base: dict, over: dict, prefix: str) -> dict:
+        out = copy.deepcopy(base)
+        for k, v in over.items():
+            if k not in out:
+                raise ValidationError(f"unknown config key {prefix + str(k)!r}")
+            if isinstance(v, dict) and isinstance(out[k], dict):
+                out[k] = merge(out[k], v, f"{prefix}{k}.")
+            else:
+                out[k] = copy.deepcopy(v)
+        return out
+
+    return merge(default, override or {}, "")
 
 
 def _strictly_decreasing(values) -> bool:

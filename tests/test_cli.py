@@ -80,6 +80,25 @@ def test_suite_unknown_name_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_suite_unknown_top_level_key_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "typo.json", {"replicats": 100})
+    code = main(["suite", "consistency", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert cfg in err and "'replicats'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_suite_unknown_nested_key_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "nested.json", {"chi2": {"spikes": {}}})
+    code = main(["suite", "interaction", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert cfg in err and "'chi2.spikes'" in err
+
+
 def test_bad_env_seed_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UNICONSIST_SEED", "not-an-int")
     cfg = _write(tmp_path, "cfg.json", SMOKE_CONSISTENCY)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uniconsist import chi2, cvm
 from uniconsist.chi2 import Chi2Config, chi2_statistic
 from uniconsist.cvm import build_cvm_null_table, cvm_statistic
 from uniconsist.errors import ValidationError
@@ -20,7 +21,8 @@ from uniconsist.mclab import (MCConfig, MCEstimate, PowerReport,
 from uniconsist.quad import (FixedKappa, QuadTestConfig, build_profile,
                              decide_and_predict, fixed_kappa_statistic)
 from uniconsist.rng import (STREAM_IID, STREAM_SEQUENCE_MODEL, substream)
-from uniconsist.signals import Basis, DensitySpec, SignalSpec, invert_cdf
+from uniconsist.signals import (Basis, DensitySpec, SignalSpec, invert_cdf,
+                                sample_iid)
 
 PROFILE = build_profile(r=0.3, gamma=2.0, c=1.0, J=256, n_list=[64])
 QCFG = QuadTestConfig(profile=PROFILE, alpha=0.05)
@@ -268,3 +270,43 @@ def test_power_report_row():
     assert row["abs_gap"] == pytest.approx(0.02)
     rep = PowerReport(rows=(row,))
     assert rep.to_json_dict()["rows"][0]["n"] == 64
+
+
+@st.composite
+def engine_densities(draw):
+    """Low-frequency densities on all three bases (SinePi at even j, where
+    the terms integrate to zero), with 1 + f >= 0 by the coefficient sum."""
+    basis = draw(st.sampled_from(list(Basis)))
+    step = 2 if basis is Basis.SINE_PI else 1
+    J = step * draw(st.integers(1, 3))
+    coeffs = np.zeros((J, 2) if basis is Basis.TRIG_FULL else J)
+    terms = slice(step - 1, None, step)
+    size = coeffs[terms].size
+    coeffs[terms] = np.reshape(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)),
+        coeffs[terms].shape)
+    total = math.sqrt(2.0) * np.abs(coeffs).sum()
+    if total > 1.0:
+        coeffs /= total
+    return DensitySpec(SignalSpec(basis, coeffs))
+
+
+CVM_TABLE = build_cvm_null_table([0.05], replicates=2000, seed=5, J_null=128)
+
+
+@settings(max_examples=15, deadline=None)
+@given(engine_densities(), st.integers(10, 150), st.integers(2, 12),
+       st.integers(0, 2 ** 31))
+def test_iid_rejections_equal_public_path(dens, n, m, seed):
+    """Each engine row equals the per-replicate public path on the same
+    substream: sample_iid, then chi2.decide_and_predict or cvm.decide."""
+    mc = MCConfig(100, seed=seed)
+    cfg = Chi2Config(alpha=0.05, m=m)
+    rej_chi2 = chi2_rejections(mc, cfg, n, [None, dens])
+    rej_cvm = cvm_rejections(mc, CVM_TABLE, 0.05, n, [None, dens])
+    for i in range(mc.replicates):
+        for v, variant in enumerate([None, dens]):
+            gen = substream(seed, STREAM_IID, i)
+            points = gen.random(n) if variant is None else sample_iid(variant, n, gen)
+            assert rej_chi2[i, v] == chi2.decide_and_predict(points, cfg, n).reject
+            assert rej_cvm[i, v] == cvm.decide(points, CVM_TABLE, 0.05).reject

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import eval_signal, gauss01, norm_sq_quadrature
+from uniconsist import signals
 from uniconsist.errors import DensityError, ValidationError
-from uniconsist.signals import (Basis, DensitySpec, EmpiricalCdf, NoiseModel,
-                                SignalSpec, cdf_offset, density_minimum,
-                                empirical_cdf, evaluate, from_exponential,
-                                invert_cdf, sample_iid, sample_sequence_model,
+from uniconsist.signals import (INVCDF_TOL, SQRT2, Basis, DensitySpec,
+                                EmpiricalCdf, NoiseModel, SignalSpec,
+                                cdf_offset, density_minimum, empirical_cdf,
+                                evaluate, from_exponential, invert_cdf,
+                                sample_iid, sample_sequence_model,
                                 signal_from_json, to_exponential)
 
 RNG = np.random.default_rng(20260816)
@@ -238,3 +240,68 @@ def test_density_perturbation_integrates_to_zero(coeffs, basis):
 def test_norm_is_coefficient_euclidean(coeffs):
     sig = SignalSpec(Basis.COSINE_PI, np.array(coeffs))
     assert math.isclose(sig.norm, float(np.linalg.norm(coeffs)), abs_tol=1e-12)
+
+
+@st.composite
+def inversion_densities(draw):
+    """Densities on all three bases: low frequency, scaled so the minimum of
+    1 + f lies in [0, 0.05], or one high-frequency term with j up to 300.
+    SinePi uses even j only, where sin(pi j t) integrates to zero."""
+    basis = draw(st.sampled_from(list(Basis)))
+    step = 2 if basis is Basis.SINE_PI else 1
+    trig = basis is Basis.TRIG_FULL
+    if draw(st.booleans()):
+        coeffs = np.zeros((step * 4, 2) if trig else step * 4)
+        terms = slice(step - 1, None, step)
+        size = coeffs[terms].size
+        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+        coeffs[terms] = np.reshape(values, coeffs[terms].shape)
+        low, _ = density_minimum(SignalSpec(basis, coeffs))
+        assume(low < 0.5)
+        coeffs *= (1.0 - draw(st.floats(0.0, 0.05))) / (1.0 - low)
+    else:
+        j = step * draw(st.integers(1, 300 // step))
+        coeffs = np.zeros((j, 2) if trig else j)
+        amp = draw(st.floats(-1.0, 1.0)) / SQRT2
+        if trig:
+            phase = draw(st.floats(0.0, 2.0 * math.pi))
+            coeffs[j - 1] = (amp * math.cos(phase), amp * math.sin(phase))
+        else:
+            coeffs[j - 1] = amp
+    return DensitySpec(SignalSpec(basis, coeffs))
+
+
+def _uniforms(seed: int, size: int) -> np.ndarray:
+    u = np.random.default_rng(seed).random(size)
+    return np.concatenate([[0.0, 1.0 - 2.0 ** -53], u])
+
+
+@settings(max_examples=30, deadline=None)
+@given(inversion_densities(), st.integers(0, 2 ** 32 - 1))
+def test_invert_cdf_tolerance_and_order(dens, seed):
+    """|F(x) - u| <= INVCDF_TOL and 0 < x < 1 for every draw, the endpoints
+    included, and F(x) and x are nondecreasing in sorted u."""
+    u = np.sort(_uniforms(seed, 3000))
+    x = invert_cdf(dens, u)
+    F = dens.cdf(x)
+    assert np.all((x > 0.0) & (x < 1.0))
+    assert float(np.max(np.abs(F - u))) <= INVCDF_TOL
+    apart = np.diff(u) > 2.0 * INVCDF_TOL
+    assert np.all(np.diff(F)[apart] >= 0.0)
+    assert np.all(np.diff(x)[apart] >= 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(inversion_densities(), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 400), st.integers(1, 64))
+def test_invert_cdf_is_elementwise_across_chunks(dens, seed, cut, chunk):
+    """Inverting a concatenation equals concatenating the inversions, at the
+    default chunk size and at one that splits the input many times."""
+    u = _uniforms(seed, 500)
+    whole = invert_cdf(dens, u)
+    assert np.array_equal(
+        whole, np.concatenate([invert_cdf(dens, u[:cut]), invert_cdf(dens, u[cut:])]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signals, "INVCDF_CHUNK", chunk)
+        assert np.array_equal(invert_cdf(dens, u), whole)
+        assert np.array_equal(invert_cdf(dens, u.reshape(2, -1)), whole.reshape(2, -1))
