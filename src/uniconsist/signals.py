@@ -28,6 +28,9 @@ SQRT2 = math.sqrt(2.0)
 # Densities are accepted as nonnegative down to this floating-point slack.
 DENSITY_TOL = -1e-10
 
+# A density 1 + f must integrate to 1: |int_0^1 f| may be at most this.
+MASS_TOL = 1e-9
+
 # Residual guarantee of inverse-CDF sampling: |F(x) - u| <= this, every draw.
 INVCDF_TOL = 1e-12
 
@@ -264,7 +267,8 @@ def density_minimum(signal: SignalSpec, grid: int = 4096,
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """The density 1 + f on (0, 1); nonnegativity is verified at construction."""
+    """The density 1 + f on (0, 1); nonnegativity and unit mass are verified
+    at construction."""
 
     signal: SignalSpec
     grid: int = 4096
@@ -276,6 +280,11 @@ class DensitySpec:
             raise DensityError(
                 f"1 + f is negative: minimum {mn:.6g} at t = {arg:.6g}",
                 points=[arg], minimum=mn)
+        offset = float(cdf_offset(self.signal, 1.0))
+        if abs(offset) > MASS_TOL:
+            raise ValidationError(
+                f"1 + f does not integrate to 1: mass {1.0 + offset:.12g} "
+                f"(tolerance {MASS_TOL:g})")
         object.__setattr__(self, "minimum", float(mn))
 
     def pdf(self, t) -> np.ndarray | float:

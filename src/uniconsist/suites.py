@@ -10,6 +10,11 @@ every suite below.
 Monotone checks on Monte Carlo estimates allow a slack of twice the joint
 standard error per step; exact (deterministic) indices are checked
 strictly.
+
+Scaffold: ``run_suite`` is the one place that merges a config over its
+suite's defaults and builds the ``MCConfig`` (replicates, seed, threads);
+it then calls the registered ``fn(cfg, mc)``. A suite never sees the thread
+count, so threads cannot reach anything but the engine.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .alternatives import (AlternativeSequence, ClassifyThresholds, classify,
-                           combine, cvm_family, chi2_family, g1_report,
-                           kernel_family, make_consistent, make_inconsistent,
-                           make_spike_tail, quad_family, smoothness_of,
-                           spike_tail_schedule)
+from .alternatives import (AlternativeSequence, ClassifyThresholds,
+                           _make_signal, classify, combine, cvm_family,
+                           chi2_family, g1_report, kernel_family,
+                           make_consistent, make_inconsistent,
+                           make_spike_tail, quad_family, spike_tail_schedule)
 from .chi2 import Chi2Config, chi2_population, chi2_predicted_beta
 from .cvm import bridge_weights, cvm_consistency_index, weighted_null_quantiles
 from .errors import ValidationError
@@ -39,7 +44,7 @@ from .quad import (FixedKappa, QuadTestConfig, build_profile, noncentrality,
                    predict_beta)
 from .reports import write_csv
 from .rng import STREAM_FACTORY, substream
-from .signals import Basis, DensitySpec, SignalSpec
+from .signals import DensitySpec
 
 
 @dataclass(frozen=True)
@@ -82,16 +87,21 @@ def write_result(result: SuiteResult, out_dir) -> list[str]:
 def merge_config(default: dict, override: dict | None) -> dict:
     """A deep copy of the defaults with the override merged in at every depth.
 
-    A key the defaults do not have raises ValidationError naming its dotted
-    path, so a misspelled key cannot silently leave its default in force.
+    A key the defaults do not have, or a value where the defaults hold a
+    section (or the reverse), raises ValidationError naming its dotted path,
+    so a misspelled key cannot silently leave its default in force.
     """
     def merge(base: dict, over: dict, prefix: str) -> dict:
         out = copy.deepcopy(base)
         for k, v in over.items():
+            path = prefix + str(k)
             if k not in out:
-                raise ValidationError(f"unknown config key {prefix + str(k)!r}")
-            if isinstance(v, dict) and isinstance(out[k], dict):
-                out[k] = merge(out[k], v, f"{prefix}{k}.")
+                raise ValidationError(f"unknown config key {path!r}")
+            if isinstance(out[k], dict) != isinstance(v, dict):
+                kind = "a section" if isinstance(out[k], dict) else "a value"
+                raise ValidationError(f"config key {path!r} must be {kind}")
+            if isinstance(v, dict):
+                out[k] = merge(out[k], v, path + ".")
             else:
                 out[k] = copy.deepcopy(v)
         return out
@@ -114,14 +124,16 @@ def _decreasing_within_noise(values, std_errors) -> bool:
     return True
 
 
-def _spike_signal(basis: Basis, index: int, amplitude: float) -> SignalSpec:
-    if basis is Basis.TRIG_FULL:
-        coeffs = np.zeros((index, 2))
-        coeffs[index - 1, 0] = amplitude
-    else:
-        coeffs = np.zeros(index)
-        coeffs[index - 1] = amplitude
-    return SignalSpec(basis, coeffs)
+def _quad_setup(q: dict, alpha: float):
+    """Profile, quad family and quad test of a config's ``quad`` section."""
+    profile = build_profile(q["r"], q["gamma"], q["c"], q["J"], q["n_list"])
+    return profile, quad_family(profile), QuadTestConfig(profile, alpha)
+
+
+def _paired_gap(rej: np.ndarray):
+    """Column estimates, |power(col 2) - power(col 1)| and its paired SE."""
+    pe = paired_excess(rej, 2, 1)
+    return estimate_columns(rej), abs(pe["difference"]), pe["std_error"]
 
 
 CONSISTENCY_DEFAULT = {
@@ -137,16 +149,12 @@ CONSISTENCY_DEFAULT = {
 }
 
 
-def _suite_consistency(cfg: dict, threads: int) -> SuiteResult:
+def _suite_consistency(cfg: dict, mc: MCConfig) -> SuiteResult:
     q = cfg["quad"]
     alpha = cfg["alpha"]
-    profile = build_profile(q["r"], q["gamma"], q["c"], q["J"], q["n_list"])
-    family = quad_family(profile)
+    profile, family, test = _quad_setup(q, alpha)
     seq = make_consistent(family, q["c2"], q["mass_profile"], q["n_list"],
                           q["norm_const"])
-    test = QuadTestConfig(profile, alpha)
-    mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
-                  threads=threads)
     n_list = list(seq.n_list)
     mc_ns = n_list if cfg["mc_all_n"] else [n_list[-1]]
     band = cfg["thresholds"]["power_band"]
@@ -205,15 +213,11 @@ INCONSISTENCY_DEFAULT = {
 }
 
 
-def _suite_inconsistency(cfg: dict, threads: int) -> SuiteResult:
+def _suite_inconsistency(cfg: dict, mc: MCConfig) -> SuiteResult:
     q = cfg["quad"]
     alpha = cfg["alpha"]
-    profile = build_profile(q["r"], q["gamma"], q["c"], q["J"], q["n_list"])
-    family = quad_family(profile)
+    profile, family, test = _quad_setup(q, alpha)
     seq = make_inconsistent(family, q["schedule"], q["n_list"], q["norm_const"])
-    test = QuadTestConfig(profile, alpha)
-    mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
-                  threads=threads)
     quad_rows = []
     r_values, excesses = [], []
     for n, spike in zip(seq.n_list, seq.metadata["spikes"]):
@@ -284,94 +288,86 @@ INTERACTION_DEFAULT = {
 }
 
 
-def _interaction_quad(cfg: dict, mc: MCConfig) -> tuple[dict, list, bool]:
+def _head_plus_spike(family, section: dict, n_list):
+    """The head sequence of a section and its head-plus-spike combination."""
+    h, sp = section["head"], section["spike"]
+    head = make_consistent(family, h["c2"], h["mass_profile"], n_list,
+                           h["norm_const"])
+    spike = make_inconsistent(family, sp["schedule"], n_list, sp["norm_const"])
+    return head, combine(head, spike, kind="head-plus-spike")
+
+
+def _interaction_quad(cfg: dict, mc: MCConfig) -> list:
     q = cfg["quad"]
-    alpha = cfg["alpha"]
-    profile = build_profile(q["r"], q["gamma"], q["c"], q["J"], q["n_list"])
-    family = quad_family(profile)
-    head = make_consistent(family, q["head"]["c2"], q["head"]["mass_profile"],
-                           q["n_list"], q["head"]["norm_const"])
-    spike = make_inconsistent(family, q["spike"]["schedule"], q["n_list"],
-                              q["spike"]["norm_const"])
-    comb = combine(head, spike, kind="head-plus-spike")
-    test = QuadTestConfig(profile, alpha)
-    rows, gaps, ses = [], [], []
+    profile, family, test = _quad_setup(q, cfg["alpha"])
+    head, comb = _head_plus_spike(family, q, q["n_list"])
+    rows = []
     for n in head.n_list:
         h_sig, c_sig = head.signals[n], comb.signals[n]
         r_h = noncentrality(h_sig, profile, n)
         r_c = noncentrality(c_sig, profile, n)
         gap_pred = abs(predict_beta(r_h, profile.A[n], test.x_alpha)
                        - predict_beta(r_c, profile.A[n], test.x_alpha))
-        rej = quad_rejections(mc, test, n, [None, h_sig, c_sig])
-        ests = estimate_columns(rej)
-        pe = paired_excess(rej, 2, 1)
-        gap = abs(pe["difference"])
-        gaps.append(gap)
-        ses.append(pe["std_error"])
+        ests, gap, se = _paired_gap(
+            quad_rejections(mc, test, n, [None, h_sig, c_sig]))
         rows.append([n, r_h, r_c - r_h, gap_pred, ests[1].estimate,
-                     ests[2].estimate, gap, pe["std_error"]])
-    ok = bool(gaps[-1] <= cfg["thresholds"]["gap_largest"]
-              and _strictly_decreasing(gaps))
-    section = {"gaps": gaps, "std_errors": ses, "passed": ok}
-    return section, rows, ok
+                     ests[2].estimate, gap, se])
+    return rows
 
 
-def _interaction_chi2(cfg: dict, mc: MCConfig) -> tuple[dict, list, bool]:
+def _interaction_chi2(cfg: dict, mc: MCConfig) -> list:
     ch = cfg["chi2"]
-    alpha = cfg["alpha"]
-    family = chi2_family(ch["r"])
-    head = make_consistent(family, ch["head"]["c2"],
-                           ch["head"]["mass_profile"], ch["n_list"],
-                           ch["head"]["norm_const"])
-    spike = make_inconsistent(family, ch["spike"]["schedule"], ch["n_list"],
-                              ch["spike"]["norm_const"])
-    comb = combine(head, spike, kind="head-plus-spike")
-    test = Chi2Config(alpha=alpha, m_rule=(ch["r"], ch["m_const"]))
-    rows, gaps, ses = [], [], []
+    head, comb = _head_plus_spike(chi2_family(ch["r"]), ch, ch["n_list"])
+    test = Chi2Config(alpha=cfg["alpha"], m_rule=(ch["r"], ch["m_const"]))
+    rows = []
     for n in head.n_list:
         h_sig, c_sig = head.signals[n], comb.signals[n]
         m = test.cells(n)
         beta_h = chi2_predicted_beta(h_sig, test, n)
         beta_c = chi2_predicted_beta(c_sig, test, n)
-        rej = chi2_rejections(mc, test, n,
-                              [None, DensitySpec(h_sig), DensitySpec(c_sig)])
-        ests = estimate_columns(rej)
-        pe = paired_excess(rej, 2, 1)
-        gap = abs(pe["difference"])
-        gaps.append(gap)
-        ses.append(pe["std_error"])
+        ests, gap, se = _paired_gap(chi2_rejections(
+            mc, test, n, [None, DensitySpec(h_sig), DensitySpec(c_sig)]))
         rows.append([n, m, n * m * chi2_population(h_sig, m),
                      n * m * chi2_population(c_sig, m),
                      abs(beta_h - beta_c), ests[1].estimate, ests[2].estimate,
-                     gap, pe["std_error"]])
-    ok = bool(gaps[-1] <= cfg["thresholds"]["gap_largest"]
-              and _strictly_decreasing(gaps))
-    section = {"gaps": gaps, "std_errors": ses, "passed": ok}
-    return section, rows, ok
+                     gap, se])
+    return rows
 
 
-def _suite_interaction(cfg: dict, threads: int) -> SuiteResult:
-    mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
-                  threads=threads)
+# Interaction halves in run order: rows function and table columns. Each
+# row ends with the empirical gap and its paired SE.
+_INTERACTION = {
+    "quad": (_interaction_quad,
+             ("n", "R_head", "R_spike", "predicted_gap", "power_head",
+              "power_combined", "empirical_gap", "paired_se")),
+    "chi2": (_interaction_chi2,
+             ("n", "m", "T_head", "T_combined", "predicted_gap", "power_head",
+              "power_combined", "empirical_gap", "paired_se")),
+}
+
+
+def _suite_interaction(cfg: dict, mc: MCConfig) -> SuiteResult:
+    names, families = list(_INTERACTION), cfg["families"]
+    if not (isinstance(families, list) and families
+            and all(f in names for f in families)):
+        raise ValidationError("interaction families must be a non-empty "
+                              f"subset of {names}, got {families!r}")
     tables = {}
     summary = {"thresholds": cfg["thresholds"],
                "pairing": "head and head-plus-spike share replicate noise"}
     passed = True
-    if "quad" in cfg["families"]:
-        section, rows, ok = _interaction_quad(cfg, mc)
-        summary["quad"] = section
+    for name, (rows_of, columns) in _INTERACTION.items():
+        if name not in families:
+            continue
+        rows = rows_of(cfg, mc)
+        gaps = [row[-2] for row in rows]
+        ok = bool(gaps[-1] <= cfg["thresholds"]["gap_largest"]
+                  and _strictly_decreasing(gaps))
+        summary[name] = {"gaps": gaps, "std_errors": [row[-1] for row in rows],
+                         "passed": ok}
         passed = passed and ok
-        tables["interaction_quad"] = (
-            ("n", "R_head", "R_spike", "predicted_gap", "power_head",
-             "power_combined", "empirical_gap", "paired_se"), rows)
-    if "chi2" in cfg["families"]:
-        section, rows, ok = _interaction_chi2(cfg, mc)
-        summary["chi2"] = section
-        passed = passed and ok
-        tables["interaction_chi2"] = (
-            ("n", "m", "T_head", "T_combined", "predicted_gap", "power_head",
-             "power_combined", "empirical_gap", "paired_se"), rows)
-    return SuiteResult(name="interaction", passed=bool(passed),
+        tables[f"interaction_{name}"] = (columns, rows)
+    return SuiteResult(name="interaction", passed=passed,
                        summary=summary, tables=tables)
 
 
@@ -389,61 +385,39 @@ PURITY_DEFAULT = {
 }
 
 
-def _delta_tail(profile, family, n_list, position_factor: float,
-                delta: float, kind: str) -> AlternativeSequence:
-    """Spikes beyond position_factor * k_n with exact tail noncentrality delta."""
-    signals = {}
-    norms = []
+def _tail(profile, family, n_list, position_factor: float, amplitude,
+          kind: str) -> AlternativeSequence:
+    """Spikes at ceil(position_factor * k_n) + 1, of height amplitude(n, kappa^2)."""
+    signals, norms = {}, []
     for n in n_list:
         j0 = int(math.ceil(position_factor * profile.k[n])) + 1
         if j0 > profile.J:
             raise ValidationError(f"tail position {j0} beyond truncation J")
-        kap = profile.kappa_sq[n][j0 - 1]
-        tau = math.sqrt(delta / (float(n) ** 2 * kap))
-        signals[n] = _spike_signal(family.basis, j0, tau)
+        tau = amplitude(n, profile.kappa_sq[n][j0 - 1])
+        signals[n] = _make_signal(family.basis, np.array([j0]), np.array([tau]))
         norms.append(tau * float(n) ** family.r)
     return AlternativeSequence(
         family=family, n_list=tuple(n_list), signals=signals,
         norm_lo=min(norms), norm_hi=max(norms), kind=kind,
-        metadata={"position_factor": position_factor, "delta": delta})
+        metadata={"position_factor": position_factor})
 
 
-def _mass_tail(profile, family, n_list, position_factor: float,
-               mass_eps: float, kind: str) -> AlternativeSequence:
-    """Spikes beyond position_factor * k_n with far mass = mass_eps * n^{-2r}."""
-    signals = {}
-    for n in n_list:
-        j0 = int(math.ceil(position_factor * profile.k[n])) + 1
-        if j0 > profile.J:
-            raise ValidationError(f"tail position {j0} beyond truncation J")
-        tau = math.sqrt(mass_eps) * float(n) ** (-family.r)
-        signals[n] = _spike_signal(family.basis, j0, tau)
-    root = math.sqrt(mass_eps)
-    return AlternativeSequence(
-        family=family, n_list=tuple(n_list), signals=signals,
-        norm_lo=root, norm_hi=root, kind=kind,
-        metadata={"position_factor": position_factor, "mass_eps": mass_eps})
-
-
-def _suite_purity(cfg: dict, threads: int) -> SuiteResult:
+def _suite_purity(cfg: dict, mc: MCConfig) -> SuiteResult:
     q = cfg["quad"]
-    alpha = cfg["alpha"]
     th = ClassifyThresholds(**cfg["classify"])
-    profile = build_profile(q["r"], q["gamma"], q["c"], q["J"], q["n_list"])
-    family = quad_family(profile)
+    profile, family, test = _quad_setup(q, cfg["alpha"])
     head = make_consistent(family, q["head"]["c2"], q["head"]["mass_profile"],
                            q["n_list"], q["head"]["norm_const"])
-    tail = _delta_tail(profile, family, q["n_list"],
-                       cfg["tail"]["position_factor"],
-                       cfg["tail"]["delta_target"], kind="delta-tail")
+    delta_target = cfg["tail"]["delta_target"]
+    tail = _tail(profile, family, q["n_list"], cfg["tail"]["position_factor"],
+                 lambda n, kap: math.sqrt(delta_target / (float(n) ** 2 * kap)),
+                 kind="delta-tail")
     comb = combine(head, tail, kind="head-plus-delta-tail")
-    pure = combine(head, _mass_tail(profile, family, q["n_list"],
-                                    th.C1, cfg["pure_tail"]["mass_eps"],
-                                    kind="far-mass-tail"),
+    eps_norm = math.sqrt(cfg["pure_tail"]["mass_eps"])
+    pure = combine(head, _tail(profile, family, q["n_list"], th.C1,
+                               lambda n, kap: eps_norm * float(n) ** (-family.r),
+                               kind="far-mass-tail"),
                    kind="purely-consistent")
-    test = QuadTestConfig(profile, alpha)
-    mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
-                  threads=threads)
     rows, gaps = [], []
     gap_ok = True
     for n in q["n_list"]:
@@ -451,18 +425,15 @@ def _suite_purity(cfg: dict, threads: int) -> SuiteResult:
         delta = noncentrality(tail.signals[n], profile, n)
         bound = (math.exp(-0.5 * 0.0) / math.sqrt(2.0 * math.pi)
                  * delta / math.sqrt(2.0 * profile.A[n]))
-        rej = quad_rejections(mc, test, n, [None, h_sig, c_sig])
-        ests = estimate_columns(rej)
-        pe = paired_excess(rej, 2, 1)
-        gap = abs(pe["difference"])
+        ests, gap, se = _paired_gap(
+            quad_rejections(mc, test, n, [None, h_sig, c_sig]))
         gaps.append(gap)
         if delta <= cfg["thresholds"]["delta_max"]:
             gap_ok = gap_ok and gap <= cfg["thresholds"]["gap"]
         rows.append([n, profile.k[n], delta, bound, ests[1].estimate,
-                     ests[2].estimate, gap, pe["std_error"]])
+                     ests[2].estimate, gap, se])
     comb_verdict = classify(comb, th).verdict
     pure_verdict = classify(pure, th).verdict
-    eps_norm = math.sqrt(cfg["pure_tail"]["mass_eps"])
     tq12_rows = []
     tq12_ok = True
     for n in q["n_list"]:
@@ -504,16 +475,19 @@ COMPACTNESS_DEFAULT = {
 }
 
 
-def _suite_compactness(cfg: dict, threads: int) -> SuiteResult:
-    alpha = cfg["alpha"]
-    L = cfg["L"]
-    fk = FixedKappa(bridge_weights(L))
-    _, criticals = weighted_null_quantiles(fk.kappa_sq, [alpha],
+def _fixed_critical(cfg: dict) -> tuple[FixedKappa, float]:
+    """Bridge-weight fixed test on L coordinates and its alpha critical value."""
+    fk = FixedKappa(bridge_weights(cfg["L"]))
+    _, criticals = weighted_null_quantiles(fk.kappa_sq, [cfg["alpha"]],
                                            cfg["table_replicates"],
                                            cfg["seed"])
-    critical = float(criticals[0])
-    mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
-                  threads=threads)
+    return fk, float(criticals[0])
+
+
+def _suite_compactness(cfg: dict, mc: MCConfig) -> SuiteResult:
+    alpha = cfg["alpha"]
+    L = cfg["L"]
+    fk, critical = _fixed_critical(cfg)
     indices = [int(i) for i in cfg["spike_indices"]]
     c = cfg["spike_norm"]
     etas = [None]
@@ -585,16 +559,9 @@ UNBIASEDNESS_DEFAULT = {
 }
 
 
-def _suite_unbiasedness(cfg: dict, threads: int) -> SuiteResult:
-    alpha = cfg["alpha"]
+def _suite_unbiasedness(cfg: dict, mc: MCConfig) -> SuiteResult:
     L = cfg["L"]
-    fk = FixedKappa(bridge_weights(L))
-    _, criticals = weighted_null_quantiles(fk.kappa_sq, [alpha],
-                                           cfg["table_replicates"],
-                                           cfg["seed"])
-    critical = float(criticals[0])
-    mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
-                  threads=threads)
+    fk, critical = _fixed_critical(cfg)
     support = cfg["shift_support"]
     etas = [None]
     for t in range(1, cfg["n_shifts"] + 1):
@@ -641,7 +608,7 @@ MAXISET_DEFAULT = {
 }
 
 
-def _suite_maxiset(cfg: dict, threads: int) -> SuiteResult:
+def _suite_maxiset(cfg: dict, mc: MCConfig) -> SuiteResult:
     q = cfg["quad"]
     alpha = cfg["alpha"]
     r = q["r"]
@@ -654,8 +621,6 @@ def _suite_maxiset(cfg: dict, threads: int) -> SuiteResult:
     seq = make_spike_tail(family, cfg["m_list"], cfg["C_list"],
                           cfg["norm_const"])
     test = QuadTestConfig(profile, alpha)
-    mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
-                  threads=threads)
     rows, excesses, ses, r_values = [], [], [], []
     seminorms = seq.metadata["seminorms"]
     for pos, n in enumerate(seq.n_list):
@@ -736,9 +701,8 @@ def default_config(name: str) -> dict:
 
 def run_suite(name: str, config: dict | None = None,
               threads: int = 1) -> SuiteResult:
-    """Execute a registered suite under the merged config."""
-    if name not in SUITES:
-        raise ValidationError(
-            f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    fn, default = SUITES[name]
-    return fn(merge_config(default, config), threads)
+    """Execute a registered suite: merge the config, build MCConfig, run."""
+    cfg = merge_config(default_config(name), config)
+    mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
+                  threads=threads)
+    return SUITES[name][0](cfg, mc)

@@ -99,6 +99,43 @@ def test_suite_unknown_nested_key_exits_2(tmp_path, capsys):
     assert cfg in err and "'chi2.spikes'" in err
 
 
+@pytest.mark.parametrize("override, key, kind", [
+    ({"quad": 5}, "'quad'", "a section"),
+    ({"alpha": {"x": 1}}, "'alpha'", "a value"),
+])
+def test_suite_section_value_clash_exits_2(tmp_path, capsys, override, key,
+                                           kind):
+    cfg = _write(tmp_path, "clash.json", override)
+    code = main(["suite", "consistency", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert cfg in err and key in err and kind in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_suite_nested_section_value_clash_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "clash.json", {"quad": {"head": {"c2": {}}}})
+    code = main(["suite", "interaction", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert cfg in err and "'quad.head.c2'" in err
+
+
+@pytest.mark.parametrize("families", [["foo"], [], ["quad", "foo"], "quad",
+                                      [["quad"]]])
+def test_suite_interaction_bad_families_exits_2(tmp_path, capsys, families):
+    cfg = _write(tmp_path, "fam.json", {"families": families})
+    code = main(["suite", "interaction", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "families" in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_env_seed_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UNICONSIST_SEED", "not-an-int")
     cfg = _write(tmp_path, "cfg.json", SMOKE_CONSISTENCY)

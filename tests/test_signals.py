@@ -305,3 +305,39 @@ def test_invert_cdf_is_elementwise_across_chunks(dens, seed, cut, chunk):
         mp.setattr(signals, "INVCDF_CHUNK", chunk)
         assert np.array_equal(invert_cdf(dens, u), whole)
         assert np.array_equal(invert_cdf(dens, u.reshape(2, -1)), whole.reshape(2, -1))
+
+
+def test_density_spec_rejects_signal_without_unit_mass():
+    """sin(pi j t) integrates to 2/(pi j) for odd j: 1 + f is no density."""
+    with pytest.raises(ValidationError, match=r"mass 0\.5498"):
+        DensitySpec(SignalSpec(Basis.SINE_PI, np.array([-0.5])))
+    dens = DensitySpec(SignalSpec(Basis.SINE_PI, np.array([0.0, -0.5])))
+    assert abs(float(dens.cdf(1.0)) - 1.0) <= signals.MASS_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Basis)), st.integers(1, 32),
+       st.one_of(st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0)),
+       st.floats(0.0, 2.0 * math.pi))
+def test_density_spec_minimum_of_one_term(basis, j, c, phase):
+    """One term of size |c| has density minimum 1 - sqrt(2)|c| (TrigFull:
+    c = (a, b) with sqrt(a^2 + b^2) = |c|); DensityError once that is below
+    DENSITY_TOL. SinePi uses even j only, the others integrate to nonzero.
+    Amplitudes below 1e-3 are left out: a numerically flat 1 + f makes every
+    grid cell a local minimum, which is slow to refine but not wrong."""
+    j = 2 * j if basis is Basis.SINE_PI else j
+    coeffs = np.zeros((j, 2) if basis is Basis.TRIG_FULL else j)
+    if basis is Basis.TRIG_FULL:
+        coeffs[j - 1] = (c * math.cos(phase), c * math.sin(phase))
+        analytic = 1.0 - SQRT2 * math.hypot(*coeffs[j - 1])
+    else:
+        coeffs[j - 1] = c
+        analytic = 1.0 - SQRT2 * abs(c)
+    # within 1e-9 of the cutoff the grid-refined minimum may land either side
+    assume(abs(analytic - signals.DENSITY_TOL) > 1e-9)
+    sig = SignalSpec(basis, coeffs)
+    if analytic < signals.DENSITY_TOL:
+        with pytest.raises(DensityError):
+            DensitySpec(sig)
+    else:
+        assert abs(DensitySpec(sig).minimum - analytic) <= 1e-9

@@ -105,3 +105,15 @@ def test_suite_thread_count_does_not_change_tables(tmp_path):
     write_result(b, dir_b)
     name = "consistency_power.csv"
     assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE))
+def test_suite_artifacts_do_not_depend_on_threads(name, tmp_path):
+    """Every artifact of every suite is byte-identical at 1 and 4 threads."""
+    one, four = tmp_path / "threads1", tmp_path / "threads4"
+    write_result(_run(name), one)
+    write_result(run_suite(name, SMOKE[name], threads=4), four)
+    files = sorted(p.name for p in one.iterdir())
+    assert files == sorted(p.name for p in four.iterdir())
+    for file in files:
+        assert (one / file).read_bytes() == (four / file).read_bytes(), file
