@@ -171,16 +171,11 @@ def _band_top(c2: float, k_n: int) -> int:
     return top
 
 
-def _make_signal(basis: Basis, support: np.ndarray, values: np.ndarray,
-                 J: int | None = None) -> SignalSpec:
-    top = int(np.max(support)) if support.size else 1
-    size = max(top, J or 0)
-    if basis is Basis.TRIG_FULL:
-        coeffs = np.zeros((size, 2))
-        coeffs[support - 1, 0] = values
-    else:
-        coeffs = np.zeros(size)
-        coeffs[support - 1] = values
+def _make_signal(basis: Basis, support: np.ndarray,
+                 values: np.ndarray) -> SignalSpec:
+    """Values at the 1-based support; on TrigFull they are cosine coefficients."""
+    coeffs = np.zeros(int(np.max(support)) if support.size else 1)
+    coeffs[support - 1] = values
     return SignalSpec(basis, coeffs)
 
 
@@ -321,9 +316,7 @@ def combine(a: AlternativeSequence, b: AlternativeSequence,
     signals = {}
     for n in a.n_list:
         ca, cb = a.signals[n].coeffs, b.signals[n].coeffs
-        size = max(ca.shape[0], cb.shape[0])
-        shape = (size, 2) if a.family.basis is Basis.TRIG_FULL else (size,)
-        coeffs = np.zeros(shape)
+        coeffs = np.zeros((max(ca.shape[0], cb.shape[0]),) + ca.shape[1:])
         coeffs[:ca.shape[0]] = ca
         coeffs[:cb.shape[0]] += cb
         signals[n] = SignalSpec(a.family.basis, coeffs)
@@ -346,12 +339,8 @@ def decompose(signal: SignalSpec, cutoff: float) -> tuple[SignalSpec, SignalSpec
     tail = np.array(signal.coeffs)
     j = np.arange(1, signal.J + 1)
     below = j < cutoff
-    if signal.basis is Basis.TRIG_FULL:
-        head[~below, :] = 0.0
-        tail[below, :] = 0.0
-    else:
-        head[~below] = 0.0
-        tail[below] = 0.0
+    head[~below] = 0.0
+    tail[below] = 0.0
     return SignalSpec(signal.basis, head), SignalSpec(signal.basis, tail)
 
 
@@ -460,9 +449,8 @@ class DensitizeReport:
     ok: bool
 
 
-def densitize(seq: AlternativeSequence, cutoff_factor: float = 2.0,
-              grid: int = 4096) -> DensitizeReport:
-    """Nonnegativity verdicts for 1 + f_n and its head/tail decompositions.
+def densitize(seq: AlternativeSequence) -> DensitizeReport:
+    """Nonnegativity verdicts for 1 + f_n and its head/tail split at 2 k_n.
 
     Only the i.i.d.-sampling families carry density semantics.
     """
@@ -472,10 +460,10 @@ def densitize(seq: AlternativeSequence, cutoff_factor: float = 2.0,
     all_ok = True
     for n in seq.n_list:
         sig = seq.signals[n]
-        head, tail = decompose(sig, cutoff_factor * seq.family.k_of(n))
+        head, tail = decompose(sig, 2.0 * seq.family.k_of(n))
         entry = {}
         for label, part in (("full", sig), ("head", head), ("tail", tail)):
-            mn, arg = density_minimum(part, grid)
+            mn, arg = density_minimum(part)
             ok = bool(mn >= -1e-10)
             entry[label] = {"min": mn, "argmin": arg, "ok": ok}
             all_ok = all_ok and ok

@@ -29,8 +29,7 @@ from .kernel import decide_and_predict as kernel_decide
 from .quad import FixedKappa, QuadTestConfig, build_profile, fixed_kappa_statistic
 from .quad import decide_and_predict as quad_decide
 from .signals import signal_from_json
-from .suites import (SUITES, default_config, merge_config, run_suite,
-                     write_result)
+from .suites import SUITES, run_suite, write_result
 
 
 def _load_json(path: str):
@@ -77,15 +76,15 @@ def cmd_suite(args) -> int:
     config = _load_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ValidationError(f"{args.config}:1: suite config must be a JSON object")
-    defaults = default_config(args.name)
-    try:
-        config = merge_config(defaults, config)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.config}: {exc}") from exc
     seed = _env_seed()
     if seed is not None:
         config = {**config, "seed": seed}
-    result = run_suite(args.name, config, threads=args.threads)
+    try:
+        result = run_suite(args.name, config, threads=args.threads)
+    except ValidationError as exc:
+        if not args.config:
+            raise
+        raise ValidationError(f"{args.config}: {exc}") from exc
     for path in write_result(result, args.out):
         print(path)
     print(f"suite {result.name}: {'PASS' if result.passed else 'FAIL'}")

@@ -122,12 +122,11 @@ def cvm_null_sample(J_null: int, rng: np.random.Generator, size: int = 1,
 
 
 def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
-                            seed: int, stream: int = STREAM_NULL_TABLE
-                            ) -> tuple[np.ndarray, np.ndarray]:
+                            seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Upper alpha-quantiles of Sum w_j xi_j^2 by block-keyed Monte Carlo.
 
-    Every block of 4096 replicates draws from the substream keyed by its
-    block index, so the table is reproducible independent of scheduling.
+    Every block of 4096 replicates draws from the null-table substream keyed
+    by its block index, so the table is reproducible independent of scheduling.
     """
     alphas = np.asarray(sorted(float(a) for a in alphas))
     if alphas.size == 0 or np.any((alphas <= 0) | (alphas >= 1)):
@@ -137,7 +136,7 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     draws = np.empty(replicates)
     for b, start in enumerate(range(0, replicates, _TABLE_BLOCK)):
         rows = min(_TABLE_BLOCK, replicates - start)
-        gen = substream(seed, stream, b)
+        gen = substream(seed, STREAM_NULL_TABLE, b)
         draws[start:start + rows] = weighted_chisq_draws(weights, gen, rows)
     criticals = np.quantile(draws, 1.0 - alphas)
     return alphas, criticals

@@ -208,7 +208,6 @@ def greedy_widths(descriptor, i_max: int) -> WidthSequence:
     if isinstance(descriptor, PointCloudSet):
         pts = np.asarray(descriptor.points)
         dim = pts.shape[1]
-        basis = np.zeros((0, dim))
         widths = np.zeros(i_max)
         elements = np.zeros((i_max, dim))
         residual = pts.copy()
@@ -222,7 +221,6 @@ def greedy_widths(descriptor, i_max: int) -> WidthSequence:
                 continue
             elements[i] = pts[k]
             new_dir = residual[k] / d
-            basis = np.vstack([basis, new_dir])
             residual = residual - np.outer(residual @ new_dir, new_dir)
         return WidthSequence(widths=widths, elements=elements)
     raise ValidationError(f"unsupported set descriptor {type(descriptor).__name__}")

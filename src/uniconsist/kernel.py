@@ -102,9 +102,9 @@ class Kernel:
         return 2.0 * _gauss_integral(lambda t: np.square(conv(t)), -2.0, 2.0,
                                      (-1.0, 0.0, 1.0))
 
-    def _gamma_sq_fourier(self, w_max: float = 64.0) -> float:
-        """gamma^2 = 2 int |Khat|^4 over R, piecewise to tame oscillation."""
-        edges = np.arange(0.0, w_max + 0.25, 0.5)
+    def _gamma_sq_fourier(self) -> float:
+        """gamma^2 = 2 int |Khat|^4 over |w| <= 64, piecewise to tame oscillation."""
+        edges = np.arange(0.0, 64.25, 0.5)
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             total += _gauss_integral(lambda w: np.power(self.khat(w), 4), lo, hi, ())

@@ -52,12 +52,12 @@ class MCConfig:
             raise ValidationError("threads must be at least 1")
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% score interval; always contains the point estimate."""
     if trials <= 0:
         raise ValidationError("trials must be positive")
     p = successes / trials
+    z = _Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials
@@ -246,47 +246,42 @@ def cvm_rejections(mc: MCConfig, table: CvmNullTable, alpha: float, n: int,
             u if density is None else invert_cdf(density, u)) > critical)
 
 
-def _dispatch_rejections(config, n: int, mc: MCConfig, variants, *,
-                         alpha: float | None = None, J: int | None = None,
-                         critical: float | None = None) -> np.ndarray:
-    if isinstance(config, QuadTestConfig):
-        return quad_rejections(mc, config, n, variants)
-    if isinstance(config, KernelTestConfig):
-        return kernel_rejections(mc, config, n, variants,
-                                 J if J is not None else 2 * n)
-    if isinstance(config, Chi2Config):
-        return chi2_rejections(mc, config, n, variants)
-    if isinstance(config, CvmNullTable):
-        if alpha is None:
-            raise ValidationError("cvm runs need the level alpha")
-        return cvm_rejections(mc, config, alpha, n, variants)
-    if isinstance(config, FixedKappa):
-        if critical is None:
-            raise ValidationError("fixed-weight runs need a critical value")
-        return fixed_rejections(mc, config, critical, variants)
-    raise ValidationError(f"unsupported family config {type(config).__name__}")
-
-
-def _as_density(alternative):
-    if alternative is None or isinstance(alternative, DensitySpec):
-        return alternative
-    if isinstance(alternative, SignalSpec):
-        return DensitySpec(alternative)
-    raise ValidationError("i.i.d. alternatives must be densities or signals")
-
-
 def estimate_size(config, n: int, mc: MCConfig, **kw) -> MCEstimate:
-    """Null rejection rate of the configured test."""
-    rej = _dispatch_rejections(config, n, mc, [None], **kw)
-    return estimate_columns(rej)[0]
+    """Null rejection rate: :func:`estimate_power` under the alternative None."""
+    return estimate_power(config, None, n, mc, **kw)
 
 
 def estimate_power(config, alternative, n: int, mc: MCConfig,
                    **kw) -> MCEstimate:
-    """Rejection rate under one alternative (signal, density, or shift)."""
-    if isinstance(config, (Chi2Config, CvmNullTable)):
-        alternative = _as_density(alternative)
-    rej = _dispatch_rejections(config, n, mc, [alternative], **kw)
+    """Rejection rate under one alternative (signal, density, shift or None).
+
+    Keywords: ``alpha`` (required for cvm), ``J`` (kernel truncation,
+    default 2n), ``critical`` (required for the fixed-weight test).
+    """
+    alpha, J, critical = (kw.pop(k, None) for k in ("alpha", "J", "critical"))
+    if kw:
+        raise TypeError(f"unexpected keyword arguments {sorted(kw)}")
+    variants = [alternative]
+    if isinstance(config, (Chi2Config, CvmNullTable)) and isinstance(
+            alternative, SignalSpec):
+        variants = [DensitySpec(alternative)]
+    if isinstance(config, QuadTestConfig):
+        rej = quad_rejections(mc, config, n, variants)
+    elif isinstance(config, KernelTestConfig):
+        rej = kernel_rejections(mc, config, n, variants,
+                                2 * n if J is None else J)
+    elif isinstance(config, Chi2Config):
+        rej = chi2_rejections(mc, config, n, variants)
+    elif isinstance(config, CvmNullTable):
+        if alpha is None:
+            raise ValidationError("cvm runs need the level alpha")
+        rej = cvm_rejections(mc, config, alpha, n, variants)
+    elif isinstance(config, FixedKappa):
+        if critical is None:
+            raise ValidationError("fixed-weight runs need a critical value")
+        rej = fixed_rejections(mc, config, critical, variants)
+    else:
+        raise ValidationError(f"unsupported family config {type(config).__name__}")
     return estimate_columns(rej)[0]
 
 

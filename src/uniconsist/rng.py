@@ -18,18 +18,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Stream ids. Keep stable: changing them changes all simulated output.
 STREAM_SEQUENCE_MODEL = 0   # Gaussian sequence-model noise
 STREAM_IID = 1              # uniforms fed to inverse-CDF sampling
 STREAM_NULL_TABLE = 2       # weighted chi-square null tables
 STREAM_FACTORY = 3          # random mass placement in alternative factories
-STREAM_SUITE = 4            # suite-level auxiliary draws (random shifts etc.)
 
 
 def substream(seed: int, stream: int, replicate: int) -> np.random.Generator:
     """Return the independent generator keyed by (seed, stream, replicate)."""
-    if not (0 <= int(seed) < 2**64):
-        raise ValueError("seed must fit in 64 bits")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=(int(stream), int(replicate)))
     return np.random.Generator(np.random.Philox(ss))

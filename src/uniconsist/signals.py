@@ -34,6 +34,9 @@ MASS_TOL = 1e-9
 # Residual guarantee of inverse-CDF sampling: |F(x) - u| <= this, every draw.
 INVCDF_TOL = 1e-12
 
+# The density guard evaluates 1 + f on this many midpoint cells before refining.
+DENSITY_GRID = 4096
+
 # Inverse-CDF sampling refines at most this many points at a time (memory cap).
 INVCDF_CHUNK = 65536
 
@@ -93,11 +96,7 @@ class SignalSpec:
         return np.square(self.coeffs)
 
     def to_json_dict(self) -> dict:
-        if self.basis is Basis.TRIG_FULL:
-            coeffs = [[float(a), float(b)] for a, b in self.coeffs]
-        else:
-            coeffs = [float(c) for c in self.coeffs]
-        return {"basis": self.basis.value, "coeffs": coeffs}
+        return {"basis": self.basis.value, "coeffs": self.coeffs.tolist()}
 
 
 def signal_from_json(obj: dict) -> SignalSpec:
@@ -232,29 +231,22 @@ def sample_sequence_model(signal: SignalSpec, noise: NoiseModel,
     return signal.coeffs + noise.noise_scale * xi
 
 
-def density_minimum(signal: SignalSpec, grid: int = 4096,
-                    refine: bool = True) -> tuple[float, float]:
+def density_minimum(signal: SignalSpec) -> tuple[float, float]:
     """Minimum of the density 1 + f over (0, 1), and its location.
 
-    Evaluates on a uniform midpoint grid, then locally refines around every
-    grid-local minimum (including the boundary cells) by bounded scalar
-    minimization.
+    Evaluates on a uniform midpoint grid of DENSITY_GRID cells, then locally
+    refines by bounded scalar minimization around every grid-local minimum
+    (including the boundary cells): a cell strictly below its left neighbour
+    and no higher than its right one, so a plateau is refined once.
     """
-    if grid < 16:
-        raise ValidationError("grid must be at least 16")
-    t = (np.arange(grid) + 0.5) / grid
+    t = (np.arange(DENSITY_GRID) + 0.5) / DENSITY_GRID
     vals = 1.0 + _evaluate_interior(signal, t)
     best_val = float(np.min(vals))
     best_t = float(t[int(np.argmin(vals))])
-    if not refine:
-        return best_val, best_t
-    interior = np.zeros(grid, dtype=bool)
-    interior[1:-1] = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-    interior[0] = vals[0] <= vals[1]
-    interior[-1] = vals[-1] <= vals[-2]
-    for i in np.flatnonzero(interior):
+    padded = np.concatenate(([np.inf], vals, [np.inf]))
+    for i in np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:])):
         lo = t[i - 1] if i > 0 else 1e-12
-        hi = t[i + 1] if i < grid - 1 else 1.0 - 1e-12
+        hi = t[i + 1] if i < DENSITY_GRID - 1 else 1.0 - 1e-12
         res = optimize.minimize_scalar(
             lambda x: 1.0 + float(_evaluate_interior(signal, np.array([x]))[0]),
             bounds=(lo, hi), method="bounded",
@@ -271,11 +263,10 @@ class DensitySpec:
     at construction."""
 
     signal: SignalSpec
-    grid: int = 4096
     minimum: float = field(init=False)
 
     def __post_init__(self):
-        mn, arg = density_minimum(self.signal, self.grid)
+        mn, arg = density_minimum(self.signal)
         if mn < DENSITY_TOL:
             raise DensityError(
                 f"1 + f is negative: minimum {mn:.6g} at t = {arg:.6g}",
@@ -298,22 +289,21 @@ class DensitySpec:
         return x + cdf_offset(self.signal, x)
 
 
-def sample_iid(density: DensitySpec, size: int, rng: np.random.Generator,
-               tol: float = INVCDF_TOL) -> np.ndarray:
+def sample_iid(density: DensitySpec, size: int,
+               rng: np.random.Generator) -> np.ndarray:
     """Exact inverse-CDF draws from 1 + f.
 
     Consumes exactly ``size`` uniforms from ``rng``; see ``invert_cdf`` for
     the inversion guarantee.
     """
-    return invert_cdf(density, rng.random(size), tol)
+    return invert_cdf(density, rng.random(size))
 
 
-def invert_cdf(density: DensitySpec, u: np.ndarray,
-               tol: float = INVCDF_TOL) -> np.ndarray:
+def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
     """Map uniforms through the inverse CDF of 1 + f.
 
     Each uniform is inverted by bracketed Newton/bisection until the
-    residual |F(x) - u| is at most ``tol`` (guaranteed; raises otherwise).
+    residual |F(x) - u| is at most INVCDF_TOL (guaranteed; raises otherwise).
     The inversion is elementwise, so the chunking changes no bit.
     """
     signal = density.signal
@@ -332,7 +322,7 @@ def invert_cdf(density: DensitySpec, u: np.ndarray,
         xa = 0.5 * (lo + hi)
         for _ in range(200):
             r = (xa + cdf_offset(signal, xa)) - flat[active]
-            done = np.abs(r) <= tol
+            done = np.abs(r) <= INVCDF_TOL
             x[active[done]] = xa[done]
             if done.all():
                 break

@@ -145,6 +145,40 @@ def test_bad_env_seed_exits_2(tmp_path, capsys, monkeypatch):
     assert "UNICONSIST_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, config", [
+    ("interaction", {"families": ["foo"]}),
+    ("consistency", {"quad": {"mass_profile": "bogus"}}),
+])
+def test_suite_internal_error_names_config_file(tmp_path, capsys, name, config):
+    # rejected inside the suite, not by the config merge
+    cfg = _write(tmp_path, "internal.json", config)
+    code = main(["suite", name, "--config", cfg, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {cfg}: " in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["env", "config", "nulltable"])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.delenv("UNICONSIST_SEED", raising=False)
+    cfg = _write(tmp_path, "seed.json",
+                 {"seed": -1} if case == "config" else {})
+    if case == "env":
+        monkeypatch.setenv("UNICONSIST_SEED", "-1")
+    if case == "nulltable":
+        argv = ["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
+                "--seed", "-1", "--j-null", "16"]
+    else:
+        argv = ["suite", "unbiasedness", "--config", cfg,
+                "--out", str(tmp_path / "o")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "seed must be an integer" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_statistic_quad(tmp_path, capsys):
     J = 64
     data = {"profile": {"r": 0.3, "gamma": 2.0, "c": 1.0, "J": J,

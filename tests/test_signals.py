@@ -158,6 +158,22 @@ def test_density_minimum_flat():
     assert mn == 1.0
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 1e-300])
+def test_density_minimum_refines_flat_once(monkeypatch, amplitude):
+    # A flat grid is one plateau: refined once, not once per cell.
+    calls = []
+    minimize = signals.optimize.minimize_scalar
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(signals.optimize, "minimize_scalar", counting)
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([amplitude])))
+    assert dens.minimum == 1.0
+    assert len(calls) <= 2
+
+
 def test_density_spec_rejects_negative():
     with pytest.raises(DensityError) as exc:
         DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([1.2])))
