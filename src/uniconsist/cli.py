@@ -29,7 +29,7 @@ from .kernel import decide_and_predict as kernel_decide
 from .quad import FixedKappa, QuadTestConfig, build_profile, fixed_kappa_statistic
 from .quad import decide_and_predict as quad_decide
 from .signals import signal_from_json
-from .suites import SUITES, run_suite, write_result
+from .suites import SUITES, default_config, run_suite, write_result
 
 
 def _load_json(path: str):
@@ -73,6 +73,11 @@ def _env_seed() -> int | None:
 
 
 def cmd_suite(args) -> int:
+    # The suite name and --threads come from the command line, not the
+    # config: check them before config errors get the config path.
+    default_config(args.name)
+    if args.threads < 1:
+        raise ValidationError("--threads must be at least 1")
     config = _load_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ValidationError(f"{args.config}:1: suite config must be a JSON object")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import integrate, optimize, stats
@@ -143,7 +143,9 @@ def epanechnikov_kernel() -> Kernel:
 _BUILTINS = {"box": box_kernel, "epanechnikov": epanechnikov_kernel}
 
 
+@cache
 def builtin_kernel(name: str) -> Kernel:
+    """The named built-in kernel, built (and self-checked) once per name."""
     try:
         return _BUILTINS[name]()
     except KeyError:

@@ -11,11 +11,15 @@ xi vector in the sequence model, the uniform sample in the i.i.d. model),
 so variant contrasts are common-random-number comparisons.
 
 Loop contract: every family's ``*_rejections`` supplies only its noise draw
-(a method call on the replicate's generator) and its ``reject`` callable,
-which applies the family module's own statistic and decision to a block of
-noise rows and one variant. Pairing and determinism come from the single
-block loop ``_rejections``, which fills each block from the substreams and
-evaluates every variant on it.
+(a method call on the replicate's generator that fills one row in place),
+the noise scale, and its ``reject_block`` callable, which applies the family
+module's own statistic and decision to a block of noise rows and returns
+the block's whole (rows x variants) decision matrix. Pairing and
+determinism come from the single block loop ``_rejections``, which fills
+each block from the substreams and hands it to ``reject_block`` once.
+quad and fixed score all variants in one pass over the block
+(:func:`~uniconsist.quad.weighted_square_sums`); chi2, cvm and kernel score
+it one variant column at a time (``_per_column``).
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
 from .cvm import CvmNullTable, cvm_statistic
 from .errors import ValidationError
 from .kernel import KernelTestConfig, _weights, kernel_statistic
-from .quad import (FixedKappa, QuadTestConfig, fixed_kappa_statistic,
-                   quad_standardize, quad_statistic)
+from .quad import (FixedKappa, QuadTestConfig, quad_standardize,
+                   weighted_square_sums)
 from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, substream
 from .signals import Basis, DensitySpec, SignalSpec, cdf_offset, invert_cdf
 
@@ -118,31 +122,49 @@ class PowerReport:
         return {"rows": list(self.rows)}
 
 
-def _rejections(mc: MCConfig, stream: int, width: int, draw, variants,
-                reject) -> np.ndarray:
+def _rejections(mc: MCConfig, stream: int, width: int, draw, scale,
+                reject_block) -> np.ndarray:
     """The one block loop behind every family's rejection matrix.
 
-    Row i of a block holds ``draw(substream(seed, stream, i))``, a length
-    ``width`` noise row; column v holds ``reject(block, variants[v])``.
+    Row i of a block is filled in place by
+    ``draw(substream(seed, stream, i), row)``, a length ``width`` noise row,
+    and the block is then multiplied by ``scale`` (None: kept as drawn).
+    ``reject_block(block)`` returns the block's (rows x variants) decisions;
+    it may overwrite the block, which is not used again.
     """
-    out = np.empty((mc.replicates, len(variants)), dtype=bool)
-
-    def work(lo: int):
+    def work(lo: int) -> np.ndarray:
         hi = min(lo + BLOCK_ROWS, mc.replicates)
         noise = np.empty((hi - lo, width))
-        for row, i in enumerate(range(lo, hi)):
-            noise[row] = draw(substream(mc.seed, stream, i))
-        for v, variant in enumerate(variants):
-            out[lo:hi, v] = reject(noise, variant)
+        for row, i in zip(noise, range(lo, hi)):
+            draw(substream(mc.seed, stream, i), row)
+        if scale is not None:
+            noise *= scale
+        return reject_block(noise)
 
     starts = range(0, mc.replicates, BLOCK_ROWS)
     if mc.threads == 1:
-        for lo in starts:
-            work(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            list(pool.map(work, starts))
-    return out
+        return np.concatenate([work(lo) for lo in starts])
+    with ThreadPoolExecutor(max_workers=mc.threads) as pool:
+        return np.concatenate(list(pool.map(work, starts)))
+
+
+def _normals(g, row):
+    g.standard_normal(out=row)
+
+
+def _uniforms(g, row):
+    g.random(out=row)
+
+
+def _per_column(variants, reject):
+    """A ``reject_block`` that fills column v with ``reject(block, variants[v])``."""
+    def reject_block(noise):
+        out = np.empty((noise.shape[0], len(variants)), dtype=bool)
+        for v, variant in enumerate(variants):
+            out[:, v] = reject(noise, variant)
+        return out
+
+    return reject_block
 
 
 def _rows(variants, shape: tuple, coeffs) -> np.ndarray:
@@ -186,30 +208,31 @@ def quad_rejections(mc: MCConfig, config: QuadTestConfig, n: int,
     profile = config.profile
     profile.require_n(n)
     J = profile.J
-    scale = profile.sigma / math.sqrt(n)
+    rows = _rows(thetas, (J,), _sequence_coeffs)
+    w = profile.kappa_sq[n]
+    center = profile.sigma ** 2 * profile.rho[n] / n
 
-    def reject(noise, theta):
-        t_raw = quad_statistic(theta + noise, profile, n)
+    def reject_block(noise):
+        t_raw = weighted_square_sums(noise, rows, w) - center
         return quad_standardize(t_raw, profile, n) > config.x_alpha
 
-    return _rejections(mc, STREAM_SEQUENCE_MODEL, J,
-                       lambda g: scale * g.standard_normal(J),
-                       _rows(thetas, (J,), _sequence_coeffs), reject)
+    return _rejections(mc, STREAM_SEQUENCE_MODEL, J, _normals,
+                       profile.sigma / math.sqrt(n), reject_block)
 
 
 def kernel_rejections(mc: MCConfig, config: KernelTestConfig, n: int,
                       thetas, J: int) -> np.ndarray:
     """Rejection matrix of the kernel test; one column per theta variant."""
     w = _weights(config, J, config.bandwidth(n))
-    scale = config.noise_sigma / math.sqrt(n)
+    rows = _rows(thetas, (J, 2), _pair_coeffs)
 
     def reject(noise, pairs):
         y_pairs = pairs + noise[:, 1:].reshape(-1, J, 2)
         return kernel_statistic(noise[:, 0], y_pairs, w, config, n) >= config.x_alpha
 
-    return _rejections(mc, STREAM_SEQUENCE_MODEL, 1 + 2 * J,
-                       lambda g: scale * g.standard_normal(1 + 2 * J),
-                       _rows(thetas, (J, 2), _pair_coeffs), reject)
+    return _rejections(mc, STREAM_SEQUENCE_MODEL, 1 + 2 * J, _normals,
+                       config.noise_sigma / math.sqrt(n),
+                       _per_column(rows, reject))
 
 
 def _densities(variants) -> list:
@@ -233,17 +256,21 @@ def chi2_rejections(mc: MCConfig, config: Chi2Config, n: int,
                 cell_statistic(np.searchsorted(cut, u, side="right"), m))
         return chi2_standardize(stat, m) > config.x_alpha
 
-    return _rejections(mc, STREAM_IID, n, lambda g: g.random(n), cuts, reject)
+    return _rejections(mc, STREAM_IID, n, _uniforms, None,
+                       _per_column(cuts, reject))
 
 
 def cvm_rejections(mc: MCConfig, table: CvmNullTable, alpha: float, n: int,
                    densities) -> np.ndarray:
     """Rejection matrix of the omega-square test; one column per density."""
     critical = table.critical(alpha)
-    return _rejections(
-        mc, STREAM_IID, n, lambda g: g.random(n), _densities(densities),
-        lambda u, density: cvm_statistic(
-            u if density is None else invert_cdf(density, u)) > critical)
+
+    def reject(u, density):
+        return cvm_statistic(
+            u if density is None else invert_cdf(density, u)) > critical
+
+    return _rejections(mc, STREAM_IID, n, _uniforms, None,
+                       _per_column(_densities(densities), reject))
 
 
 def estimate_size(config, n: int, mc: MCConfig, **kw) -> MCEstimate:
@@ -289,7 +316,6 @@ def fixed_rejections(mc: MCConfig, fk: FixedKappa, critical: float,
                      etas) -> np.ndarray:
     """Rejection matrix of the fixed-weight test; one column per shift."""
     L = fk.L
-    scales = fk.scales()
 
     def shift(v, eta) -> np.ndarray:
         vec = np.asarray(eta, dtype=float)
@@ -297,7 +323,7 @@ def fixed_rejections(mc: MCConfig, fk: FixedKappa, critical: float,
             raise ValidationError(f"shift {v} must have shape ({L},)")
         return vec
 
+    rows = _rows(etas, (L,), shift)
     return _rejections(
-        mc, STREAM_SEQUENCE_MODEL, L, lambda g: scales * g.standard_normal(L),
-        _rows(etas, (L,), shift),
-        lambda noise, eta: fixed_kappa_statistic(eta + noise, fk) > critical)
+        mc, STREAM_SEQUENCE_MODEL, L, _normals, fk.scales(),
+        lambda noise: weighted_square_sums(noise, rows, fk.kappa_sq) > critical)

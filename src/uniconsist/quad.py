@@ -212,6 +212,27 @@ def quad_statistic(y: np.ndarray, profile: KappaProfile, n: int):
     return t_raw if t_raw.ndim else float(t_raw)
 
 
+def weighted_square_sums(noise: np.ndarray, rows: np.ndarray,
+                         w: np.ndarray) -> np.ndarray:
+    """Sum_j w_j (rows_v + noise_i)_j^2 for every noise row i and variant row v.
+
+    Expands the square, so the (i, v) matrix costs one GEMM for the cross
+    terms and one weighted sum of squares per noise row, whatever the
+    number of variants:
+
+        Sum w xi^2 + 2 xi . (w theta) + Sum w theta^2.
+
+    A zero variant row gives exactly ``np.square(noise) @ w``. ``noise`` is
+    overwritten with its square.
+    """
+    sums = noise @ (rows * w).T
+    sums *= 2.0
+    np.square(noise, out=noise)
+    sums += (noise @ w)[:, None]
+    sums += np.square(rows) @ w
+    return sums
+
+
 def quad_standardize(t_raw, profile: KappaProfile, n: int):
     """sigma^{-4} n^2 T_n / sqrt(2 A_n); the test rejects when it exceeds x_alpha."""
     return profile.sigma ** (-4) * n ** 2 * t_raw / math.sqrt(2.0 * profile.A[n])

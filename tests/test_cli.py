@@ -80,6 +80,21 @@ def test_suite_unknown_name_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, extra, message", [
+    ("nosuch", [], "unknown suite 'nosuch'"),
+    ("consistency", ["--threads", "0"], "--threads must be at least 1"),
+])
+def test_suite_command_line_error_skips_config_path(tmp_path, capsys, name,
+                                                    extra, message):
+    cfg = _write(tmp_path, "c.json", SMOKE_CONSISTENCY)
+    code = main(["suite", name, "--config", cfg,
+                 "--out", str(tmp_path / "o")] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {message}" in err and cfg not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_suite_unknown_top_level_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "typo.json", {"replicats": 100})
     code = main(["suite", "consistency", "--config", cfg,

@@ -75,6 +75,15 @@ def test_builtin_lookup():
         builtin_kernel("triangle")
 
 
+def test_builtin_kernel_built_once_per_name():
+    assert builtin_kernel("box") is builtin_kernel("box")
+    assert builtin_kernel("box") is not builtin_kernel("epanechnikov")
+    for _ in range(2):  # a failed lookup is not cached
+        with pytest.raises(ValidationError, match="unknown kernel 'triangle'"):
+            builtin_kernel("triangle")
+    assert builtin_kernel.cache_info().currsize <= 2
+
+
 def test_half_level_radius_box():
     b = half_level_radius(BOX)
     # frozen value: sinc(2w) = 1/2 near w = 0.30168

@@ -128,6 +128,44 @@ def test_quad_rejections_match_single_decision():
         assert rej[i, 0] == rep.reject
 
 
+def _three_thetas():
+    thetas = np.zeros((3, PROFILE.J))
+    thetas[0, 0] = 0.5
+    thetas[1, 1] = 0.4
+    thetas[2, :8] = 0.15
+    return list(thetas)
+
+
+def test_quad_rejections_three_variants_match_decisions():
+    """Every column of a 3-variant run equals decide_and_predict on the
+    replicate's own draw, so the shared cross-term GEMM decides as the
+    per-observation statistic does."""
+    thetas = _three_thetas()
+    rej = quad_rejections(MC, QCFG, 64, thetas)
+    assert rej.shape == (MC.replicates, 3)
+    for i in range(MC.replicates):
+        xi = substream(MC.seed, STREAM_SEQUENCE_MODEL, i).standard_normal(PROFILE.J)
+        for v, theta in enumerate(thetas):
+            rep = decide_and_predict(theta + xi / math.sqrt(64), QCFG, 64)
+            assert rej[i, v] == rep.reject
+    assert 0 < rej.sum() < rej.size
+
+
+def test_gemm_engines_thread_invariance_many_variants():
+    """quad at V = 3 and fixed at V = 4: same matrix at 1 and 4 threads."""
+    j = np.arange(1, 65, dtype=float)
+    fk = FixedKappa(1.0 / (math.pi ** 2 * j ** 2), np.linspace(0.5, 1.5, 64))
+    etas = [None] + [np.eye(64)[k] * (0.5 + k) for k in range(3)]
+    runs = [(quad_rejections, QCFG, 64, _three_thetas()),
+            (fixed_rejections, fk, 0.3, etas)]
+    for fn, cfg, arg, variants in runs:
+        rej1 = fn(MCConfig(600, seed=1, threads=1), cfg, arg, variants)
+        rej4 = fn(MCConfig(600, seed=1, threads=4), cfg, arg, variants)
+        assert rej1.shape == (600, len(variants))
+        assert np.array_equal(rej1, rej4)
+        assert 0 < rej1.sum() < rej1.size
+
+
 def test_quad_pairing_shares_noise():
     """Columns differ only through theta: the null column rejects whenever
     a dominating signal column would accept less often."""

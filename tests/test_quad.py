@@ -14,7 +14,7 @@ from uniconsist.quad import (FixedKappa, QuadTestConfig, build_profile,
                              cumulative_k, decide_and_predict,
                              fixed_kappa_statistic, gaussian_upper_quantile,
                              noncentrality, null_variance, predict_beta,
-                             quad_statistic)
+                             quad_statistic, weighted_square_sums)
 from uniconsist.signals import Basis, SignalSpec
 
 
@@ -148,6 +148,40 @@ def test_quad_statistic_validations():
         quad_statistic(np.zeros(prof.J + 1), prof, 64)
     with pytest.raises(ValidationError):
         quad_statistic(np.zeros(prof.J), prof, 65)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(1, 64), st.sampled_from([1, 2, 1023, 8191, 8192])),
+       st.integers(1, 6), st.integers(1, 4), st.sampled_from([0.0, 1.0, 1e3, 1e8]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_weighted_square_sums_match_direct_squares(J, rows_n, V, theta_scale,
+                                                   banded, seed):
+    """The expanded form Sum w xi^2 + 2 xi.(w theta) + Sum w theta^2 equals
+    the direct Sum w (theta + xi)^2 within float64 rounding of the terms."""
+    gen = np.random.default_rng(seed)
+    noise = gen.standard_normal((rows_n, J))
+    rows = theta_scale * gen.standard_normal((V, J))
+    rows[0] = 0.0                                  # the null variant
+    w = 1.0 / np.arange(1, J + 1) ** 2
+    if banded:
+        w[gen.integers(0, J + 1):] = 0.0           # zero tail, possibly all
+    direct = np.stack([np.square(row + noise) @ w for row in rows], axis=1)
+    scale = (np.square(noise) @ w)[:, None] + np.square(rows) @ w
+    got = weighted_square_sums(noise.copy(), rows, w)
+    assert got.shape == (rows_n, V)
+    bound = 8.0 * (J + 2) * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - direct) <= bound)
+    # the zero row is the plain weighted sum of squares, bit for bit
+    assert np.array_equal(got[:, 0], np.square(noise) @ w)
+
+
+def test_weighted_square_sums_consume_noise():
+    noise = np.array([[1.0, -2.0], [0.5, 3.0]])
+    w = np.array([1.0, 0.25])
+    rows = np.array([[0.0, 0.0], [1.0, -1.0]])
+    got = weighted_square_sums(noise, rows, w)
+    assert np.array_equal(noise, [[1.0, 4.0], [0.25, 9.0]])
+    assert got.tolist() == [[2.0, 6.25], [2.5, 3.25]]
 
 
 def test_noncentrality_single_spike():
