@@ -40,9 +40,6 @@ class FamilyRule:
     basis: Basis
     k_of: object
 
-    def k_values(self, n_list) -> dict[int, int]:
-        return {int(n): int(self.k_of(int(n))) for n in n_list}
-
 
 def quad_family(profile: KappaProfile) -> FamilyRule:
     """k_n from the profile's exact cumulative definition."""
@@ -111,9 +108,6 @@ class AlternativeSequence:
                     f"norm envelope violated at n={n}: "
                     f"{norm:.6g} outside [{self.norm_lo * scale:.6g}, "
                     f"{self.norm_hi * scale:.6g}]")
-
-    def k_values(self) -> dict[int, int]:
-        return self.family.k_values(self.n_list)
 
     def to_json_dict(self) -> dict:
         return {

@@ -53,6 +53,8 @@ class Chi2Config:
         object.__setattr__(self, "x_alpha", gaussian_upper_quantile(self.alpha))
 
     def cells(self, n: int | None = None) -> int:
+        if n is not None and n < 2:
+            raise ValidationError(f"at least 2 points required, got {n}")
         if self.m is not None:
             m = self.m
         else:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: suite, statistic, classify, nulltable, widths. Exit codes:
-0 success, 2 validation problems (malformed input files are reported with
-a file:line anchor), 3 when a suite ran but failed its thresholds.
+0 success, 2 validation problems (malformed JSON is reported with a
+file:line anchor, a missing or mistyped field with the file and the key),
+3 when a suite ran but failed its thresholds.
 
 UNICONSIST_SEED in the environment overrides the seed of any suite config;
 --threads caps worker threads without changing any output byte.
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,34 +30,91 @@ from .kernel import KernelObservations, KernelTestConfig, builtin_kernel
 from .kernel import decide_and_predict as kernel_decide
 from .quad import FixedKappa, QuadTestConfig, build_profile, fixed_kappa_statistic
 from .quad import decide_and_predict as quad_decide
+from .rng import check_seed
 from .signals import signal_from_json
 from .suites import SUITES, default_config, run_suite, write_result
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}:1: expected a JSON object")
+    return obj
 
 
-def _require(obj: dict, key: str, path: str):
+@contextmanager
+def _prefix(label: str | None):
+    """Put ``label`` (a file path, a key) in front of every validation error
+    raised inside; None leaves them as they are."""
+    try:
+        yield
+    except ValidationError as exc:
+        if label is None:
+            raise
+        raise ValidationError(f"{label}: {exc}") from exc
+
+
+def _require(obj: dict, key: str):
     try:
         return obj[key]
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: missing key {key!r}") from exc
+        raise ValidationError(f"missing key {key!r}") from exc
 
 
-def _profile_from(obj: dict, path: str):
-    spec = _require(obj, "profile", path)
-    return build_profile(
-        float(_require(spec, "r", path)), float(_require(spec, "gamma", path)),
-        float(_require(spec, "c", path)), int(_require(spec, "J", path)),
-        _require(spec, "n_list", path))
+# The JSON values each scalar kind accepts, and its name in errors.
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            str: (str, "a string")}
+
+
+def _scalar(obj: dict, key: str, kind=float):
+    """``obj[key]`` as ``kind`` (float, int or str); never a boolean."""
+    value = _require(obj, key)
+    types, name = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(f"{key!r} must be {name}, got {value!r}")
+    return kind(value)
+
+
+def _array(obj: dict, key: str, ndim: int = 1) -> np.ndarray:
+    value = _require(obj, key)
+    try:
+        arr = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        raise ValidationError(f"{key!r} must be a {ndim}-D array of numbers")
+    return arr.astype(float)
+
+
+def _pair(obj: dict, key: str) -> tuple[float, float]:
+    arr = _array(obj, key)
+    if arr.shape != (2,):
+        raise ValidationError(f"{key!r} must be a pair of numbers")
+    return float(arr[0]), float(arr[1])
+
+
+def _signal(obj: dict, key: str):
+    with _prefix(repr(key)):
+        return signal_from_json(_require(obj, key))
+
+
+def _optional(read, obj: dict, key: str, *args):
+    """``read(obj, key, *args)``, or None when the key is absent or null."""
+    return None if obj.get(key) is None else read(obj, key, *args)
+
+
+def _profile_from(obj: dict):
+    spec = _require(obj, "profile")
+    return build_profile(_scalar(spec, "r"), _scalar(spec, "gamma"),
+                         _scalar(spec, "c"), _scalar(spec, "J", int),
+                         _array(spec, "n_list"))
 
 
 def _print_json(payload: dict) -> None:
@@ -67,29 +126,24 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        return check_seed(int(raw))
     except ValueError:
-        raise ValidationError(f"UNICONSIST_SEED must be an integer, got {raw!r}")
+        raise ValidationError(f"UNICONSIST_SEED={raw!r}: seed must be an "
+                              f"integer in [0, 2**64)") from None
 
 
 def cmd_suite(args) -> int:
-    # The suite name and --threads come from the command line, not the
+    # The suite name, --threads and UNICONSIST_SEED do not come from the
     # config: check them before config errors get the config path.
     default_config(args.name)
     if args.threads < 1:
         raise ValidationError("--threads must be at least 1")
     config = _load_json(args.config) if args.config else {}
-    if not isinstance(config, dict):
-        raise ValidationError(f"{args.config}:1: suite config must be a JSON object")
     seed = _env_seed()
     if seed is not None:
         config = {**config, "seed": seed}
-    try:
+    with _prefix(args.config):
         result = run_suite(args.name, config, threads=args.threads)
-    except ValidationError as exc:
-        if not args.config:
-            raise
-        raise ValidationError(f"{args.config}: {exc}") from exc
     for path in write_result(result, args.out):
         print(path)
     print(f"suite {result.name}: {'PASS' if result.passed else 'FAIL'}")
@@ -98,65 +152,48 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def _statistic_quad(data, path: str) -> dict:
-    profile = _profile_from(data, path)
-    config = QuadTestConfig(profile, float(_require(data, "alpha", path)))
-    y = np.asarray(_require(data, "y", path), dtype=float)
-    theta = data.get("theta")
-    if theta is not None:
-        theta = np.asarray(theta, dtype=float)
-    return quad_decide(y, config, int(_require(data, "n", path)),
-                       theta).to_json_dict()
+def _statistic_quad(data) -> dict:
+    config = QuadTestConfig(_profile_from(data), _scalar(data, "alpha"))
+    return quad_decide(_array(data, "y"), config, _scalar(data, "n", int),
+                       _optional(_array, data, "theta")).to_json_dict()
 
 
-def _statistic_kernel(data, path: str) -> dict:
-    kernel = builtin_kernel(_require(data, "kernel", path))
-    h_rule = data.get("h_rule")
+def _statistic_kernel(data) -> dict:
     config = KernelTestConfig(
-        kernel=kernel, alpha=float(_require(data, "alpha", path)),
-        noise_sigma=float(data.get("sigma", 1.0)),
-        h=data.get("h"), h_rule=None if h_rule is None else tuple(h_rule))
-    obs = KernelObservations(
-        y0=float(_require(data, "y0", path)),
-        pairs=np.asarray(_require(data, "pairs", path), dtype=float))
-    theta = data.get("theta")
-    if theta is not None:
-        theta = signal_from_json(theta)
-    return kernel_decide(obs, config, int(_require(data, "n", path)),
+        kernel=builtin_kernel(_scalar(data, "kernel", str)),
+        alpha=_scalar(data, "alpha"),
+        noise_sigma=_scalar(data, "sigma") if "sigma" in data else 1.0,
+        h=_optional(_scalar, data, "h"),
+        h_rule=_optional(_pair, data, "h_rule"))
+    obs = KernelObservations(y0=_scalar(data, "y0"),
+                             pairs=_array(data, "pairs", 2))
+    theta = _optional(_signal, data, "theta")
+    return kernel_decide(obs, config, _scalar(data, "n", int),
                          theta).to_json_dict()
 
 
-def _statistic_chi2(data, path: str) -> dict:
-    m_rule = data.get("m_rule")
-    m = data.get("m")
-    if m is not None and not isinstance(m, int):
-        raise ValidationError(f"{path}: 'm' must be an integer, got {m!r}")
-    config = Chi2Config(alpha=float(_require(data, "alpha", path)), m=m,
-                        m_rule=None if m_rule is None else tuple(m_rule))
-    points = np.asarray(_require(data, "points", path), dtype=float)
-    signal = data.get("signal")
-    if signal is not None:
-        signal = signal_from_json(signal)
+def _statistic_chi2(data) -> dict:
+    config = Chi2Config(alpha=_scalar(data, "alpha"),
+                        m=_optional(_scalar, data, "m", int),
+                        m_rule=_optional(_pair, data, "m_rule"))
+    points = _array(data, "points")
+    signal = _optional(_signal, data, "signal")
     return chi2_decide(points, config, points.size, signal).to_json_dict()
 
 
-def _statistic_cvm(data, path: str) -> dict:
-    table_ref = _require(data, "table", path)
+def _statistic_cvm(data) -> dict:
+    table_ref = _require(data, "table")
     if isinstance(table_ref, str):
         table_ref = _load_json(table_ref)
     table = CvmNullTable.from_json(json.dumps(table_ref))
-    points = np.asarray(_require(data, "points", path), dtype=float)
-    return cvm_decide(points, table, float(_require(data, "alpha", path))
+    return cvm_decide(_array(data, "points"), table, _scalar(data, "alpha")
                       ).to_json_dict()
 
 
-def _statistic_fixed(data, path: str) -> dict:
-    fk = FixedKappa(np.asarray(_require(data, "kappa_sq", path), dtype=float),
-                    None if data.get("sigmas") is None
-                    else np.asarray(data["sigmas"], dtype=float))
-    z = np.asarray(_require(data, "z", path), dtype=float)
-    stat = fixed_kappa_statistic(z, fk)
-    critical = data.get("critical")
+def _statistic_fixed(data) -> dict:
+    fk = FixedKappa(_array(data, "kappa_sq"), _optional(_array, data, "sigmas"))
+    stat = fixed_kappa_statistic(_array(data, "z"), fk)
+    critical = _optional(_scalar, data, "critical")
     return {"family": "fixed", "statistic": stat, "critical": critical,
             "reject": None if critical is None else bool(stat > critical)}
 
@@ -168,14 +205,17 @@ _STATISTIC = {"quad": _statistic_quad, "kernel": _statistic_kernel,
 
 def cmd_statistic(args) -> int:
     data = _load_json(args.data)
-    _print_json(_STATISTIC[args.family](data, args.data))
+    with _prefix(args.data):
+        report = _STATISTIC[args.family](data)
+    _print_json(report)
     return 0
 
 
 def cmd_classify(args) -> int:
     obj = _load_json(args.sequence)
-    profile = _profile_from(obj, args.sequence) if "profile" in obj else None
-    seq = sequence_from_json(obj, profile)
+    with _prefix(args.sequence):
+        profile = _profile_from(obj) if "profile" in obj else None
+        seq = sequence_from_json(obj, profile)
     thresholds = ClassifyThresholds(c1=args.c1, c2=args.c2, eps=args.eps,
                                     C1=args.C1)
     _print_json(classify(seq, thresholds).to_json_dict())
@@ -197,7 +237,9 @@ def cmd_nulltable(args) -> int:
 
 
 def cmd_widths(args) -> int:
-    descriptor = set_from_json(_load_json(args.set))
+    descriptor = _load_json(args.set)
+    with _prefix(args.set):
+        descriptor = set_from_json(descriptor)
     seq = greedy_widths(descriptor, args.i_max)
     diag = compactness_diagnostic(descriptor, args.epsilon, args.i_max)
     _print_json({"widths": [float(w) for w in seq.widths],

@@ -74,33 +74,6 @@ def truncation_tail_bound(J: int) -> float:
     return 1.0 / (math.pi ** 2 * J)
 
 
-def weighted_chisq_draws(weights: np.ndarray, rng: np.random.Generator,
-                         size: int, offsets=None,
-                         block: int = 65536) -> np.ndarray:
-    """Draws of Sum_j w_j (xi_j + o_j)^2 (independent standard normals).
-
-    Draw order is row-major by (replicate, j), fixed regardless of ``block``.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or weights.size == 0:
-        raise ValidationError("weights must be a nonempty 1-D array")
-    if np.any(weights < 0.0):
-        raise ValidationError("weights must be nonnegative")
-    offs = None if offsets is None else np.asarray(offsets, dtype=float)
-    if offs is not None and offs.shape != weights.shape:
-        raise ValidationError("offsets must match weights in length")
-    out = np.empty(size)
-    done = 0
-    while done < size:
-        rows = min(block, size - done)
-        xi = rng.standard_normal((rows, weights.size))
-        if offs is not None:
-            xi += offs
-        out[done:done + rows] = np.square(xi) @ weights
-        done += rows
-    return out
-
-
 def bridge_weights(J_null: int) -> np.ndarray:
     """Brownian-bridge series weights 1/(pi^2 j^2), j = 1..J_null."""
     j = np.arange(1, J_null + 1, dtype=float)
@@ -110,15 +83,16 @@ def bridge_weights(J_null: int) -> np.ndarray:
 def cvm_null_sample(J_null: int, rng: np.random.Generator, size: int = 1,
                     shift: np.ndarray | None = None) -> np.ndarray:
     """Draws of Sum_{j<=J_null} (xi_j/(pi j) + s_j)^2 (s = 0: null law)."""
-    w = bridge_weights(J_null)
-    offsets = None
+    if J_null < 1:
+        raise ValidationError("J_null must be positive")
+    offsets = 0.0
     if shift is not None:
         shift = np.asarray(shift, dtype=float)
         if shift.shape != (J_null,):
             raise ValidationError("shift must have length J_null")
-        j = np.arange(1, J_null + 1, dtype=float)
-        offsets = math.pi * j * shift
-    return weighted_chisq_draws(w, rng, size, offsets=offsets)
+        offsets = math.pi * np.arange(1, J_null + 1, dtype=float) * shift
+    xi = rng.standard_normal((size, J_null)) + offsets
+    return np.square(xi) @ bridge_weights(J_null)
 
 
 def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
@@ -126,8 +100,14 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     """Upper alpha-quantiles of Sum w_j xi_j^2 by block-keyed Monte Carlo.
 
     Every block of 4096 replicates draws from the null-table substream keyed
-    by its block index, so the table is reproducible independent of scheduling.
+    by its block index, row-major by (replicate, j), so the table is
+    reproducible independent of scheduling.
     """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValidationError("weights must be a nonempty 1-D array")
+    if np.any(weights < 0.0):
+        raise ValidationError("weights must be nonnegative")
     alphas = np.asarray(sorted(float(a) for a in alphas))
     if alphas.size == 0 or np.any((alphas <= 0) | (alphas >= 1)):
         raise ValidationError("alphas must lie in (0, 1)")
@@ -137,7 +117,8 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     for b, start in enumerate(range(0, replicates, _TABLE_BLOCK)):
         rows = min(_TABLE_BLOCK, replicates - start)
         gen = substream(seed, STREAM_NULL_TABLE, b)
-        draws[start:start + rows] = weighted_chisq_draws(weights, gen, rows)
+        draws[start:start + rows] = (
+            np.square(gen.standard_normal((rows, weights.size))) @ weights)
     criticals = np.quantile(draws, 1.0 - alphas)
     return alphas, criticals
 

@@ -11,28 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ValidationError
-from .signals import Basis, SignalSpec
-
-
-class BodyVariant(str, Enum):
-    """Index conventions for the smoothness body.
-
-    BAR: single-indexed coefficients j >= 1 (CosinePi / SinePi signals).
-    FULL: two-sided exponential index; real signals store (a_j, b_j) pairs
-      and the mass at |j| is a_j^2 + b_j^2, keeping Hermitian symmetry
-      implicit.
-    TILDE: FULL with the zero frequency removed; SignalSpec never stores a
-      zero-frequency term, so over this package's signals TILDE == FULL.
-    """
-
-    BAR = "bar"
-    FULL = "full"
-    TILDE = "tilde"
+from .signals import SignalSpec
 
 
 def besov_seminorm(signal: SignalSpec, s: float) -> float:
@@ -66,24 +49,24 @@ def besov_argmax(signal: SignalSpec, s: float) -> int:
 
 @dataclass(frozen=True)
 class BesovBody:
-    """Body of smoothness s and radius P0 under a given index variant."""
+    """Body of smoothness s and radius P0.
+
+    The index convention is the signal's basis: CosinePi and SinePi
+    coefficients are single-indexed, j >= 1; TrigFull signals store (a_j,
+    b_j) pairs, and the mass at |j| is a_j^2 + b_j^2, the two-sided
+    exponential index with Hermitian symmetry implicit. SignalSpec never
+    stores a zero-frequency term, so no variant without it is needed.
+    """
 
     s: float
     P0: float
-    variant: BodyVariant = BodyVariant.BAR
 
     def __post_init__(self):
         if self.s <= 0 or self.P0 <= 0:
             raise ValidationError("s and P0 must be positive")
 
-    def member(self, signal: SignalSpec, slack: float = 0.0) -> bool:
-        if self.variant is BodyVariant.BAR:
-            if signal.basis is Basis.TRIG_FULL:
-                raise ValidationError("BAR variant indexes single-sided bases")
-        else:
-            if signal.basis is not Basis.TRIG_FULL:
-                raise ValidationError("FULL/TILDE variants index TrigFull signals")
-        return besov_seminorm(signal, self.s) <= self.P0 + slack
+    def member(self, signal: SignalSpec) -> bool:
+        return besov_seminorm(signal, self.s) <= self.P0
 
 
 @dataclass(frozen=True)
@@ -164,11 +147,16 @@ def set_from_json(obj: dict):
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed set descriptor: {exc}") from exc
-    if kind == "ellipsoid":
-        return EllipsoidSet(np.asarray(obj["axes"], dtype=float))
-    if kind == "points":
-        return PointCloudSet(np.asarray(obj["points"], dtype=float))
-    raise ValidationError(f"unknown set kind {kind!r}")
+    if kind not in ("ellipsoid", "points"):
+        raise ValidationError(f"unknown set kind {kind!r}")
+    key = "axes" if kind == "ellipsoid" else "points"
+    try:
+        values = np.asarray(obj[key], dtype=float)
+    except KeyError:
+        raise ValidationError(f"{kind} set needs the key {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key!r} must be an array of numbers") from exc
+    return EllipsoidSet(values) if kind == "ellipsoid" else PointCloudSet(values)
 
 
 @dataclass(frozen=True)
@@ -264,11 +252,11 @@ class FiniteBand:
             raise ValidationError("P0 must be positive")
 
 
-def finite_band_membership(signal: SignalSpec, band: FiniteBand,
-                           zero_tol: float = 1e-15) -> bool:
-    """Exact membership check: no mass above l, norm within the radius."""
+def finite_band_membership(signal: SignalSpec, band: FiniteBand) -> bool:
+    """Exact membership check: no mass above l (coefficients there count as
+    zero up to 1e-15), norm within the radius."""
     energy = signal.index_energy()
     above = energy[band.l:]
-    if above.size and float(np.max(above)) > zero_tol ** 2:
+    if above.size and float(np.max(above)) > 1e-15 ** 2:
         return False
     return signal.norm <= band.P0 * (1 + 1e-12)

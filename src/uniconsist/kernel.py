@@ -73,10 +73,6 @@ class Kernel:
         return np.asarray(self.fourier(np.asarray(omega, dtype=float)))
 
     @cached_property
-    def norm_sq(self) -> float:
-        return _gauss_integral(lambda t: np.square(self.func(t)), -1.0, 1.0, (0.0,))
-
-    @cached_property
     def autoconv(self):
         """t -> (K*K)(t), exact overlap integration, support [-2, 2]."""
         x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
@@ -300,6 +296,8 @@ def kernel_power_prediction(theta: SignalSpec, config: KernelTestConfig,
 
 def decide_and_predict(obs: KernelObservations, config: KernelTestConfig,
                        n: int, theta: SignalSpec | None = None) -> TestReport:
+    if n < 1:
+        raise ValidationError(f"sample size n = {n} must be positive")
     stat = kernel_statistic_fourier(obs, config, n)
     beta = None if theta is None else kernel_power_prediction(theta, config, n)
     h = config.bandwidth(n)

@@ -103,23 +103,14 @@ def paired_excess(rejections: np.ndarray, col_a: int, col_b: int) -> dict:
             "std_error": float(d.std(ddof=1) / math.sqrt(R))}
 
 
-@dataclass(frozen=True)
-class PowerReport:
-    """Per-n comparison of empirical and predicted type II errors."""
-
-    rows: tuple
-
-    @staticmethod
-    def row(n: int, empirical_alpha: float, empirical_beta: float,
-            predicted_beta: float, band: float) -> dict:
-        gap = abs(empirical_beta - predicted_beta)
-        return {"n": int(n), "empirical_alpha": float(empirical_alpha),
-                "empirical_beta": float(empirical_beta),
-                "predicted_beta": float(predicted_beta),
-                "abs_gap": gap, "within_band": bool(gap <= band)}
-
-    def to_json_dict(self) -> dict:
-        return {"rows": list(self.rows)}
+def power_row(n: int, empirical_alpha: float, empirical_beta: float,
+              predicted_beta: float, band: float) -> dict:
+    """One row of a power report: empirical against predicted type II error."""
+    gap = abs(empirical_beta - predicted_beta)
+    return {"n": int(n), "empirical_alpha": float(empirical_alpha),
+            "empirical_beta": float(empirical_beta),
+            "predicted_beta": float(predicted_beta),
+            "abs_gap": gap, "within_band": bool(gap <= band)}
 
 
 def _rejections(mc: MCConfig, stream: int, width: int, draw, scale,
@@ -278,16 +269,14 @@ def estimate_size(config, n: int, mc: MCConfig, **kw) -> MCEstimate:
     return estimate_power(config, None, n, mc, **kw)
 
 
-def estimate_power(config, alternative, n: int, mc: MCConfig,
-                   **kw) -> MCEstimate:
+def estimate_power(config, alternative, n: int, mc: MCConfig, *,
+                   alpha: float | None = None, J: int | None = None,
+                   critical: float | None = None) -> MCEstimate:
     """Rejection rate under one alternative (signal, density, shift or None).
 
-    Keywords: ``alpha`` (required for cvm), ``J`` (kernel truncation,
-    default 2n), ``critical`` (required for the fixed-weight test).
+    ``alpha`` is required for cvm, ``J`` is the kernel truncation (default
+    2n), ``critical`` is required for the fixed-weight test.
     """
-    alpha, J, critical = (kw.pop(k, None) for k in ("alpha", "J", "critical"))
-    if kw:
-        raise TypeError(f"unexpected keyword arguments {sorted(kw)}")
     variants = [alternative]
     if isinstance(config, (Chi2Config, CvmNullTable)) and isinstance(
             alternative, SignalSpec):

@@ -2,31 +2,22 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
-def fmt_float(x) -> str:
-    """Deterministic shortest-roundtrip decimal for CSV cells."""
+def fmt_cell(x) -> str:
+    """Deterministic CSV cell: None empty, booleans 1/0, integers exact,
+    other numbers as 17-significant-digit (round-trip) decimals."""
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    return format(xf, ".17g")
-
-
-def fmt_cell(x) -> str:
     if isinstance(x, str):
         return x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, int):
         return str(x)
-    return fmt_float(x)
+    return format(float(x), ".17g")
 
 
 def write_csv(path, columns, rows) -> None:

@@ -27,10 +27,15 @@ STREAM_NULL_TABLE = 2       # weighted chi-square null tables
 STREAM_FACTORY = 3          # random mass placement in alternative factories
 
 
-def substream(seed: int, stream: int, replicate: int) -> np.random.Generator:
-    """Return the independent generator keyed by (seed, stream, replicate)."""
+def check_seed(seed) -> int:
+    """``seed`` as an int; anything but an integer in [0, 2**64) raises."""
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    ss = np.random.SeedSequence(entropy=int(seed),
+    return int(seed)
+
+
+def substream(seed: int, stream: int, replicate: int) -> np.random.Generator:
+    """Return the independent generator keyed by (seed, stream, replicate)."""
+    ss = np.random.SeedSequence(entropy=check_seed(seed),
                                 spawn_key=(int(stream), int(replicate)))
     return np.random.Generator(np.random.Philox(ss))

@@ -102,10 +102,10 @@ class SignalSpec:
 def signal_from_json(obj: dict) -> SignalSpec:
     try:
         basis = Basis(obj["basis"])
-        coeffs = obj["coeffs"]
+        coeffs = np.asarray(obj["coeffs"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed SignalSpec object: {exc}") from exc
-    return SignalSpec(basis, np.asarray(coeffs, dtype=float))
+    return SignalSpec(basis, coeffs)
 
 
 def _check_domain(t: np.ndarray):
@@ -277,10 +277,6 @@ class DensitySpec:
                 f"1 + f does not integrate to 1: mass {1.0 + offset:.12g} "
                 f"(tolerance {MASS_TOL:g})")
         object.__setattr__(self, "minimum", float(mn))
-
-    def pdf(self, t) -> np.ndarray | float:
-        val = evaluate(self.signal, t)
-        return 1.0 + val
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -41,7 +41,7 @@ def test_family_rules():
 def test_quad_family_uses_profile_k():
     prof = build_profile(r=0.3, gamma=2.0, c=1.0, J=2048, n_list=[64, 256])
     fam = quad_family(prof)
-    assert fam.k_values([64, 256]) == {64: prof.k[64], 256: prof.k[256]}
+    assert fam.k_of(64) == prof.k[64] and fam.k_of(256) == prof.k[256]
     assert fam.basis is Basis.COSINE_PI
 
 

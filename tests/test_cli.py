@@ -174,6 +174,26 @@ def test_suite_internal_error_names_config_file(tmp_path, capsys, name, config):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["suite", "nulltable"])
+def test_env_seed_out_of_range_skips_config_path(tmp_path, capsys,
+                                                 monkeypatch, command, seed):
+    monkeypatch.setenv("UNICONSIST_SEED", seed)
+    cfg = _write(tmp_path, "cfg.json", {})
+    if command == "suite":
+        argv = ["suite", "unbiasedness", "--config", cfg,
+                "--out", str(tmp_path / "o")]
+    else:
+        argv = ["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
+                "--j-null", "16"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: UNICONSIST_SEED={seed!r}: seed must be")
+    assert cfg not in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("case", ["env", "config", "nulltable"])
 def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, case):
     monkeypatch.delenv("UNICONSIST_SEED", raising=False)
@@ -289,6 +309,45 @@ def test_statistic_chi2_non_integer_cells_exits_2(tmp_path, capsys):
     assert path in capsys.readouterr().err
 
 
+_PROFILE = {"r": 0.3, "gamma": 2.0, "c": 1.0, "J": 8, "n_list": [64]}
+_QUAD = {"profile": _PROFILE, "alpha": 0.05, "n": 64, "y": [0.0] * 8}
+_KERNEL = {"kernel": "box", "alpha": 0.05, "n": 64, "h": 0.5, "y0": 0.0,
+           "pairs": [[0.0, 0.0]] * 4}
+_CHI2 = {"alpha": 0.05, "m": 4, "points": [0.1, 0.6]}
+
+
+@pytest.mark.parametrize("command, data, key", [
+    (["statistic", "kernel"], {**_KERNEL, "kernel": ["box"]}, "'kernel'"),
+    (["statistic", "kernel"], {**_KERNEL, "h": "0.15"}, "'h'"),
+    (["statistic", "chi2"], {**_CHI2, "points": []}, "points"),
+    (["statistic", "chi2"], {**_CHI2, "points": [0.5]}, "points"),
+    (["statistic", "chi2"], {"alpha": 0.05, "m_rule": [0.25, 1.0],
+                             "points": [0.5]}, "points"),
+    (["statistic", "chi2"], {**_CHI2, "points": "0.1 0.6"}, "'points'"),
+    (["statistic", "chi2"], {**_CHI2, "signal": {"basis": "CosinePi",
+                                                 "coeffs": "x"}}, "'signal'"),
+    (["statistic", "quad"], {**_QUAD, "y": "0"}, "'y'"),
+    (["statistic", "quad"], {**_QUAD, "profile": {**_PROFILE, "r": "0.3"}},
+     "'r'"),
+    (["statistic", "fixed"], {"kappa_sq": [0.5], "z": [1.0],
+                              "critical": "x"}, "'critical'"),
+    (["statistic", "fixed"], [1.0], "JSON object"),
+    (["widths"], {"kind": "ellipsoid"}, "'axes'"),
+    (["widths"], {"kind": "points"}, "'points'"),
+], ids=["kernel-name-list", "kernel-h-string", "chi2-no-points",
+        "chi2-one-point", "chi2-one-point-m-rule", "chi2-points-string",
+        "chi2-signal-coeffs-string", "quad-y-string", "quad-r-string",
+        "fixed-critical-string", "not-an-object", "ellipsoid-no-axes",
+        "points-no-points"])
+def test_malformed_data_field_exits_2(tmp_path, capsys, command, data, key):
+    path = _write(tmp_path, "bad.json", data)
+    code = main(command + (["--data", path] if command[0] == "statistic"
+                           else ["--set", path]))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {path}" in err and key in err and "Traceback" not in err
+
+
 def test_statistic_missing_key(tmp_path, capsys):
     code = main(["statistic", "quad", "--data",
                  _write(tmp_path, "m.json", {"alpha": 0.05})])
@@ -348,6 +407,14 @@ def test_nulltable_to_file_and_stdout(tmp_path, capsys, monkeypatch):
                  "--replicates", "2000", "--j-null", "128"])
     assert code == 0
     assert capsys.readouterr().out == stdout_table
+
+
+def test_nulltable_without_series_terms_exits_2(capsys):
+    code = main(["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
+                 "--j-null", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "weights must be a nonempty 1-D array" in err
 
 
 def test_widths_ellipsoid(tmp_path, capsys):

@@ -10,8 +10,9 @@ from uniconsist.cvm import (CvmNullTable, bridge_weights, build_cvm_null_table,
                             cvm_consistency_index, cvm_null_sample,
                             cvm_population, cvm_statistic, decide,
                             series_shift, truncation_tail_bound,
-                            weighted_chisq_draws, weighted_null_quantiles)
+                            weighted_null_quantiles)
 from uniconsist.errors import ValidationError
+from uniconsist.rng import STREAM_NULL_TABLE, substream
 from uniconsist.signals import Basis, SignalSpec
 
 RNG = np.random.default_rng(515)
@@ -113,15 +114,22 @@ def test_bridge_weights():
 
 
 def test_weighted_chisq_draw_order_fixed():
-    """Same rng seed, different block sizes: identical draws."""
+    """Block b of a null table draws from substream (seed, null table, b),
+    row-major by (replicate, j); the last block may be partial."""
     w = bridge_weights(16)
-    a = weighted_chisq_draws(w, np.random.default_rng(5), 1000, block=64)
-    b = weighted_chisq_draws(w, np.random.default_rng(5), 1000, block=1000)
-    assert np.array_equal(a, b)
-    with pytest.raises(ValidationError):
-        weighted_chisq_draws(np.array([-1.0]), np.random.default_rng(0), 10)
-    with pytest.raises(ValidationError):
-        weighted_chisq_draws(w, np.random.default_rng(0), 10, offsets=np.ones(3))
+    draws = np.concatenate([
+        np.square(substream(9, STREAM_NULL_TABLE, b).standard_normal(
+            (rows, w.size))) @ w
+        for b, rows in enumerate((4096, 904))])
+    alphas, crit = weighted_null_quantiles(w, [0.1, 0.05], 5000, seed=9)
+    assert np.array_equal(crit, np.quantile(draws, 1.0 - alphas))
+
+
+@pytest.mark.parametrize("weights", [[], [[0.1, 0.2]], [0.1, -0.2]],
+                         ids=["empty", "2-D", "negative"])
+def test_weighted_null_quantiles_rejects_bad_weights(weights):
+    with pytest.raises(ValidationError, match="weights"):
+        weighted_null_quantiles(np.array(weights), [0.05], 200, seed=0)
 
 
 def test_null_sample_mean_matches_series():

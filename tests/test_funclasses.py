@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import seminorm_grid_oracle
 from uniconsist.errors import ValidationError
-from uniconsist.funclasses import (BesovBody, BodyVariant, EllipsoidSet,
-                                   FiniteBand, PointCloudSet, besov_argmax,
+from uniconsist.funclasses import (BesovBody, EllipsoidSet, FiniteBand, PointCloudSet, besov_argmax,
                                    besov_seminorm, compactness_diagnostic,
                                    finite_band_membership, greedy_widths,
                                    set_from_json, tail_bound_check)
@@ -91,21 +90,20 @@ def test_body_membership_and_variants():
     body = BesovBody(s=0.5, P0=1.5)
     assert body.member(sig([0.0, 0.8]))       # seminorm 1.28
     assert not body.member(sig([0.0, 1.0]))   # seminorm 2.0
-    with pytest.raises(ValidationError):
-        body.member(SignalSpec(Basis.TRIG_FULL, np.array([[1.0, 0.0]])))
-    full_body = BesovBody(s=0.5, P0=1.5, variant=BodyVariant.FULL)
-    assert full_body.member(SignalSpec(Basis.TRIG_FULL, np.array([[0.5, 0.5]])))
-    with pytest.raises(ValidationError):
-        full_body.member(sig([0.5]))
+    # TrigFull: the mass at |j| is a_j^2 + b_j^2
+    assert body.member(SignalSpec(Basis.TRIG_FULL, np.array([[0.5, 0.5]])))
+    assert not body.member(SignalSpec(Basis.TRIG_FULL, np.array([[1.0, 0.8]])))
     with pytest.raises(ValidationError):
         BesovBody(s=-1.0, P0=1.0)
 
 
-def test_tilde_equals_full_on_stored_signals():
-    signal = SignalSpec(Basis.TRIG_FULL, RNG.standard_normal((5, 2)))
-    a = BesovBody(0.6, 9.0, BodyVariant.FULL).member(signal)
-    b = BesovBody(0.6, 9.0, BodyVariant.TILDE).member(signal)
-    assert a == b
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+                min_size=1, max_size=8),
+       st.floats(0.1, 2.0), st.floats(0.01, 20.0))
+def test_body_member_trig_full_matches_seminorm(pairs, s, P0):
+    signal = SignalSpec(Basis.TRIG_FULL, np.array(pairs))
+    assert BesovBody(s, P0).member(signal) == (besov_seminorm(signal, s) <= P0)
 
 
 def test_tail_bound_spike_below_cut():

@@ -13,11 +13,11 @@ from uniconsist.cvm import build_cvm_null_table, cvm_statistic
 from uniconsist.errors import ValidationError
 from uniconsist.kernel import (KernelObservations, KernelTestConfig,
                                box_kernel, kernel_statistic_fourier)
-from uniconsist.mclab import (MCConfig, MCEstimate, PowerReport,
-                              chi2_rejections, cvm_rejections,
-                              estimate_columns, estimate_power, estimate_size,
-                              fixed_rejections, kernel_rejections,
-                              paired_excess, quad_rejections, wilson_interval)
+from uniconsist.mclab import (MCConfig, MCEstimate, chi2_rejections,
+                              cvm_rejections, estimate_columns, estimate_power,
+                              estimate_size, fixed_rejections,
+                              kernel_rejections, paired_excess, power_row,
+                              quad_rejections, wilson_interval)
 from uniconsist.quad import (FixedKappa, QuadTestConfig, build_profile,
                              decide_and_predict, fixed_kappa_statistic)
 from uniconsist.rng import (STREAM_IID, STREAM_SEQUENCE_MODEL, substream)
@@ -303,11 +303,11 @@ def test_estimate_columns_and_paired_excess():
 
 
 def test_power_report_row():
-    row = PowerReport.row(64, 0.05, 0.52, 0.5, band=0.05)
+    row = power_row(64, 0.05, 0.52, 0.5, band=0.05)
     assert row["within_band"]
     assert row["abs_gap"] == pytest.approx(0.02)
-    rep = PowerReport(rows=(row,))
-    assert rep.to_json_dict()["rows"][0]["n"] == 64
+    assert row["n"] == 64
+    assert not power_row(64, 0.05, 0.6, 0.5, band=0.05)["within_band"]
 
 
 @st.composite
