@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .funclasses import besov_seminorm
 from .quad import KappaProfile
+from .reports import json_require, json_value
 from .rng import STREAM_FACTORY, substream
 from .signals import Basis, SignalSpec, density_minimum, signal_from_json
 
@@ -126,35 +127,31 @@ class AlternativeSequence:
 def sequence_from_json(obj: dict, profile: KappaProfile | None = None
                        ) -> AlternativeSequence:
     """Rebuild a sequence from the (n, SignalSpec) array serialization."""
-    try:
-        name = obj["family"]
-        r = float(obj["r"])
-        pairs = obj["signals"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed sequence object: {exc}") from exc
-    if name == "quad":
-        if profile is None:
-            raise ValidationError("quad sequences need the weight profile for k_n")
-        family = quad_family(profile)
-    elif name == "kernel":
-        family = kernel_family(r)
-    elif name == "chi2":
-        family = chi2_family(r)
-    elif name == "cvm":
-        family = cvm_family(r)
-    elif name == "fixed":
-        family = fixed_family()
-    else:
+    rules = {"quad": lambda r: quad_family(profile), "kernel": kernel_family,
+             "chi2": chi2_family, "cvm": cvm_family,
+             "fixed": lambda r: fixed_family()}
+    name = json_value(obj, "family", str)
+    if name not in rules:
         raise ValidationError(f"unknown family {name!r}")
-    signals = {int(n): signal_from_json(sig) for n, sig in pairs}
+    if name == "quad" and profile is None:
+        raise ValidationError("quad sequences need the weight profile for k_n")
+    family = rules[name](json_value(obj, "r"))
+    pairs = json_require(obj, "signals")
+    if not (isinstance(pairs, list) and pairs and all(
+            isinstance(p, list) and len(p) == 2 and type(p[0]) is int
+            and p[0] >= 1 for p in pairs)):
+        raise ValidationError("'signals' must be a non-empty list of "
+                              "[n, signal] pairs with integer n >= 1")
+    signals = {n: signal_from_json(sig) for n, sig in pairs}
     n_list = tuple(sorted(signals))
     norms = np.array([signals[n].norm * float(n) ** family.r for n in n_list])
+    obj = {"norm_lo": norms.min(), "norm_hi": norms.max(), "kind": "unknown",
+           "metadata": {}, **obj}
     return AlternativeSequence(
         family=family, n_list=n_list, signals=signals,
-        norm_lo=float(obj.get("norm_lo", norms.min())),
-        norm_hi=float(obj.get("norm_hi", norms.max())),
-        kind=str(obj.get("kind", "unknown")),
-        metadata=dict(obj.get("metadata", {})))
+        norm_lo=json_value(obj, "norm_lo"), norm_hi=json_value(obj, "norm_hi"),
+        kind=json_value(obj, "kind", str),
+        metadata=json_value(obj, "metadata", dict))
 
 
 def _band_top(c2: float, k_n: int) -> int:

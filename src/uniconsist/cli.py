@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: suite, statistic, classify, nulltable, widths. Exit codes:
-0 success, 2 validation problems (malformed JSON is reported with a
-file:line anchor, a missing or mistyped field with the file and the key),
-3 when a suite ran but failed its thresholds.
+0 success, 2 validation problems, 3 when a suite ran but failed its
+thresholds. Malformed JSON is reported with a file:line anchor. Every field
+of a statistic data file, cvm null table, widths set or classify sequence is
+read through the typed readers of ``reports``, and a suite config value must
+have its default's JSON type, so a missing, mistyped or unrepresentable
+field is reported with the file and the key.
 
 UNICONSIST_SEED in the environment overrides the seed of any suite config;
 --threads caps worker threads without changing any output byte.
@@ -18,8 +21,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from .alternatives import ClassifyThresholds, classify, sequence_from_json
 from .chi2 import Chi2Config
 from .chi2 import decide_and_predict as chi2_decide
@@ -30,6 +31,7 @@ from .kernel import KernelObservations, KernelTestConfig, builtin_kernel
 from .kernel import decide_and_predict as kernel_decide
 from .quad import FixedKappa, QuadTestConfig, build_profile, fixed_kappa_statistic
 from .quad import decide_and_predict as quad_decide
+from .reports import json_array, json_optional, json_require, json_value
 from .rng import check_seed
 from .signals import signal_from_json
 from .suites import SUITES, default_config, run_suite, write_result
@@ -61,40 +63,8 @@ def _prefix(label: str | None):
         raise ValidationError(f"{label}: {exc}") from exc
 
 
-def _require(obj: dict, key: str):
-    try:
-        return obj[key]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"missing key {key!r}") from exc
-
-
-# The JSON values each scalar kind accepts, and its name in errors.
-_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
-            str: (str, "a string")}
-
-
-def _scalar(obj: dict, key: str, kind=float):
-    """``obj[key]`` as ``kind`` (float, int or str); never a boolean."""
-    value = _require(obj, key)
-    types, name = _SCALARS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValidationError(f"{key!r} must be {name}, got {value!r}")
-    return kind(value)
-
-
-def _array(obj: dict, key: str, ndim: int = 1) -> np.ndarray:
-    value = _require(obj, key)
-    try:
-        arr = np.asarray(value) if isinstance(value, list) else None
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
-        raise ValidationError(f"{key!r} must be a {ndim}-D array of numbers")
-    return arr.astype(float)
-
-
 def _pair(obj: dict, key: str) -> tuple[float, float]:
-    arr = _array(obj, key)
+    arr = json_array(obj, key)
     if arr.shape != (2,):
         raise ValidationError(f"{key!r} must be a pair of numbers")
     return float(arr[0]), float(arr[1])
@@ -102,19 +72,14 @@ def _pair(obj: dict, key: str) -> tuple[float, float]:
 
 def _signal(obj: dict, key: str):
     with _prefix(repr(key)):
-        return signal_from_json(_require(obj, key))
-
-
-def _optional(read, obj: dict, key: str, *args):
-    """``read(obj, key, *args)``, or None when the key is absent or null."""
-    return None if obj.get(key) is None else read(obj, key, *args)
+        return signal_from_json(json_value(obj, key, dict))
 
 
 def _profile_from(obj: dict):
-    spec = _require(obj, "profile")
-    return build_profile(_scalar(spec, "r"), _scalar(spec, "gamma"),
-                         _scalar(spec, "c"), _scalar(spec, "J", int),
-                         _array(spec, "n_list"))
+    spec = json_value(obj, "profile", dict)
+    return build_profile(json_value(spec, "r"), json_value(spec, "gamma"),
+                         json_value(spec, "c"), json_value(spec, "J", int),
+                         json_array(spec, "n_list"))
 
 
 def _print_json(payload: dict) -> None:
@@ -153,47 +118,47 @@ def cmd_suite(args) -> int:
 
 
 def _statistic_quad(data) -> dict:
-    config = QuadTestConfig(_profile_from(data), _scalar(data, "alpha"))
-    return quad_decide(_array(data, "y"), config, _scalar(data, "n", int),
-                       _optional(_array, data, "theta")).to_json_dict()
+    config = QuadTestConfig(_profile_from(data), json_value(data, "alpha"))
+    return quad_decide(json_array(data, "y"), config, json_value(data, "n", int),
+                       json_optional(json_array, data, "theta")).to_json_dict()
 
 
 def _statistic_kernel(data) -> dict:
     config = KernelTestConfig(
-        kernel=builtin_kernel(_scalar(data, "kernel", str)),
-        alpha=_scalar(data, "alpha"),
-        noise_sigma=_scalar(data, "sigma") if "sigma" in data else 1.0,
-        h=_optional(_scalar, data, "h"),
-        h_rule=_optional(_pair, data, "h_rule"))
-    obs = KernelObservations(y0=_scalar(data, "y0"),
-                             pairs=_array(data, "pairs", 2))
-    theta = _optional(_signal, data, "theta")
-    return kernel_decide(obs, config, _scalar(data, "n", int),
+        kernel=builtin_kernel(json_value(data, "kernel", str)),
+        alpha=json_value(data, "alpha"),
+        noise_sigma=json_value(data, "sigma") if "sigma" in data else 1.0,
+        h=json_optional(json_value, data, "h"),
+        h_rule=json_optional(_pair, data, "h_rule"))
+    obs = KernelObservations(y0=json_value(data, "y0"),
+                             pairs=json_array(data, "pairs", (2,)))
+    theta = json_optional(_signal, data, "theta")
+    return kernel_decide(obs, config, json_value(data, "n", int),
                          theta).to_json_dict()
 
 
 def _statistic_chi2(data) -> dict:
-    config = Chi2Config(alpha=_scalar(data, "alpha"),
-                        m=_optional(_scalar, data, "m", int),
-                        m_rule=_optional(_pair, data, "m_rule"))
-    points = _array(data, "points")
-    signal = _optional(_signal, data, "signal")
+    config = Chi2Config(alpha=json_value(data, "alpha"),
+                        m=json_optional(json_value, data, "m", int),
+                        m_rule=json_optional(_pair, data, "m_rule"))
+    points = json_array(data, "points")
+    signal = json_optional(_signal, data, "signal")
     return chi2_decide(points, config, points.size, signal).to_json_dict()
 
 
 def _statistic_cvm(data) -> dict:
-    table_ref = _require(data, "table")
+    table_ref = json_require(data, "table")
     if isinstance(table_ref, str):
         table_ref = _load_json(table_ref)
     table = CvmNullTable.from_json(json.dumps(table_ref))
-    return cvm_decide(_array(data, "points"), table, _scalar(data, "alpha")
-                      ).to_json_dict()
+    return cvm_decide(json_array(data, "points"), table,
+                      json_value(data, "alpha")).to_json_dict()
 
 
 def _statistic_fixed(data) -> dict:
-    fk = FixedKappa(_array(data, "kappa_sq"), _optional(_array, data, "sigmas"))
-    stat = fixed_kappa_statistic(_array(data, "z"), fk)
-    critical = _optional(_scalar, data, "critical")
+    fk = FixedKappa(json_array(data, "kappa_sq"), json_optional(json_array, data, "sigmas"))
+    stat = fixed_kappa_statistic(json_array(data, "z"), fk)
+    critical = json_optional(json_value, data, "critical")
     return {"family": "fixed", "statistic": stat, "critical": critical,
             "reject": None if critical is None else bool(stat > critical)}
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .reports import TestReport
+from .reports import TestReport, json_array, json_value
 from .rng import STREAM_NULL_TABLE, substream
 from .signals import Basis, SignalSpec
 
@@ -156,11 +156,12 @@ class CvmNullTable:
     def from_json(cls, text: str) -> "CvmNullTable":
         try:
             obj = json.loads(text)
-            return cls(alphas=tuple(obj["alpha"]), criticals=tuple(obj["critical"]),
-                       J_null=int(obj["J_null"]), replicates=int(obj["replicates"]),
-                       seed=int(obj["seed"]))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed null table: {exc}") from exc
+        return cls(tuple(json_array(obj, "alpha").tolist()),
+                   tuple(json_array(obj, "critical").tolist()),
+                   *(json_value(obj, key, int)
+                     for key in ("J_null", "replicates", "seed")))
 
 
 def build_cvm_null_table(alphas, replicates: int, seed: int,

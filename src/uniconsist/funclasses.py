@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .reports import json_array, json_value
 from .signals import SignalSpec
 
 
@@ -143,20 +144,12 @@ class PointCloudSet:
 
 
 def set_from_json(obj: dict):
-    try:
-        kind = obj["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed set descriptor: {exc}") from exc
-    if kind not in ("ellipsoid", "points"):
-        raise ValidationError(f"unknown set kind {kind!r}")
-    key = "axes" if kind == "ellipsoid" else "points"
-    try:
-        values = np.asarray(obj[key], dtype=float)
-    except KeyError:
-        raise ValidationError(f"{kind} set needs the key {key!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key!r} must be an array of numbers") from exc
-    return EllipsoidSet(values) if kind == "ellipsoid" else PointCloudSet(values)
+    kind = json_value(obj, "kind", str)
+    if kind == "ellipsoid":
+        return EllipsoidSet(json_array(obj, "axes"))
+    if kind == "points":
+        return PointCloudSet(json_array(obj, "points", (2,)))
+    raise ValidationError(f"unknown set kind {kind!r}")
 
 
 @dataclass(frozen=True)

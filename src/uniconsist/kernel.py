@@ -32,6 +32,10 @@ from .signals import Basis, NoiseModel, SignalSpec
 
 _GAUSS_NODES = 96
 
+# The statistic divides by noise_sigma^2: this range keeps sigma^2 and its
+# inverse far inside the float range.
+_SIGMA_BOUNDS = (1e-100, 1e100)
+
 
 def _gauss_integral(f, a: float, b: float, pieces) -> float:
     """Gauss-Legendre integration split at the given interior knots."""
@@ -231,8 +235,10 @@ class KernelTestConfig:
             r, const = self.h_rule
             if not (0.0 < r < 0.5) or const <= 0.0:
                 raise ValidationError("h_rule requires 0 < r < 1/2 and const > 0")
-        if self.noise_sigma <= 0.0:
-            raise ValidationError("noise_sigma must be positive")
+        lo, hi = _SIGMA_BOUNDS
+        if not lo <= self.noise_sigma <= hi:
+            raise ValidationError(f"noise_sigma must lie in [{lo:g}, {hi:g}], "
+                                  f"got {self.noise_sigma!r}")
         object.__setattr__(self, "x_alpha", gaussian_upper_quantile(self.alpha))
 
     def bandwidth(self, n: int | None = None) -> float:

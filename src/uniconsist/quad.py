@@ -37,6 +37,13 @@ from .signals import SignalSpec
 _A4_DELTA_GRID = (0.5, 1.0, 2.0, 4.0)
 _A5_C_GRID = (1.5, 2.0, 4.0)
 
+# Largest truncation a profile accepts: it stores J weights per n (128 MiB
+# each at this bound).
+_J_MAX = 2 ** 24
+
+# A power whose natural log exceeds this overflows a float.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 def gaussian_upper_quantile(alpha: float) -> float:
     """x_alpha with 1 - Phi(x_alpha) = alpha (machine-precision inverse)."""
@@ -93,10 +100,6 @@ class KappaProfile:
         if n not in self.kappa_sq:
             raise ValidationError(f"n = {n} not in profile n_list {self.n_list}")
 
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "gamma": self.gamma, "c": self.c, "J": self.J,
-                "n_list": list(self.n_list), "mode": self.mode}
-
 
 def cumulative_k(kappa_sq: np.ndarray, rho: float) -> int:
     """k_n = max{k : Sum_{j<k} kappa_j^2 <= rho/2} (exact definition)."""
@@ -123,11 +126,17 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
     if not n_list or any(n < 2 for n in n_list):
         raise ValidationError("n_list must contain integers >= 2")
     J = int(J)
-    if J < 2:
-        raise ValidationError("J must be at least 2")
+    if not 2 <= J <= _J_MAX:
+        raise ValidationError(f"J must lie in [2, {_J_MAX}], got {J}")
 
     beta = (2.0 - 4.0 * r) * gamma
     lam = 2.0 - 2.0 * r - beta
+    # j^gamma and n^beta are the largest powers in the weights.
+    if not max(gamma * math.log(J),
+               beta * math.log(max(n_list))) < _LOG_FLOAT_MAX:
+        raise ValidationError(
+            f"gamma = {gamma} overflows the weights at J = {J}, n = "
+            f"{max(n_list)}: j^gamma or n^beta exceeds the float range")
     j = np.arange(1, J + 1, dtype=float)
     kappa_sq, rho, A, k, kn_sq = {}, {}, {}, {}, {}
     tail_rel = {}

@@ -1,9 +1,56 @@
-"""Result records shared by the test families and the Monte Carlo engine."""
+"""Formats: typed readers for JSON input fields (a missing or mistyped field
+raises ValidationError naming its key), deterministic CSV, and the result
+record shared by the test families and the Monte Carlo engine."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
+
+from .errors import ValidationError
+
+# The JSON values each kind accepts, and its name in errors.
+JSON_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+              str: (str, "a string"), dict: (dict, "an object")}
+
+
+def json_require(obj: dict, key: str):
+    try:
+        return obj[key]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"missing key {key!r}") from exc
+
+
+def json_value(obj: dict, key: str, kind=float):
+    """``obj[key]`` as ``kind`` (float, int, str or dict); never a boolean,
+    and a number only when it is finite as a float."""
+    value = json_require(obj, key)
+    types, name = JSON_KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or kind is float and not abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{key!r} must be {name}, got {value!r}")
+    return kind(value)
+
+
+def json_array(obj: dict, key: str, ndims=(1,)) -> np.ndarray:
+    """``obj[key]``, a JSON array of numbers nested ``ndims`` deep, as floats."""
+    value = json_require(obj, key)
+    try:
+        arr = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim not in ndims:
+        depth = " or ".join(map(str, ndims))
+        raise ValidationError(f"{key!r} must be a {depth}-D array of numbers")
+    return arr.astype(float)
+
+
+def json_optional(read, obj: dict, key: str, *args):
+    """``read(obj, key, *args)``, or None when the key is absent or null."""
+    return None if obj.get(key) is None else read(obj, key, *args)
 
 
 def fmt_cell(x) -> str:

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DensityError, ValidationError
+from .reports import json_array, json_value
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,12 +101,10 @@ class SignalSpec:
 
 
 def signal_from_json(obj: dict) -> SignalSpec:
-    try:
-        basis = Basis(obj["basis"])
-        coeffs = np.asarray(obj["coeffs"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed SignalSpec object: {exc}") from exc
-    return SignalSpec(basis, coeffs)
+    name, names = json_value(obj, "basis", str), [b.value for b in Basis]
+    if name not in names:
+        raise ValidationError(f"'basis' must be one of {names}, got {name!r}")
+    return SignalSpec(Basis(name), json_array(obj, "coeffs", (1, 2)))
 
 
 def _check_domain(t: np.ndarray):

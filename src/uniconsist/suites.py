@@ -43,7 +43,7 @@ from .mclab import (MCConfig, chi2_rejections, estimate_columns,
                     quad_rejections)
 from .quad import (FixedKappa, QuadTestConfig, build_profile, noncentrality,
                    predict_beta)
-from .reports import write_csv
+from .reports import JSON_KINDS, write_csv
 from .rng import STREAM_FACTORY, substream
 from .signals import DensitySpec
 
@@ -88,10 +88,22 @@ def write_result(result: SuiteResult, out_dir) -> list[str]:
 def merge_config(default: dict, override: dict | None) -> dict:
     """A deep copy of the defaults with the override merged in at every depth.
 
-    A key the defaults do not have, or a value where the defaults hold a
-    section (or the reverse), raises ValidationError naming its dotted path,
-    so a misspelled key cannot silently leave its default in force.
+    A key the defaults do not have, a value where the defaults hold a
+    section (or the reverse), or a value whose JSON type differs from its
+    default's (number, integer, string, or a list of the default's item kind)
+    raises ValidationError naming its dotted path, so a misspelled key cannot
+    silently leave its default in force. Values are not converted.
     """
+    def check(default, value, path: str):
+        items = isinstance(default, list)
+        types, name = JSON_KINDS[type(default[0] if items else default)]
+        values = value if items and isinstance(value, list) else [value]
+        if items != isinstance(value, list) or any(
+                isinstance(v, bool) or not isinstance(v, types) for v in values):
+            name = f"a list, each item {name}" if items else name
+            raise ValidationError(f"config key {path!r} must be {name}, "
+                                  f"got {value!r}")
+
     def merge(base: dict, over: dict, prefix: str) -> dict:
         out = copy.deepcopy(base)
         for k, v in over.items():
@@ -104,6 +116,7 @@ def merge_config(default: dict, override: dict | None) -> dict:
             if isinstance(v, dict):
                 out[k] = merge(out[k], v, path + ".")
             else:
+                check(out[k], v, path)
                 out[k] = copy.deepcopy(v)
         return out
 
@@ -339,8 +352,7 @@ _INTERACTION = {
 
 def _suite_interaction(cfg: dict, mc: MCConfig) -> SuiteResult:
     names, families = list(_INTERACTION), cfg["families"]
-    if not (isinstance(families, list) and families
-            and all(f in names for f in families)):
+    if not (families and all(f in names for f in families)):
         raise ValidationError("interaction families must be a non-empty "
                               f"subset of {names}, got {families!r}")
     tables = {}

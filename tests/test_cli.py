@@ -1,9 +1,12 @@
 """End-to-end command-line runs through main(argv): exit codes and outputs."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from uniconsist.chi2 import chi2_statistic
 from uniconsist.cli import main
@@ -117,6 +120,13 @@ def test_suite_unknown_nested_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("override, key, kind", [
     ({"quad": 5}, "'quad'", "a section"),
     ({"alpha": {"x": 1}}, "'alpha'", "a value"),
+    ({"replicates": "x"}, "'replicates'", "an integer"),
+    ({"alpha": "0.05"}, "'alpha'", "a number"),
+    ({"quad": {"n_list": 5}}, "'quad.n_list'", "a list, each item an integer"),
+    ({"thresholds": {"power_band": "x"}}, "'thresholds.power_band'",
+     "a number"),
+    ({"classify": {"c1": "x"}}, "'classify.c1'", "a number"),
+    ({"quad": {"J": "8"}}, "'quad.J'", "an integer"),
 ])
 def test_suite_section_value_clash_exits_2(tmp_path, capsys, override, key,
                                            kind):
@@ -314,6 +324,15 @@ _QUAD = {"profile": _PROFILE, "alpha": 0.05, "n": 64, "y": [0.0] * 8}
 _KERNEL = {"kernel": "box", "alpha": 0.05, "n": 64, "h": 0.5, "y0": 0.0,
            "pairs": [[0.0, 0.0]] * 4}
 _CHI2 = {"alpha": 0.05, "m": 4, "points": [0.1, 0.6]}
+_TABLE = {"alpha": [0.05], "critical": [0.46], "J_null": 16,
+          "replicates": 200, "seed": 3}
+_CVM = {"alpha": 0.05, "points": [0.2, 0.5, 0.8], "table": _TABLE}
+_SIG = {"basis": "CosinePi", "coeffs": [0.5]}
+_SEQ = {"family": "cvm", "r": 0.25, "kind": "consistent", "norm_lo": 0.75,
+        "norm_hi": 1.0, "metadata": {},
+        "signals": [[16, _SIG], [81, {"basis": "CosinePi", "coeffs": [0.25]}],
+                    [256, {"basis": "CosinePi", "coeffs": [0.2]}]]}
+_FLAG = {"statistic": "--data", "widths": "--set", "classify": "--sequence"}
 
 
 @pytest.mark.parametrize("command, data, key", [
@@ -334,15 +353,37 @@ _CHI2 = {"alpha": 0.05, "m": 4, "points": [0.1, 0.6]}
     (["statistic", "fixed"], [1.0], "JSON object"),
     (["widths"], {"kind": "ellipsoid"}, "'axes'"),
     (["widths"], {"kind": "points"}, "'points'"),
+    (["classify"], {**_SEQ, "signals": [[1]]}, "'signals'"),
+    (["classify"], {**_SEQ, "signals": [["x", _SIG]]}, "'signals'"),
+    (["classify"], {**_SEQ, "signals": 5}, "'signals'"),
+    (["classify"], {**_SEQ, "signals": []}, "'signals'"),
+    (["classify"], {**_SEQ, "norm_lo": "x"}, "'norm_lo'"),
+    (["classify"], {**_SEQ, "metadata": 5}, "'metadata'"),
+    (["statistic", "cvm"], {**_CVM, "table": {**_TABLE, "J_null": "abc"}},
+     "'J_null'"),
+    (["statistic", "cvm"], {**_CVM, "table": {**_TABLE, "J_null": 1e400}},
+     "'J_null'"),
+    (["statistic", "cvm"], {**_CVM, "table": {**_TABLE, "alpha": ["x"]}},
+     "'alpha'"),
+    (["statistic", "quad"], {**_QUAD, "profile": {**_PROFILE, "gamma": 1e308}},
+     "gamma = 1e+308"),
+    (["statistic", "quad"], {**_QUAD, "profile": {**_PROFILE, "J": 2**70}},
+     "J must lie in"),
+    (["statistic", "kernel"], {**_KERNEL, "sigma": 1e308}, "noise_sigma"),
+    (["statistic", "quad"], {**_QUAD, "alpha": 10**400}, "'alpha'"),
 ], ids=["kernel-name-list", "kernel-h-string", "chi2-no-points",
         "chi2-one-point", "chi2-one-point-m-rule", "chi2-points-string",
         "chi2-signal-coeffs-string", "quad-y-string", "quad-r-string",
         "fixed-critical-string", "not-an-object", "ellipsoid-no-axes",
-        "points-no-points"])
+        "points-no-points", "sequence-short-pair", "sequence-string-n",
+        "sequence-signals-number", "sequence-no-signals",
+        "sequence-norm-lo-string", "sequence-metadata-number",
+        "cvm-table-j-null-string", "cvm-table-j-null-overflow",
+        "cvm-table-alpha-strings", "quad-gamma-overflow", "quad-j-too-large",
+        "kernel-sigma-overflow", "quad-alpha-beyond-float"])
 def test_malformed_data_field_exits_2(tmp_path, capsys, command, data, key):
     path = _write(tmp_path, "bad.json", data)
-    code = main(command + (["--data", path] if command[0] == "statistic"
-                           else ["--set", path]))
+    code = main(command + [_FLAG[command[0]], path])
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {path}" in err and key in err and "Traceback" not in err
@@ -434,3 +475,69 @@ def test_widths_unknown_kind(tmp_path, capsys):
                  _write(tmp_path, "bad_set.json", {"kind": "torus"})])
     assert code == 2
     assert "unknown set kind" in capsys.readouterr().err
+
+
+# A valid input of every kind the CLI reads. Optional fields are present, so
+# the property below also breaks them.
+_VALID = [
+    (["statistic", "quad"], {**_QUAD, "theta": [0.0] * 8}),
+    (["statistic", "kernel"], {**_KERNEL, "sigma": 1.0, "theta": {
+        "basis": "TrigFull", "coeffs": [[0.0, 0.1]]}}),
+    (["statistic", "chi2"], {**_CHI2, "signal": {"basis": "TrigFull",
+                                                 "coeffs": [[0.1, 0.0]]}}),
+    (["statistic", "cvm"], _CVM),
+    (["statistic", "fixed"], {"kappa_sq": [0.5, 0.25], "sigmas": [1.0, 1.0],
+                              "z": [1.0, 0.0], "critical": 2.0}),
+    (["widths"], {"kind": "points", "points": [[1.0, 0.0], [0.5, 0.5]]}),
+    (["classify"], _SEQ),
+]
+# Never run whole: each example of the property breaks one of its fields.
+_SUITE = (["suite", "consistency"], {
+    "replicates": 400, "alpha": 0.05, "thresholds": {"power_band": 0.05},
+    "quad": {"J": 8192, "n_list": [512, 1024], "mass_profile": "spread"}})
+# Fields where null means absent, so null is a valid value.
+_NULL_MEANS_ABSENT = {"theta", "signal", "sigmas", "critical"}
+
+
+def _fields(obj, path=()):
+    for key, value in obj.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _fields(value, path + (key,))
+
+
+def _replace(obj, path, value):
+    inner = value if len(path) == 1 else _replace(obj[path[0]], path[1:], value)
+    return {**obj, path[0]: inner}
+
+
+def _argv(command, path, tmp_path):
+    if command[0] == "suite":
+        return command + ["--config", path, "--out", str(tmp_path / "o")]
+    return command + [_FLAG[command[0]], path]
+
+
+@pytest.mark.parametrize("command, data", _VALID,
+                         ids=["-".join(c) for c, _ in _VALID])
+def test_valid_input_of_every_kind_exits_0(tmp_path, capsys, command, data):
+    path = _write(tmp_path, "ok.json", data)
+    assert main(_argv(command, path, tmp_path)) == 0, capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from([(command, data, path)
+                             for command, data in _VALID + [_SUITE]
+                             for path in _fields(data)]),
+       wrong=st.sampled_from(["x", True, ["x"], {"x": 1}, None]))
+def test_wrong_type_field_exits_2(tmp_path, capsys, case, wrong):
+    command, data, field = case
+    current = reduce(lambda obj, key: obj[key], field, data)
+    assume(not (isinstance(wrong, (str, dict)) and type(wrong) is type(current)))
+    assume(not (wrong is None and field[-1] in _NULL_MEANS_ABSENT))
+    path = _write(tmp_path, "wrong.json", _replace(data, field, wrong))
+    code = main(_argv(command, path, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2, (field, wrong, err)
+    assert err.startswith(f"error: {path}") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
