@@ -27,7 +27,8 @@ from .funclasses import besov_seminorm
 from .quad import KappaProfile
 from .reports import json_require, json_value
 from .rng import STREAM_FACTORY, substream
-from .signals import Basis, SignalSpec, density_minimum, signal_from_json
+from .signals import (DENSITY_TOL, Basis, SignalSpec, density_minimum,
+                      signal_from_json)
 
 MASS_PROFILES = ("lowest", "spread", "random")
 
@@ -455,7 +456,7 @@ def densitize(seq: AlternativeSequence) -> DensitizeReport:
         entry = {}
         for label, part in (("full", sig), ("head", head), ("tail", tail)):
             mn, arg = density_minimum(part)
-            ok = bool(mn >= -1e-10)
+            ok = bool(mn >= DENSITY_TOL)
             entry[label] = {"min": mn, "argmin": arg, "ok": ok}
             all_ok = all_ok and ok
         rows[int(n)] = entry

@@ -44,8 +44,9 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        where = f"{path}:{exc.lineno}" if hasattr(exc, "lineno") else path
+        raise ValidationError(f"{where}: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}:1: expected a JSON object")
     return obj

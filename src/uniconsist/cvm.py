@@ -30,6 +30,10 @@ from .signals import Basis, SignalSpec
 
 _TABLE_BLOCK = 4096
 
+# Longest bridge series: one _TABLE_BLOCK-row block of null draws holds
+# 4096 * J_null floats (512 MiB at this bound).
+_J_NULL_MAX = 2 ** 14
+
 
 def cvm_statistic(points: np.ndarray):
     """Exact value of n T^2(Fhat - F0) from the order statistics, one value
@@ -76,6 +80,8 @@ def truncation_tail_bound(J: int) -> float:
 
 def bridge_weights(J_null: int) -> np.ndarray:
     """Brownian-bridge series weights 1/(pi^2 j^2), j = 1..J_null."""
+    if J_null > _J_NULL_MAX:
+        raise ValidationError(f"J_null must be at most {_J_NULL_MAX}, got {J_null}")
     j = np.arange(1, J_null + 1, dtype=float)
     return 1.0 / (math.pi ** 2 * np.square(j))
 
@@ -156,7 +162,7 @@ class CvmNullTable:
     def from_json(cls, text: str) -> "CvmNullTable":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ValidationError(f"malformed null table: {exc}") from exc
         return cls(tuple(json_array(obj, "alpha").tolist()),
                    tuple(json_array(obj, "critical").tolist()),

@@ -9,7 +9,10 @@ is
     T_n = n h^{1/2} sigma^{-2} gamma^{-1}
           ( Sum_j |Khat(j h)|^2 |y_j|^2  -  n^{-1} sigma^2 Sum_j |Khat(j h)|^2 ),
 
-where gamma^2 = 2 int (K*K)^2 = 2 int |Khat|^4. The test rejects when
+where gamma^2 = 2 int (K*K)^2 = 2 int |Khat|^4. Before centring, T_n is a
+quadratic form in y with weights |Khat(j h)|^2, so the engine scores it
+with the quad and fixed tests' :func:`~uniconsist.quad.weighted_square_sums`
+and ``kernel_standardize`` centres and scales it. The test rejects when
 T_n >= x_alpha; against a signal theta the Gaussian power prediction is
 Phi(x_alpha - gamma^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
 T1n(theta) = Sum_j |Khat(j h)|^2 |theta_j|^2.
@@ -262,12 +265,9 @@ def _weights(config: KernelTestConfig, J: int, h: float) -> np.ndarray:
     return np.square(config.kernel.khat(np.arange(J + 1) * h))
 
 
-def kernel_statistic(y0, pairs: np.ndarray, w: np.ndarray,
-                     config: KernelTestConfig, n: int):
-    """Standardized T_n per observation: ``y0`` has shape (...), ``pairs``
-    (..., J, 2), and ``w`` holds the weights |Khat(j h)|^2 for j = 0..J."""
+def kernel_standardize(core, w: np.ndarray, config: KernelTestConfig, n: int):
+    """T_n from ``core`` = Sum_j w_j |y_j|^2, ``w`` the |Khat(j h)|^2 for j = 0..J."""
     h = config.bandwidth(n)
-    core = w[0] * np.square(y0) + np.sum(np.square(pairs), axis=-1) @ w[1:]
     sigma = config.noise_sigma
     center = (sigma ** 2 / n) * (w[0] + 2.0 * float(np.sum(w[1:])))
     gamma = math.sqrt(config.kernel.gamma_sq)
@@ -278,7 +278,8 @@ def kernel_statistic_fourier(obs: KernelObservations, config: KernelTestConfig,
                              n: int) -> float:
     """The standardized statistic T_n from coefficient-space observations."""
     w = _weights(config, obs.J, config.bandwidth(n))
-    return float(kernel_statistic(obs.y0, obs.pairs, w, config, n))
+    core = w[0] * np.square(obs.y0) + np.sum(np.square(obs.pairs), axis=-1) @ w[1:]
+    return float(kernel_standardize(core, w, config, n))
 
 
 def t1n(theta: SignalSpec, config: KernelTestConfig, n: int | None = None) -> float:

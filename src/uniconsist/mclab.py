@@ -17,9 +17,9 @@ module's own statistic and decision to a block of noise rows and returns
 the block's whole (rows x variants) decision matrix. Pairing and
 determinism come from the single block loop ``_rejections``, which fills
 each block from the substreams and hands it to ``reject_block`` once.
-quad and fixed score all variants in one pass over the block
-(:func:`~uniconsist.quad.weighted_square_sums`); chi2, cvm and kernel score
-it one variant column at a time (``_per_column``).
+quad, fixed and kernel score all variants with one GEMM per block
+(:func:`~uniconsist.quad.weighted_square_sums`); chi2 and cvm score it one
+variant column at a time (``_per_column``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
 from .cvm import CvmNullTable, cvm_statistic
 from .errors import ValidationError
-from .kernel import KernelTestConfig, _weights, kernel_statistic
+from .kernel import KernelTestConfig, _weights, kernel_standardize
 from .quad import (FixedKappa, QuadTestConfig, quad_standardize,
                    weighted_square_sums)
 from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, substream
@@ -215,15 +215,17 @@ def kernel_rejections(mc: MCConfig, config: KernelTestConfig, n: int,
                       thetas, J: int) -> np.ndarray:
     """Rejection matrix of the kernel test; one column per theta variant."""
     w = _weights(config, J, config.bandwidth(n))
-    rows = _rows(thetas, (J, 2), _pair_coeffs)
+    # Rows (y0, a_1, b_1, ..., a_J, b_J); the zero frequency carries no signal.
+    pairs = _rows(thetas, (J, 2), _pair_coeffs).reshape(len(thetas), 2 * J)
+    rows = np.pad(pairs, ((0, 0), (1, 0)))
+    w_row = np.concatenate([w[:1], np.repeat(w[1:], 2)])
 
-    def reject(noise, pairs):
-        y_pairs = pairs + noise[:, 1:].reshape(-1, J, 2)
-        return kernel_statistic(noise[:, 0], y_pairs, w, config, n) >= config.x_alpha
+    def reject_block(noise):
+        core = weighted_square_sums(noise, rows, w_row)
+        return kernel_standardize(core, w, config, n) >= config.x_alpha
 
     return _rejections(mc, STREAM_SEQUENCE_MODEL, 1 + 2 * J, _normals,
-                       config.noise_sigma / math.sqrt(n),
-                       _per_column(rows, reject))
+                       config.noise_sigma / math.sqrt(n), reject_block)
 
 
 def _densities(variants) -> list:
@@ -314,5 +316,5 @@ def fixed_rejections(mc: MCConfig, fk: FixedKappa, critical: float,
 
     rows = _rows(etas, (L,), shift)
     return _rejections(
-        mc, STREAM_SEQUENCE_MODEL, L, _normals, fk.scales(),
+        mc, STREAM_SEQUENCE_MODEL, L, _normals, fk.sigmas,
         lambda noise: weighted_square_sums(noise, rows, fk.kappa_sq) > critical)

@@ -15,10 +15,10 @@ from uniconsist.alternatives import (AlternativeSequence, ClassifyThresholds,
                                      make_spike_tail, quad_family,
                                      sequence_from_json, smoothness_of,
                                      spike_tail_schedule)
-from uniconsist.errors import ValidationError
+from uniconsist.errors import DensityError, ValidationError
 from uniconsist.funclasses import besov_seminorm
 from uniconsist.quad import build_profile
-from uniconsist.signals import Basis, SignalSpec
+from uniconsist.signals import DENSITY_TOL, Basis, DensitySpec, SignalSpec
 
 N_LIST = (64, 256, 1024, 4096)
 
@@ -293,6 +293,24 @@ def test_densitize_families_and_verdicts():
                                                             abs=1e-4)
     with pytest.raises(ValidationError):
         densitize(make_consistent(kernel_family(0.3), 1.0, "lowest", N_LIST))
+
+
+@pytest.mark.parametrize("gap", [1e-7, -1e-7], ids=["above", "below"])
+def test_densitize_agrees_with_density_spec_at_tolerance(gap):
+    """A one-term cosine whose minimum 1 - sqrt(2) c sits just above or just
+    below DENSITY_TOL: densitize passes it exactly when DensitySpec accepts it."""
+    c = (1.0 - DENSITY_TOL - gap) / math.sqrt(2.0)
+    sig = SignalSpec(Basis.COSINE_PI, np.array([c]))
+    seq = AlternativeSequence(family=cvm_fam(), n_list=(64,), signals={64: sig},
+                              norm_lo=c * 64 ** 0.25, norm_hi=c * 64 ** 0.25,
+                              kind="raw")
+    try:
+        DensitySpec(sig)
+        accepted = True
+    except DensityError:
+        accepted = False
+    assert accepted == (gap > 0)
+    assert densitize(seq).rows[64]["full"]["ok"] == accepted
 
 
 def test_sequence_json_round_trip():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from uniconsist.chi2 import chi2_statistic
 from uniconsist.cli import main
-from uniconsist.cvm import CvmNullTable, build_cvm_null_table, cvm_statistic
+from uniconsist.cvm import (_J_NULL_MAX, CvmNullTable, build_cvm_null_table,
+                            cvm_statistic)
 from uniconsist.alternatives import cvm_family, make_consistent, quad_family
 from uniconsist.quad import build_profile
 
@@ -18,8 +19,10 @@ SMOKE_CONSISTENCY = {"replicates": 400}
 
 
 def _write(tmp_path, name, obj):
+    """``obj`` as JSON; a str is written as it is (raw JSON text)."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -371,6 +374,8 @@ _FLAG = {"statistic": "--data", "widths": "--set", "classify": "--sequence"}
      "J must lie in"),
     (["statistic", "kernel"], {**_KERNEL, "sigma": 1e308}, "noise_sigma"),
     (["statistic", "quad"], {**_QUAD, "alpha": 10**400}, "'alpha'"),
+    (["statistic", "chi2"], json.dumps(_CHI2)[:-1] + ', "signal": 1' + "0" * 5000
+     + "}", "4300 digits"),
 ], ids=["kernel-name-list", "kernel-h-string", "chi2-no-points",
         "chi2-one-point", "chi2-one-point-m-rule", "chi2-points-string",
         "chi2-signal-coeffs-string", "quad-y-string", "quad-r-string",
@@ -380,7 +385,8 @@ _FLAG = {"statistic": "--data", "widths": "--set", "classify": "--sequence"}
         "sequence-norm-lo-string", "sequence-metadata-number",
         "cvm-table-j-null-string", "cvm-table-j-null-overflow",
         "cvm-table-alpha-strings", "quad-gamma-overflow", "quad-j-too-large",
-        "kernel-sigma-overflow", "quad-alpha-beyond-float"])
+        "kernel-sigma-overflow", "quad-alpha-beyond-float",
+        "chi2-signal-int-past-digit-limit"])
 def test_malformed_data_field_exits_2(tmp_path, capsys, command, data, key):
     path = _write(tmp_path, "bad.json", data)
     code = main(command + [_FLAG[command[0]], path])
@@ -456,6 +462,16 @@ def test_nulltable_without_series_terms_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "weights must be a nonempty 1-D array" in err
+
+
+@pytest.mark.parametrize("j_null", [2**70, _J_NULL_MAX + 1],
+                         ids=["2**70", "bound+1"])
+def test_nulltable_series_too_long_exits_2(capsys, j_null):
+    code = main(["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
+                 "--j-null", str(j_null)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"J_null must be at most {_J_NULL_MAX}" in err and "Traceback" not in err
 
 
 def test_widths_ellipsoid(tmp_path, capsys):

@@ -207,3 +207,8 @@ def test_decide_report():
     assert rep.statistic == pytest.approx(cvm_statistic(pts))
     assert rep.reject == (rep.statistic > table.critical(0.05))
     assert rep.ingredients["J_null"] == 64
+
+
+def test_table_with_int_past_digit_limit_is_validation_error():
+    with pytest.raises(ValidationError, match="malformed null table"):
+        CvmNullTable.from_json('{"J_null": 1' + "0" * 5000 + "}")

@@ -1,6 +1,8 @@
 """Monte Carlo engine: substream determinism, pairing, estimates."""
 
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from uniconsist.chi2 import Chi2Config, chi2_statistic
 from uniconsist.cvm import build_cvm_null_table, cvm_statistic
 from uniconsist.errors import ValidationError
 from uniconsist.kernel import (KernelObservations, KernelTestConfig,
-                               box_kernel, kernel_statistic_fourier)
+                               box_kernel, kernel_statistic_fourier,
+                               sample_kernel_observations)
 from uniconsist.mclab import (MCConfig, MCEstimate, chi2_rejections,
                               cvm_rejections, estimate_columns, estimate_power,
                               estimate_size, fixed_rejections,
@@ -21,8 +24,8 @@ from uniconsist.mclab import (MCConfig, MCEstimate, chi2_rejections,
 from uniconsist.quad import (FixedKappa, QuadTestConfig, build_profile,
                              decide_and_predict, fixed_kappa_statistic)
 from uniconsist.rng import (STREAM_IID, STREAM_SEQUENCE_MODEL, substream)
-from uniconsist.signals import (Basis, DensitySpec, SignalSpec, invert_cdf,
-                                sample_iid)
+from uniconsist.signals import (Basis, DensitySpec, NoiseModel, SignalSpec,
+                                invert_cdf, sample_iid)
 
 PROFILE = build_profile(r=0.3, gamma=2.0, c=1.0, J=256, n_list=[64])
 QCFG = QuadTestConfig(profile=PROFILE, alpha=0.05)
@@ -151,13 +154,28 @@ def test_quad_rejections_three_variants_match_decisions():
     assert 0 < rej.sum() < rej.size
 
 
+KCFG = KernelTestConfig(kernel=box_kernel(), alpha=0.05, h=0.1)
+KERNEL_J = 16
+
+
+def _kernel_variants():
+    """The zero signal, a sine coefficient, and support at the truncation J."""
+    sine = np.zeros((KERNEL_J, 2))
+    sine[2, 1] = 0.3
+    edge = np.zeros((KERNEL_J, 2))
+    edge[KERNEL_J - 1] = [0.2, -0.25]
+    return [SignalSpec(Basis.TRIG_FULL, np.zeros((KERNEL_J, 2))),
+            SignalSpec(Basis.TRIG_FULL, sine), SignalSpec(Basis.TRIG_FULL, edge)]
+
+
 def test_gemm_engines_thread_invariance_many_variants():
-    """quad at V = 3 and fixed at V = 4: same matrix at 1 and 4 threads."""
+    """quad and kernel at V = 3, fixed at V = 4: same matrix at 1 and 4 threads."""
     j = np.arange(1, 65, dtype=float)
     fk = FixedKappa(1.0 / (math.pi ** 2 * j ** 2), np.linspace(0.5, 1.5, 64))
     etas = [None] + [np.eye(64)[k] * (0.5 + k) for k in range(3)]
     runs = [(quad_rejections, QCFG, 64, _three_thetas()),
-            (fixed_rejections, fk, 0.3, etas)]
+            (fixed_rejections, fk, 0.3, etas),
+            (partial(kernel_rejections, J=KERNEL_J), KCFG, 64, _kernel_variants())]
     for fn, cfg, arg, variants in runs:
         rej1 = fn(MCConfig(600, seed=1, threads=1), cfg, arg, variants)
         rej4 = fn(MCConfig(600, seed=1, threads=4), cfg, arg, variants)
@@ -208,6 +226,39 @@ def test_kernel_rejections_match_statistic():
         assert rej[i, 1] == (stat1 >= cfg.x_alpha)
     with pytest.raises(ValidationError):
         kernel_rejections(MC, cfg, 64, [np.zeros(3)], J)
+
+
+def test_kernel_rejections_every_cell_matches_statistic():
+    """Each cell of a 600 x 3 run is the library decision on that replicate's draw."""
+    variants = _kernel_variants()
+    rej = kernel_rejections(MC, KCFG, 64, variants, KERNEL_J)
+    assert rej.shape == (600, 3)
+    noise = NoiseModel(KCFG.noise_sigma, 64)
+    for i in range(600):
+        for v, sig in enumerate(variants):
+            obs = sample_kernel_observations(
+                sig, noise, substream(MC.seed, STREAM_SEQUENCE_MODEL, i))
+            stat = kernel_statistic_fourier(obs, KCFG, 64)
+            assert rej[i, v] == (stat >= KCFG.x_alpha), (i, v)
+    assert 0 < rej[:, 0].sum() < rej[:, 1].sum() and rej[:, 2].sum() < 600
+
+
+def test_kernel_block_allocates_no_per_variant_copies():
+    """One 512-row block at V = 3 peaks below 1.5 noise blocks of traced memory."""
+    J = 2048
+    cfg = KernelTestConfig(kernel=box_kernel(), alpha=0.05, h=1.0 / 1024)
+    sig = np.zeros((J, 2))
+    sig[J - 1] = [0.1, 0.1]
+    variants = [None, SignalSpec(Basis.TRIG_FULL, sig),
+                SignalSpec(Basis.TRIG_FULL, sig[::-1].copy())]
+    block_bytes = 512 * (1 + 2 * J) * 8
+    tracemalloc.start()
+    try:
+        kernel_rejections(MCConfig(512, seed=3, threads=1), cfg, 4096, variants, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes, peak / block_bytes
 
 
 def test_chi2_rejections_match_statistic():
