@@ -33,7 +33,8 @@ from .alternatives import (AlternativeSequence, ClassifyThresholds,
                            make_consistent, make_inconsistent,
                            make_spike_tail, quad_family, spike_tail_schedule)
 from .chi2 import Chi2Config, chi2_population, chi2_predicted_beta
-from .cvm import bridge_weights, cvm_consistency_index, weighted_null_quantiles
+from .cvm import (_J_NULL_MAX, bridge_weights, cvm_consistency_index,
+                  weighted_chisq_quantile)
 from .errors import ValidationError
 from .funclasses import EllipsoidSet, compactness_diagnostic, greedy_widths
 from .kernel import (KernelTestConfig, builtin_kernel, half_level_radius,
@@ -464,6 +465,9 @@ def _suite_purity(cfg: dict, mc: MCConfig) -> SuiteResult:
                        tables={"purity_power": (columns, rows)})
 
 
+# In both fixed-weight suites "table_replicates" is read by nothing: the
+# critical value is the exact quantile. The leaf stays accepted until the
+# benchmark's configs, which still write it, drop it.
 COMPACTNESS_DEFAULT = {
     "seed": 23,
     "alpha": 0.05,
@@ -479,12 +483,12 @@ COMPACTNESS_DEFAULT = {
 
 
 def _fixed_critical(cfg: dict) -> tuple[FixedKappa, float]:
-    """Bridge-weight fixed test on L coordinates and its alpha critical value."""
+    """Bridge-weight fixed test on L coordinates and its exact alpha critical
+    value, the upper alpha-quantile of Sum_j kappa_j^2 xi_j^2."""
+    if not 1 <= cfg["L"] <= _J_NULL_MAX:
+        raise ValidationError(f"L must be in [1, {_J_NULL_MAX}], got {cfg['L']}")
     fk = FixedKappa(bridge_weights(cfg["L"]))
-    _, criticals = weighted_null_quantiles(fk.kappa_sq, [cfg["alpha"]],
-                                           cfg["table_replicates"],
-                                           cfg["seed"])
-    return fk, float(criticals[0])
+    return fk, weighted_chisq_quantile(cfg["alpha"], fk.kappa_sq)
 
 
 def _suite_compactness(cfg: dict, mc: MCConfig) -> SuiteResult:

@@ -154,3 +154,13 @@ def kernel_smoothed_field_sq(y0: float, pairs: np.ndarray, khat, h: float,
         return out
 
     return gauss01(lambda t: g(t) ** 2, pieces=pieces or max(64, 4 * J))
+
+
+def wilson_interval_at(successes: int, trials: int, z: float) -> tuple[float, float]:
+    """Score interval at normal quantile z (the engine's is fixed at 95%)."""
+    p = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2.0 * trials)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / trials
+                         + z * z / (4.0 * trials * trials)) / denom
+    return center - half, center + half

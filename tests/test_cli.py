@@ -151,6 +151,17 @@ def test_suite_nested_section_value_clash_exits_2(tmp_path, capsys):
     assert cfg in err and "'quad.head.c2'" in err
 
 
+@pytest.mark.parametrize("name", ["compactness", "unbiasedness"])
+def test_fixed_suite_series_too_long_names_L(tmp_path, capsys, name):
+    cfg = _write(tmp_path, "long.json", {"L": _J_NULL_MAX + 1})
+    code = main(["suite", name, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert cfg in err and f"L must be in [1, {_J_NULL_MAX}]" in err
+    assert "J_null" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("families", [["foo"], [], ["quad", "foo"], "quad",
                                       [["quad"]]])
 def test_suite_interaction_bad_families_exits_2(tmp_path, capsys, families):

@@ -1,15 +1,18 @@
 """Cramer-von Mises: exact statistic, population series, null tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oracles import cvm_population_quadrature, cvm_statistic_quadrature
 from uniconsist.cvm import (CvmNullTable, bridge_weights, build_cvm_null_table,
                             cvm_consistency_index, cvm_null_sample,
                             cvm_population, cvm_statistic, decide,
                             series_shift, truncation_tail_bound,
+                            weighted_chisq_quantile, weighted_chisq_sf,
                             weighted_null_quantiles)
 from uniconsist.errors import ValidationError
 from uniconsist.rng import STREAM_NULL_TABLE, substream
@@ -212,3 +215,63 @@ def test_decide_report():
 def test_table_with_int_past_digit_limit_is_validation_error():
     with pytest.raises(ValidationError, match="malformed null table"):
         CvmNullTable.from_json('{"J_null": 1' + "0" * 5000 + "}")
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+@pytest.mark.parametrize("c", [0.01, 1.0, 37.0])
+def test_weighted_chisq_sf_equal_weights_is_scaled_chi2(k, c):
+    """k equal weights c: c chi2_k, and with offsets d, c ncx2_k(|d|^2)."""
+    x = c * np.array([1e-3, 0.1, 0.5, 1.0, k, 3.0 * k, 10.0 * k + 5.0])
+    got = weighted_chisq_sf(x, np.full(k, c))
+    assert np.max(np.abs(got - stats.chi2.sf(x / c, k))) <= 1e-10
+    for scale in (0.7, 30.0):  # the larger pushes exp(-|d|^2 / 2) far below 1e-300
+        d = scale * np.linspace(-1.0, 2.0, k)
+        x = c * (k + d @ d) * np.array([0.5, 1.0, 1.5])
+        got = weighted_chisq_sf(x, np.full(k, c), d)
+        assert np.max(np.abs(got - stats.ncx2.sf(x / c, k, d @ d))) <= 1e-10
+
+
+def test_weighted_chisq_sf_edges_and_validation():
+    w = bridge_weights(8)
+    assert weighted_chisq_sf(0.0, w) == 1.0
+    assert list(weighted_chisq_sf([-1.0, 0.0], w)) == [1.0, 1.0]
+    # zero weights drop out, and so do offsets on them
+    padded = np.concatenate([w, np.zeros(3)])
+    assert weighted_chisq_sf(0.2, padded, np.r_[np.zeros(8), 5.0, 5.0, 5.0]) \
+        == pytest.approx(weighted_chisq_sf(0.2, w), abs=1e-13)
+    for weights, offsets in (([], None), ([0.0, 0.0], None), ([1.0, -1.0], None),
+                             ([1.0, np.inf], None), ([1.0, 2.0], [1.0]),
+                             ([1.0, 2.0], [1.0, np.nan])):
+        with pytest.raises(ValidationError):
+            weighted_chisq_sf(1.0, weights, offsets)
+    with pytest.raises(ValidationError):
+        weighted_chisq_sf(np.nan, w)
+    for alpha in (0.0, 1.0, -0.5):
+        with pytest.raises(ValidationError):
+            weighted_chisq_quantile(alpha, w)
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.05, 0.5])
+@pytest.mark.parametrize("J_null", [1, 1024, 16384])
+def test_weighted_chisq_quantile_inverts_sf(J_null, alpha):
+    w = bridge_weights(J_null)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t = weighted_chisq_quantile(alpha, w)
+        p = weighted_chisq_sf(t, w)
+    assert not caught
+    assert abs(p - alpha) <= 1e-9
+    if J_null == 1:
+        assert t == pytest.approx(w[0] * stats.chi2.isf(alpha, 1), rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", [23, 29])
+def test_null_table_quantile_within_binomial_ci_of_exact(seed):
+    """A 200 000-row table's upper 5% point has exact size within the
+    binomial 99.9% interval of 0.05: the count of draws above the exact
+    critical value is Binomial(n, alpha)."""
+    w, alpha, n = bridge_weights(1024), 0.05, 200000
+    _, crit = weighted_null_quantiles(w, [alpha], n, seed)
+    z = stats.norm.isf(0.0005)
+    size = weighted_chisq_sf(crit[0], w)
+    assert abs(size - alpha) <= z * math.sqrt(alpha * (1.0 - alpha) / n)

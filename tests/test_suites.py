@@ -2,9 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
+from scipy import stats
 
+from oracles import wilson_interval_at
+from uniconsist.cvm import (bridge_weights, weighted_chisq_quantile,
+                            weighted_chisq_sf)
 from uniconsist.errors import ValidationError
+from uniconsist.mclab import MCConfig, fixed_rejections
+from uniconsist.quad import FixedKappa
+from uniconsist.rng import STREAM_FACTORY, substream
 from uniconsist.suites import (INTERACTION_DEFAULT, SUITES, default_config,
                                merge_config, run_suite, write_result)
 
@@ -117,3 +125,41 @@ def test_suite_artifacts_do_not_depend_on_threads(name, tmp_path):
     assert files == sorted(p.name for p in four.iterdir())
     for file in files:
         assert (one / file).read_bytes() == (four / file).read_bytes(), file
+
+
+@pytest.mark.parametrize("name", ["compactness", "unbiasedness"])
+def test_table_replicates_leaf_has_no_effect(name, tmp_path):
+    """The critical value is exact, so the table size leaves every byte."""
+    for reps in (2000, 200000):
+        write_result(run_suite(name, {"replicates": 2000,
+                                      "table_replicates": reps}),
+                     tmp_path / str(reps))
+    files = sorted(p.name for p in (tmp_path / "2000").iterdir())
+    for file in files:
+        assert ((tmp_path / "2000" / file).read_bytes()
+                == (tmp_path / "200000" / file).read_bytes()), file
+
+
+def test_unbiasedness_power_matches_exact_noncentral_law():
+    """At the default config, the engine's rejection rate of the size
+    column and of each of the 20 shifts lies within its Wilson interval of
+    the exact power P(Sum kappa_j^2 (xi_j + eta_j)^2 > t). Each of the 21
+    intervals has level 1 - 0.001/21 (Bonferroni), so on correct code the
+    test fails with probability at most 0.001."""
+    cfg = default_config("unbiasedness")
+    fk = FixedKappa(bridge_weights(cfg["L"]))
+    critical = weighted_chisq_quantile(cfg["alpha"], fk.kappa_sq)
+    etas = [None]
+    for t in range(1, cfg["n_shifts"] + 1):
+        v = substream(cfg["seed"], STREAM_FACTORY, t).standard_normal(
+            cfg["shift_support"])
+        eta = np.zeros(cfg["L"])
+        eta[:cfg["shift_support"]] = cfg["shift_scale"] * v / np.linalg.norm(v)
+        etas.append(eta)
+    rej = fixed_rejections(MCConfig(cfg["replicates"], cfg["seed"]), fk,
+                           critical, etas)
+    z = stats.norm.isf(0.001 / (2 * len(etas)))
+    for v, eta in enumerate(etas):
+        exact = weighted_chisq_sf(critical, fk.kappa_sq, eta)
+        lo, hi = wilson_interval_at(int(rej[:, v].sum()), rej.shape[0], z)
+        assert lo <= exact <= hi, (v, exact, lo, hi)
