@@ -44,9 +44,10 @@ _J_NULL_MAX = 2 ** 14
 # leaves out; far below any level or power resolution used here.
 _SF_TOL = 1e-13
 _GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(20)
-# Nodes times weights per chunk of the integrand: its complex temporaries
-# stay within one _TABLE_BLOCK x 1024 block of null draws (32 MiB).
-_CONTOUR_CHUNK = 2 ** 19
+# Nodes times weights per chunk of the integrand: each complex temporary
+# is 4 MiB, so the few alive at once stay within one _TABLE_BLOCK x 1024
+# block of null draws (32 MiB).
+_CONTOUR_CHUNK = 2 ** 18
 
 
 def cvm_statistic(points: np.ndarray):
@@ -227,7 +228,7 @@ def _log_cf(u: np.ndarray, lam: np.ndarray, d2: np.ndarray) -> np.ndarray:
     Weights with w_j |u| <= 1/4 at every node enter through the power
     series Sum_k (i u)^k (p_k / k + q_k) / 2, p_k = Sum w^k and
     q_k = Sum d^2 w^k, cut where its remainder bound falls below 1e-17;
-    the others term by term, in real arithmetic and in chunks.
+    the others term by term, in chunks.
     """
     K = np.zeros(u.size, dtype=complex)
     rho = lam * float(np.max(np.abs(u)))
@@ -244,14 +245,10 @@ def _log_cf(u: np.ndarray, lam: np.ndarray, d2: np.ndarray) -> np.ndarray:
     shifted = d2 > 0.0
     step = max(1, _CONTOUR_CHUNK // max(1, lam.size))
     for s in range(0, u.size if lam.size else 0, step):
-        re = 1.0 + np.outer(u[s:s + step].imag, lam)
-        im = -np.outer(u[s:s + step].real, lam)
-        mod2 = re * re + im * im
-        K.real[s:s + step] -= 0.25 * np.sum(np.log(mod2), axis=1)
-        K.imag[s:s + step] -= 0.5 * np.sum(np.arctan2(im, re), axis=1)
+        z = 1.0 - 1j * np.outer(u[s:s + step], lam)
+        K[s:s + step] -= 0.5 * np.sum(np.log(z), axis=1)
         if np.any(shifted):
-            K.real[s:s + step] += 0.5 * ((re[:, shifted] / mod2[:, shifted] - 1.0) @ d2[shifted])
-            K.imag[s:s + step] -= 0.5 * ((im[:, shifted] / mod2[:, shifted]) @ d2[shifted])
+            K[s:s + step] += 0.5 * ((1.0 / z[:, shifted] - 1.0) @ d2[shifted])
     return K
 
 

@@ -164,3 +164,24 @@ def wilson_interval_at(successes: int, trials: int, z: float) -> tuple[float, fl
     half = z * math.sqrt(p * (1.0 - p) / trials
                          + z * z / (4.0 * trials * trials)) / denom
     return center - half, center + half
+
+
+def two_term_chisq_sf(x: float, a: float, b: float, da: float, db: float) -> float:
+    """P(a (xi_1 + da)^2 + b (xi_2 + db)^2 > x) by conditioning on xi_2.
+
+    Outside |xi_2 + db| < r = sqrt(x / b) the event is sure; inside, with
+    xi_2 + db = r sin(t), it is the normal tail pair of xi_1 at
+    sqrt(x / a) cos(t), which is smooth in t, integrated by composite
+    Gauss-Legendre over t in (-pi/2, pi/2).
+    """
+    from scipy.special import ndtr
+
+    def tail(c, d):  # P((xi + d)^2 > c^2) for c >= 0
+        return ndtr(d - c) + ndtr(-c - d)
+
+    r, c = math.sqrt(x / b), math.sqrt(x / a)
+    inner = gauss01(lambda u: (math.pi * r * np.cos(math.pi * (u - 0.5))
+                               * np.exp(-0.5 * np.square(r * np.sin(math.pi * (u - 0.5)) - db))
+                               / math.sqrt(2.0 * math.pi)
+                               * tail(c * np.cos(math.pi * (u - 0.5)), da)))
+    return float(tail(r, db)) + inner

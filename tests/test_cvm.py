@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import cvm_population_quadrature, cvm_statistic_quadrature
+from oracles import (cvm_population_quadrature, cvm_statistic_quadrature,
+                     two_term_chisq_sf)
 from uniconsist.cvm import (CvmNullTable, bridge_weights, build_cvm_null_table,
                             cvm_consistency_index, cvm_null_sample,
                             cvm_population, cvm_statistic, decide,
@@ -224,11 +227,23 @@ def test_weighted_chisq_sf_equal_weights_is_scaled_chi2(k, c):
     x = c * np.array([1e-3, 0.1, 0.5, 1.0, k, 3.0 * k, 10.0 * k + 5.0])
     got = weighted_chisq_sf(x, np.full(k, c))
     assert np.max(np.abs(got - stats.chi2.sf(x / c, k))) <= 1e-10
-    for scale in (0.7, 30.0):  # the larger pushes exp(-|d|^2 / 2) far below 1e-300
+    # at scale 30 and k > 1, exp(-|d|^2 / 2) underflows: the sum runs in logs
+    for scale in (0.7, 30.0):
         d = scale * np.linspace(-1.0, 2.0, k)
         x = c * (k + d @ d) * np.array([0.5, 1.0, 1.5])
         got = weighted_chisq_sf(x, np.full(k, c), d)
         assert np.max(np.abs(got - stats.ncx2.sf(x / c, k, d @ d))) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0),
+       st.floats(0.0, 3.0), st.floats(-2.0, 1.5))
+def test_weighted_chisq_sf_two_unequal_weights(log_ratio, log_b, da, db, log_x):
+    """Unequal weights with offsets against conditioning on one coordinate."""
+    a, b = 10.0 ** (log_b + log_ratio), 10.0 ** log_b
+    x = (a * (1.0 + da * da) + b * (1.0 + db * db)) * 10.0 ** log_x
+    got = weighted_chisq_sf(x, [a, b], [da, db])
+    assert abs(got - two_term_chisq_sf(x, a, b, da, db)) <= 1e-10
 
 
 def test_weighted_chisq_sf_edges_and_validation():
