@@ -174,7 +174,7 @@ def _chisq_contour(lam: np.ndarray, d2: np.ndarray, x_lo: float, x_hi: float):
     beta minimise the panel count: many weights or large offsets end the
     real segment early, few weights call for a short one and a steep ray.
     """
-    betas =0.5 * math.pi * np.concatenate([2.0 ** -np.arange(1.0, 8.0),
+    betas = 0.5 * math.pi * np.concatenate([2.0 ** -np.arange(1.0, 8.0),
                                             1.0 - 2.0 ** -np.arange(2.0, 7.0)])
     edges = [0.0]
     best = (math.inf, 0.0, 0.0, 0.0)
