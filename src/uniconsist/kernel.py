@@ -9,11 +9,12 @@ is
     T_n = n h^{1/2} sigma^{-2} gamma^{-1}
           ( Sum_j |Khat(j h)|^2 |y_j|^2  -  n^{-1} sigma^2 Sum_j |Khat(j h)|^2 ),
 
-where gamma^2 = 2 int (K*K)^2 = 2 int |Khat|^4. Before centring, T_n is a
-quadratic form in y with weights |Khat(j h)|^2, so the engine scores it
-with the quad and fixed tests' :func:`~uniconsist.quad.weighted_square_sums`
-and ``kernel_standardize`` centres and scales it. The test rejects when
-T_n >= x_alpha; against a signal theta the Gaussian power prediction is
+where gamma^2 = 2 int (K*K)^2 = 2 int |Khat|^4. T_n is a
+:class:`~uniconsist.quad.QuadraticForm` (``kernel_form``) on the coordinates
+(y_0, a_1, b_1, ..., a_J, b_J), with weight |Khat(j h)|^2 on both
+coordinates of pair j, so the library and the engine score it as they
+score the quad and fixed tests. The test rejects when T_n > x_alpha;
+against a signal theta the Gaussian power prediction is
 Phi(x_alpha - gamma^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
 T1n(theta) = Sum_j |Khat(j h)|^2 |theta_j|^2.
 """
@@ -29,7 +30,7 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from .errors import ValidationError
-from .quad import gaussian_upper_quantile
+from .quad import QuadraticForm, gaussian_upper_quantile
 from .reports import TestReport
 from .signals import Basis, NoiseModel, SignalSpec
 
@@ -257,29 +258,28 @@ class KernelTestConfig:
         return h
 
 
-def _weights(config: KernelTestConfig, J: int, h: float) -> np.ndarray:
+def kernel_form(config: KernelTestConfig, n: int, J: int) -> QuadraticForm:
+    """T_n on the coordinates (y_0, a_1, b_1, ..., a_J, b_J)."""
+    if n < 1 or J < 1:
+        raise ValidationError(f"need n >= 1 and J >= 1, got n = {n}, J = {J}")
+    h = config.bandwidth(n)
     if J * h < 1.0:
         warnings.warn(
             f"truncation J*h = {J * h:.3g} < 1 cuts into the main support of Khat",
             stacklevel=3)
-    return np.square(config.kernel.khat(np.arange(J + 1) * h))
-
-
-def kernel_standardize(core, w: np.ndarray, config: KernelTestConfig, n: int):
-    """T_n from ``core`` = Sum_j w_j |y_j|^2, ``w`` the |Khat(j h)|^2 for j = 0..J."""
-    h = config.bandwidth(n)
+    w = np.square(config.kernel.khat(np.arange(J + 1) * h))
     sigma = config.noise_sigma
-    center = (sigma ** 2 / n) * (w[0] + 2.0 * float(np.sum(w[1:])))
-    gamma = math.sqrt(config.kernel.gamma_sq)
-    return n * math.sqrt(h) / (sigma ** 2 * gamma) * (core - center)
+    return QuadraticForm(
+        np.concatenate([w[:1], np.repeat(w[1:], 2)]), sigma / math.sqrt(n),
+        (sigma ** 2 / n) * (w[0] + 2.0 * float(np.sum(w[1:]))),
+        n * math.sqrt(h) / (sigma ** 2 * math.sqrt(config.kernel.gamma_sq)))
 
 
 def kernel_statistic_fourier(obs: KernelObservations, config: KernelTestConfig,
                              n: int) -> float:
     """The standardized statistic T_n from coefficient-space observations."""
-    w = _weights(config, obs.J, config.bandwidth(n))
-    core = w[0] * np.square(obs.y0) + np.sum(np.square(obs.pairs), axis=-1) @ w[1:]
-    return float(kernel_standardize(core, w, config, n))
+    form = kernel_form(config, n, obs.J)
+    return form.unit * form.statistic(np.append(obs.y0, obs.pairs))
 
 
 def t1n(theta: SignalSpec, config: KernelTestConfig, n: int | None = None) -> float:
@@ -303,13 +303,11 @@ def kernel_power_prediction(theta: SignalSpec, config: KernelTestConfig,
 
 def decide_and_predict(obs: KernelObservations, config: KernelTestConfig,
                        n: int, theta: SignalSpec | None = None) -> TestReport:
-    if n < 1:
-        raise ValidationError(f"sample size n = {n} must be positive")
     stat = kernel_statistic_fourier(obs, config, n)
     beta = None if theta is None else kernel_power_prediction(theta, config, n)
     h = config.bandwidth(n)
     return TestReport(
         family="kernel", n=n, statistic=stat, standardized=stat,
-        reject=bool(stat >= config.x_alpha), predicted_beta=beta,
+        reject=bool(stat > config.x_alpha), predicted_beta=beta,
         ingredients={"h": h, "gamma_sq": config.kernel.gamma_sq,
                      "T1n": None if theta is None else t1n(theta, config, n)})

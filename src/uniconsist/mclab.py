@@ -12,14 +12,14 @@ so variant contrasts are common-random-number comparisons.
 
 Loop contract: every family's ``*_rejections`` supplies only its noise draw
 (a method call on the replicate's generator that fills one row in place),
-the noise scale, and its ``reject_block`` callable, which applies the family
-module's own statistic and decision to a block of noise rows and returns
-the block's whole (rows x variants) decision matrix. Pairing and
+the noise scale, and its ``reject_block`` callable, which returns a block
+of noise rows' whole (rows x variants) decision matrix. Pairing and
 determinism come from the single block loop ``_rejections``, which fills
 each block from the substreams and hands it to ``reject_block`` once.
-quad, fixed and kernel score all variants with one GEMM per block
-(:func:`~uniconsist.quad.weighted_square_sums`); chi2 and cvm score it one
-variant column at a time (``_per_column``).
+quad, kernel and fixed pack their variant rows and take the rest from the
+family module's :class:`~uniconsist.quad.QuadraticForm`: ``_form_rejections``
+scores every variant with one GEMM per block (``weighted_square_sums``).
+chi2 and cvm score a block one variant column at a time (``_per_column``).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
 from .cvm import CvmNullTable, cvm_statistic
 from .errors import ValidationError
-from .kernel import KernelTestConfig, _weights, kernel_standardize
-from .quad import (FixedKappa, QuadTestConfig, quad_standardize,
+from .kernel import KernelTestConfig, kernel_form
+from .quad import (FixedKappa, QuadraticForm, QuadTestConfig,
                    weighted_square_sums)
 from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, substream
 from .signals import Basis, DensitySpec, SignalSpec, cdf_offset, invert_cdf
@@ -158,22 +158,23 @@ def _per_column(variants, reject):
     return reject_block
 
 
-def _rows(variants, shape: tuple, coeffs) -> np.ndarray:
-    """Variants packed as rows of the given shape; None is the zero row.
+def _rows(variants, J: int, coeffs) -> np.ndarray:
+    """Variants packed as rows of length J; None is the zero row.
 
     ``coeffs(v, variant)`` applies the family's own check and returns the
-    variant's coefficients; support past the truncation shape[0] must be 0.
+    variant's finite coefficients; support past the truncation J must be 0.
     """
-    rows = np.zeros((len(variants),) + shape)
-    J = shape[0]
+    rows = np.zeros((len(variants), J))
     for v, variant in enumerate(variants):
         if variant is None:
             continue
         vec = coeffs(v, variant)
+        if not np.all(np.isfinite(vec)):
+            raise ValidationError(f"variant {v} has non-finite coefficients")
         if vec.shape[0] > J:
             if np.any(vec[J:] != 0.0):
                 raise ValidationError(
-                    f"variant {v} has support beyond the truncation J = {J}")
+                    f"variant {v} has support beyond the {J} coordinates of the test")
             vec = vec[:J]
         rows[v, :vec.shape[0]] = vec
     return rows
@@ -190,42 +191,34 @@ def _sequence_coeffs(v, theta) -> np.ndarray:
 def _pair_coeffs(v, theta) -> np.ndarray:
     if not isinstance(theta, SignalSpec) or theta.basis is not Basis.TRIG_FULL:
         raise ValidationError("kernel runs take TrigFull signals (or None)")
-    return np.asarray(theta.coeffs, dtype=float)
+    return np.append(0.0, theta.coeffs)  # no signal at the zero frequency
+
+
+def _form_rejections(mc: MCConfig, form: QuadraticForm, critical: float,
+                     rows: np.ndarray) -> np.ndarray:
+    """Decisions unit (Sum w y^2 - center) > critical on y = row + scale xi."""
+    def reject_block(noise):
+        return form.unit * (weighted_square_sums(noise, rows, form.weights)
+                            - form.center) > critical
+
+    return _rejections(mc, STREAM_SEQUENCE_MODEL, form.weights.size, _normals,
+                       form.scale, reject_block)
 
 
 def quad_rejections(mc: MCConfig, config: QuadTestConfig, n: int,
                     thetas) -> np.ndarray:
     """Rejection matrix of the quadratic test; one column per theta variant."""
-    profile = config.profile
-    profile.require_n(n)
-    J = profile.J
-    rows = _rows(thetas, (J,), _sequence_coeffs)
-    w = profile.kappa_sq[n]
-    center = profile.sigma ** 2 * profile.rho[n] / n
-
-    def reject_block(noise):
-        t_raw = weighted_square_sums(noise, rows, w) - center
-        return quad_standardize(t_raw, profile, n) > config.x_alpha
-
-    return _rejections(mc, STREAM_SEQUENCE_MODEL, J, _normals,
-                       profile.sigma / math.sqrt(n), reject_block)
+    form = config.profile.form(n)
+    return _form_rejections(mc, form, config.x_alpha,
+                            _rows(thetas, form.weights.size, _sequence_coeffs))
 
 
 def kernel_rejections(mc: MCConfig, config: KernelTestConfig, n: int,
                       thetas, J: int) -> np.ndarray:
     """Rejection matrix of the kernel test; one column per theta variant."""
-    w = _weights(config, J, config.bandwidth(n))
-    # Rows (y0, a_1, b_1, ..., a_J, b_J); the zero frequency carries no signal.
-    pairs = _rows(thetas, (J, 2), _pair_coeffs).reshape(len(thetas), 2 * J)
-    rows = np.pad(pairs, ((0, 0), (1, 0)))
-    w_row = np.concatenate([w[:1], np.repeat(w[1:], 2)])
-
-    def reject_block(noise):
-        core = weighted_square_sums(noise, rows, w_row)
-        return kernel_standardize(core, w, config, n) >= config.x_alpha
-
-    return _rejections(mc, STREAM_SEQUENCE_MODEL, 1 + 2 * J, _normals,
-                       config.noise_sigma / math.sqrt(n), reject_block)
+    form = kernel_form(config, n, J)
+    return _form_rejections(mc, form, config.x_alpha,
+                            _rows(thetas, form.weights.size, _pair_coeffs))
 
 
 def _densities(variants) -> list:
@@ -306,15 +299,13 @@ def estimate_power(config, alternative, n: int, mc: MCConfig, *,
 def fixed_rejections(mc: MCConfig, fk: FixedKappa, critical: float,
                      etas) -> np.ndarray:
     """Rejection matrix of the fixed-weight test; one column per shift."""
-    L = fk.L
+    if not math.isfinite(critical):
+        raise ValidationError(f"critical value {critical!r} must be finite")
 
     def shift(v, eta) -> np.ndarray:
         vec = np.asarray(eta, dtype=float)
-        if vec.shape != (L,):
-            raise ValidationError(f"shift {v} must have shape ({L},)")
+        if vec.shape != (fk.L,):
+            raise ValidationError(f"shift {v} must have shape ({fk.L},)")
         return vec
 
-    rows = _rows(etas, (L,), shift)
-    return _rejections(
-        mc, STREAM_SEQUENCE_MODEL, L, _normals, fk.sigmas,
-        lambda noise: weighted_square_sums(noise, rows, fk.kappa_sq) > critical)
+    return _form_rejections(mc, fk.form(), critical, _rows(etas, fk.L, shift))

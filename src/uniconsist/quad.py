@@ -1,9 +1,13 @@
 """Quadratic sequence-model tests with scaled weight profiles.
 
-The statistic is T_n(y) = Sum_j kappa_nj^2 y_j^2 - sigma^2 rho_n / n with
-rho_n = Sum_j kappa_nj^2. Standardizing by the exact null standard deviation
-sigma^4 n^{-2} sqrt(2 A_n), where A_n = sigma^{-4} n^2 Sum_j kappa_nj^4,
-gives the decision
+Each test here, and the kernel test, is one :class:`QuadraticForm`, read
+alike by its ``statistic``, the engine's :func:`weighted_square_sums` and
+the exact law cvm.weighted_chisq_sf(center + t / unit, w scale^2, theta / scale).
+
+The quad test at n (``KappaProfile.form``, scale sigma / sqrt(n)) centres
+T_n(y) = Sum_j kappa_nj^2 y_j^2 - sigma^2 rho_n / n, rho_n = Sum_j kappa_nj^2,
+and its unit inverts the exact null standard deviation sigma^4 n^{-2}
+sqrt(2 A_n), where A_n = sigma^{-4} n^2 Sum_j kappa_nj^4:
 
     reject  iff  sigma^{-4} n^2 T_n(y) / sqrt(2 A_n) > x_alpha,
 
@@ -18,8 +22,8 @@ Weight profiles follow the scaled family
 whose effective dimension k_n (smallest index where the cumulative weight
 passes half of rho_n) grows like n^{2-4r}. A banded variant zeroes the
 weights above a cut l_n and takes k_n := l_n. The fixed-weight statistic
-T(z) = Sum_j kappa_j^2 z_j^2 (no n-scaling, summable decreasing weights)
-covers the boundary rate r = 1/2.
+T(z) = Sum_j kappa_j^2 z_j^2 (``FixedKappa.form``: no n-scaling or centring,
+summable decreasing weights) covers the boundary rate r = 1/2.
 """
 
 from __future__ import annotations
@@ -63,6 +67,24 @@ def _as_energy(theta) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class QuadraticForm:
+    """Test rejecting when unit (Sum_j w_j y_j^2 - center) > t on y = theta + scale xi."""
+
+    weights: np.ndarray
+    scale: float | np.ndarray
+    center: float = 0.0
+    unit: float = 1.0
+
+    def statistic(self, y):
+        """Sum_j w_j y_j^2 - center, one value per row along the last axis."""
+        y = np.asarray(y, dtype=float)
+        if y.shape[-1:] != self.weights.shape:
+            raise ValidationError(f"observation length {y.shape} != ({self.weights.size},)")
+        t = np.square(y) @ self.weights - self.center
+        return t if t.ndim else float(t)
+
+
+@dataclass(frozen=True)
 class KappaProfile:
     """Scaled weight family with per-n derived quantities.
 
@@ -99,6 +121,13 @@ class KappaProfile:
     def require_n(self, n: int):
         if n not in self.kappa_sq:
             raise ValidationError(f"n = {n} not in profile n_list {self.n_list}")
+
+    def form(self, n: int) -> QuadraticForm:
+        """The quad test at n: T_n in units of its null standard deviation."""
+        self.require_n(n)
+        return QuadraticForm(self.kappa_sq[n], self.sigma / math.sqrt(n),
+                             self.sigma ** 2 * self.rho[n] / n,
+                             self.sigma ** (-4) * n ** 2 / math.sqrt(2.0 * self.A[n]))
 
 
 def cumulative_k(kappa_sq: np.ndarray, rho: float) -> int:
@@ -212,13 +241,7 @@ class QuadTestConfig:
 
 def quad_statistic(y: np.ndarray, profile: KappaProfile, n: int):
     """Raw centered statistic T_n(y), one value per row along the last axis."""
-    profile.require_n(n)
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1:] != (profile.J,):
-        raise ValidationError(f"observation length {y.shape} != (J,) = ({profile.J},)")
-    w = profile.kappa_sq[n]
-    t_raw = np.square(y) @ w - profile.sigma ** 2 * profile.rho[n] / n
-    return t_raw if t_raw.ndim else float(t_raw)
+    return profile.form(n).statistic(y)
 
 
 def weighted_square_sums(noise: np.ndarray, rows: np.ndarray,
@@ -240,11 +263,6 @@ def weighted_square_sums(noise: np.ndarray, rows: np.ndarray,
     sums += (noise @ w)[:, None]
     sums += np.square(rows) @ w
     return sums
-
-
-def quad_standardize(t_raw, profile: KappaProfile, n: int):
-    """sigma^{-4} n^2 T_n / sqrt(2 A_n); the test rejects when it exceeds x_alpha."""
-    return profile.sigma ** (-4) * n ** 2 * t_raw / math.sqrt(2.0 * profile.A[n])
 
 
 def noncentrality(theta, profile: KappaProfile, n: int) -> float:
@@ -276,9 +294,10 @@ def decide_and_predict(y: np.ndarray, config: QuadTestConfig, n: int,
                        theta=None) -> TestReport:
     """Standardize, decide, and (when theta is given) predict power."""
     profile = config.profile
-    t_raw = quad_statistic(y, profile, n)
+    form = profile.form(n)
+    t_raw = form.statistic(y)
     A_n = profile.A[n]
-    standardized = quad_standardize(t_raw, profile, n)
+    standardized = form.unit * t_raw
     r_n = None if theta is None else noncentrality(theta, profile, n)
     beta = None if r_n is None else predict_beta(r_n, A_n, config.x_alpha)
     return TestReport(
@@ -324,15 +343,12 @@ class FixedKappa:
         return int(self.kappa_sq.size)
 
     def scales(self) -> np.ndarray:
-        if self.sigmas is None:
-            return np.ones(self.L)
-        return self.sigmas
+        return np.ones(self.L) if self.sigmas is None else self.sigmas
+
+    def form(self) -> QuadraticForm:
+        return QuadraticForm(self.kappa_sq, self.scales())
 
 
 def fixed_kappa_statistic(z: np.ndarray, fk: FixedKappa):
     """T(z) = Sum_j kappa_j^2 z_j^2, one value per row along the last axis."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1:] != (fk.L,):
-        raise ValidationError(f"observation length {z.shape} != ({fk.L},)")
-    t = np.square(z) @ fk.kappa_sq
-    return t if t.ndim else float(t)
+    return fk.form().statistic(z)

@@ -1,5 +1,6 @@
 """Monte Carlo engine: substream determinism, pairing, estimates."""
 
+import hashlib
 import math
 import tracemalloc
 from functools import partial
@@ -8,13 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from oracles import exact_power, wilson_interval_at
 from uniconsist import chi2, cvm
+from uniconsist.alternatives import make_consistent, quad_family
 from uniconsist.chi2 import Chi2Config, chi2_statistic
 from uniconsist.cvm import build_cvm_null_table, cvm_statistic
 from uniconsist.errors import ValidationError
 from uniconsist.kernel import (KernelObservations, KernelTestConfig,
-                               box_kernel, kernel_statistic_fourier,
+                               box_kernel, decide_and_predict as kernel_decide,
+                               kernel_form, kernel_statistic_fourier,
                                sample_kernel_observations)
 from uniconsist.mclab import (MCConfig, MCEstimate, chi2_rejections,
                               cvm_rejections, estimate_columns, estimate_power,
@@ -26,6 +31,7 @@ from uniconsist.quad import (FixedKappa, QuadTestConfig, build_profile,
 from uniconsist.rng import (STREAM_IID, STREAM_SEQUENCE_MODEL, substream)
 from uniconsist.signals import (Basis, DensitySpec, NoiseModel, SignalSpec,
                                 invert_cdf, sample_iid)
+from uniconsist.suites import CONSISTENCY_DEFAULT
 
 PROFILE = build_profile(r=0.3, gamma=2.0, c=1.0, J=256, n_list=[64])
 QCFG = QuadTestConfig(profile=PROFILE, alpha=0.05)
@@ -399,3 +405,151 @@ def test_iid_rejections_equal_public_path(dens, n, m, seed):
             points = gen.random(n) if variant is None else sample_iid(variant, n, gen)
             assert rej_chi2[i, v] == chi2.decide_and_predict(points, cfg, n).reject
             assert rej_cvm[i, v] == cvm.decide(points, CVM_TABLE, 0.05).reject
+
+
+def _pinned_quad(mc):
+    profile = build_profile(r=0.3, gamma=2.0, c=1.0, J=256, n_list=[64],
+                            sigma=1.5)
+    thetas = [None] + [1.5 * t for t in _three_thetas()]
+    return quad_rejections(mc, QuadTestConfig(profile, 0.05), 64, thetas)
+
+
+def _pinned_kernel(mc):
+    cfg = KernelTestConfig(kernel=box_kernel(), alpha=0.05, noise_sigma=0.7,
+                           h_rule=(0.3, 2.0))
+    variants = [None] + [SignalSpec(Basis.TRIG_FULL, 0.7 * sig.coeffs)
+                         for sig in _kernel_variants()[1:]]
+    return kernel_rejections(mc, cfg, 64, variants, KERNEL_J)
+
+
+def _pinned_fixed(mc):
+    j = np.arange(1, 65, dtype=float)
+    fk = FixedKappa(1.0 / (math.pi ** 2 * j ** 2), np.linspace(0.5, 1.5, 64))
+    return fixed_rejections(mc, fk, 0.12,
+                            [None] + [np.eye(64)[k] * (0.5 + k) for k in range(3)])
+
+
+# SHA-256 of np.packbits of each family's (600 x V) rejection matrix at seed
+# 2024, recorded before the quadratic-form refactor of quad, kernel and
+# fixed. Decisions are booleans, so BLAS rounding moves them only at ties.
+PINNED_DECISIONS = {
+    "quad": (_pinned_quad,
+        "2a25ab44b9bef0a24eabf4764b9f34af1b5dc5c799b0fab6aa6c4fbd9b99ed2c"),
+    "kernel": (_pinned_kernel,
+        "197ad6f6c2ea1ede00408d59312c66213ef2289cbbf4cfe18580f9437105b66c"),
+    "fixed": (_pinned_fixed,
+        "416a0517b65c5127b71f5f19c71339d0574f39fad6932f98d66a07d1fa0d9b9e"),
+    "chi2": (_chi2_run,
+        "4c651ed63dbac3b57d4c74d541f7dabd4fc6310f54bf508f44f2cce53268152a"),
+    "cvm": (_cvm_run,
+        "bc663a73d44d7005f91d6f9308fe043a3ed326fc7b9e077df3454c7dbc054857"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_DECISIONS))
+def test_engine_decisions_pinned(family):
+    """Each family's rejection matrix at a small config keeps its recorded
+    bytes, so a rewrite of the statistic or of the engine changes no
+    decision."""
+    run, digest = PINNED_DECISIONS[family]
+    rej = run(MCConfig(600, seed=2024))
+    assert rej.dtype == bool and 0 < rej.sum() < rej.size
+    got = hashlib.sha256(repr(rej.shape).encode()
+                         + np.packbits(rej).tobytes()).hexdigest()
+    assert got == digest
+
+
+def _consistency_quad(n: int):
+    """The ``consistency`` suite's quad test and its alternative at n."""
+    q = CONSISTENCY_DEFAULT["quad"]
+    profile = build_profile(q["r"], q["gamma"], q["c"], q["J"], [n])
+    sig = make_consistent(quad_family(profile), q["c2"], q["mass_profile"],
+                          [n], q["norm_const"]).signals[n]
+    row = np.zeros(profile.J)
+    row[:sig.coeffs.size] = sig.coeffs
+    return QuadTestConfig(profile, CONSISTENCY_DEFAULT["alpha"]), sig, row
+
+
+def test_quad_exact_size_and_beta_at_consistency_config():
+    """The Gaussian-calibrated quad test of ``consistency`` at n = 512 has
+    exact size 0.05523 and exact type II error 0.50919 (its Gaussian
+    prediction is 0.4952)."""
+    test, _, row = _consistency_quad(512)
+    form = test.profile.form(512)
+    assert exact_power(form, test.x_alpha) == pytest.approx(0.05523, abs=1e-4)
+    assert 1.0 - exact_power(form, test.x_alpha, row) == pytest.approx(
+        0.50919, abs=1e-4)
+
+
+def _assert_within_exact_law(rej, form, critical, rows):
+    """Each column's rejection rate lies within its Wilson interval of the
+    exact power. The intervals have level 1 - 0.001 / len(rows) each
+    (Bonferroni), so on correct code this fails with probability <= 0.001."""
+    z = stats.norm.isf(0.001 / (2 * len(rows)))
+    for v, row in enumerate(rows):
+        exact = exact_power(form, critical, row)
+        lo, hi = wilson_interval_at(int(rej[:, v].sum()), rej.shape[0], z)
+        assert lo <= exact <= hi, (v, exact, lo, hi)
+
+
+def test_quad_rejections_match_exact_law():
+    """Size and power of the quad engine at the ``consistency`` config,
+    n = 512, against Imhof's exact law of the profile's form."""
+    test, sig, row = _consistency_quad(512)
+    rej = quad_rejections(MCConfig(10000, seed=2024), test, 512, [None, sig])
+    _assert_within_exact_law(rej, test.profile.form(512), test.x_alpha,
+                             [None, row])
+
+
+def test_kernel_rejections_match_exact_law():
+    """Size and power of the kernel engine (box, h = 0.1, n = 64, J = 128)
+    against Imhof's exact law of ``kernel_form``; the exact size is 0.0688."""
+    coeffs = np.zeros((128, 2))
+    coeffs[0, 0] = 0.3
+    coeffs[1, 1] = 0.15
+    rej = kernel_rejections(MCConfig(20000, seed=2024), KCFG, 64,
+                            [None, SignalSpec(Basis.TRIG_FULL, coeffs)], 128)
+    # coordinates (y0, a_1, b_1, a_2, b_2, ...): no signal at frequency 0
+    _assert_within_exact_law(rej, kernel_form(KCFG, 64, 128), KCFG.x_alpha,
+                             [None, np.r_[0.0, coeffs.ravel()]])
+
+
+@pytest.mark.parametrize("n, J", [(0, 8), (-3, 8), (64, 0), (64, -1)])
+@pytest.mark.parametrize("cfg", [KCFG, KernelTestConfig(
+    kernel=box_kernel(), alpha=0.05, h_rule=(0.3, 2.0))], ids=["h", "h_rule"])
+def test_kernel_nonpositive_n_or_J_rejected(cfg, n, J):
+    """A sample size or truncation below 1 is a ValidationError on the
+    engine, the estimate and the library paths, whatever the bandwidth."""
+    with pytest.raises(ValidationError, match="n >= 1 and J >= 1"):
+        kernel_rejections(MC, cfg, n, [None], J)
+    with pytest.raises(ValidationError, match="n >= 1 and J >= 1"):
+        estimate_size(cfg, n, MCConfig(100), J=J)
+    obs = KernelObservations(y0=0.0, pairs=np.zeros((max(J, 0), 2)))
+    with pytest.raises(ValidationError, match="n >= 1 and J >= 1"):
+        kernel_decide(obs, cfg, n)
+
+
+_FK = FixedKappa(np.array([0.5, 0.25]))
+
+
+def _theta_with(value):
+    theta = np.zeros(PROFILE.J)
+    theta[3] = value
+    return theta
+
+
+@pytest.mark.parametrize("run", [
+    lambda mc: fixed_rejections(mc, _FK, math.nan, [None]),
+    lambda mc: fixed_rejections(mc, _FK, -math.inf, [None]),
+    lambda mc: estimate_power(_FK, None, 10, mc, critical=math.inf),
+    lambda mc: fixed_rejections(mc, _FK, 2.0, [np.array([math.inf, 0.0])]),
+    lambda mc: quad_rejections(mc, QCFG, 64, [_theta_with(math.inf)]),
+    lambda mc: quad_rejections(mc, QCFG, 64, [None, _theta_with(math.nan)]),
+], ids=["fixed-critical-nan", "fixed-critical-minus-inf",
+        "estimate-power-critical-inf", "fixed-shift-inf", "quad-theta-inf",
+        "quad-theta-nan"])
+def test_non_finite_inputs_rejected(run):
+    """A non-finite critical value or coefficient row is a ValidationError,
+    not a rejection rate."""
+    with pytest.raises(ValidationError, match="finite"):
+        run(MCConfig(100, seed=0))
