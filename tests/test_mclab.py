@@ -434,15 +434,15 @@ def _pinned_fixed(mc):
 # fixed. Decisions are booleans, so BLAS rounding moves them only at ties.
 PINNED_DECISIONS = {
     "quad": (_pinned_quad,
-        "2a25ab44b9bef0a24eabf4764b9f34af1b5dc5c799b0fab6aa6c4fbd9b99ed2c"),
+             "2a25ab44b9bef0a24eabf4764b9f34af1b5dc5c799b0fab6aa6c4fbd9b99ed2c"),
     "kernel": (_pinned_kernel,
-        "197ad6f6c2ea1ede00408d59312c66213ef2289cbbf4cfe18580f9437105b66c"),
+               "197ad6f6c2ea1ede00408d59312c66213ef2289cbbf4cfe18580f9437105b66c"),
     "fixed": (_pinned_fixed,
-        "416a0517b65c5127b71f5f19c71339d0574f39fad6932f98d66a07d1fa0d9b9e"),
+              "416a0517b65c5127b71f5f19c71339d0574f39fad6932f98d66a07d1fa0d9b9e"),
     "chi2": (_chi2_run,
-        "4c651ed63dbac3b57d4c74d541f7dabd4fc6310f54bf508f44f2cce53268152a"),
+             "4c651ed63dbac3b57d4c74d541f7dabd4fc6310f54bf508f44f2cce53268152a"),
     "cvm": (_cvm_run,
-        "bc663a73d44d7005f91d6f9308fe043a3ed326fc7b9e077df3454c7dbc054857"),
+            "bc663a73d44d7005f91d6f9308fe043a3ed326fc7b9e077df3454c7dbc054857"),
 }
 
 
