@@ -347,8 +347,11 @@ class CvmNullTable:
     def __post_init__(self):
         if len(self.alphas) != len(self.criticals):
             raise ValidationError("alphas and criticals must align")
-        crit = np.asarray(self.criticals)
-        if np.any(np.diff(crit) > 0.0):
+        alphas = np.asarray(self.alphas, dtype=float)
+        if not (np.all((alphas > 0.0) & (alphas < 1.0))
+                and np.all(np.diff(alphas) > 0.0)):
+            raise ValidationError("alphas must increase strictly within (0, 1)")
+        if np.any(np.diff(np.asarray(self.criticals)) > 0.0):
             raise ValidationError("criticals must decrease as alpha grows")
 
     def critical(self, alpha: float) -> float:

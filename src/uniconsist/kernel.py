@@ -11,11 +11,12 @@ is
 
 where gamma^2 = 2 int (K*K)^2 = 2 int |Khat|^4. T_n is a
 :class:`~uniconsist.quad.QuadraticForm` (``kernel_form``) on the coordinates
-(y_0, a_1, b_1, ..., a_J, b_J), with weight |Khat(j h)|^2 on both
-coordinates of pair j, so the library and the engine score it as they
-score the quad and fixed tests. The test rejects when T_n > x_alpha;
-against a signal theta the Gaussian power prediction is
-Phi(x_alpha - gamma^{-1} sigma^{-2} n h^{1/2} T1n(theta)) with
+(y_0, a_1, b_1, ..., a_J, b_J) (``kernel_coordinates``), with weight
+|Khat(j h)|^2 (``_khat_sq``) on both coordinates of pair j, so the library
+and the engine score it as they score the quad and fixed tests. The test
+rejects when T_n > x_alpha; against a signal theta the Gaussian power
+prediction is Phi(x_alpha - u T1n(theta)), with the unit
+u = n h^{1/2} sigma^{-2} gamma^{-1} (``kernel_unit``) and
 T1n(theta) = Sum_j |Khat(j h)|^2 |theta_j|^2.
 """
 
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import optimize
+from scipy.special import ndtr
 
 from .errors import ValidationError
 from .quad import QuadraticForm, gaussian_upper_quantile
@@ -258,6 +260,24 @@ class KernelTestConfig:
         return h
 
 
+def kernel_coordinates(theta: SignalSpec) -> np.ndarray:
+    """A TrigFull signal on the coordinates (y_0, a_1, b_1, ...), with y_0 = 0."""
+    if not isinstance(theta, SignalSpec) or theta.basis is not Basis.TRIG_FULL:
+        raise ValidationError("kernel tests take TrigFull signals")
+    return np.append(0.0, theta.coeffs)
+
+
+def _khat_sq(config: KernelTestConfig, n: int | None, J: int) -> np.ndarray:
+    """The weights |Khat(j h)|^2 at j = 0, ..., J, h the bandwidth at n."""
+    return np.square(config.kernel.khat(np.arange(J + 1) * config.bandwidth(n)))
+
+
+def kernel_unit(config: KernelTestConfig, n: int) -> float:
+    """n h^{1/2} sigma^{-2} gamma^{-1}, the unit of T_n."""
+    return n * math.sqrt(config.bandwidth(n)) / (
+        config.noise_sigma ** 2 * math.sqrt(config.kernel.gamma_sq))
+
+
 def kernel_form(config: KernelTestConfig, n: int, J: int) -> QuadraticForm:
     """T_n on the coordinates (y_0, a_1, b_1, ..., a_J, b_J)."""
     if n < 1 or J < 1:
@@ -267,12 +287,12 @@ def kernel_form(config: KernelTestConfig, n: int, J: int) -> QuadraticForm:
         warnings.warn(
             f"truncation J*h = {J * h:.3g} < 1 cuts into the main support of Khat",
             stacklevel=3)
-    w = np.square(config.kernel.khat(np.arange(J + 1) * h))
+    w = _khat_sq(config, n, J)
     sigma = config.noise_sigma
     return QuadraticForm(
         np.concatenate([w[:1], np.repeat(w[1:], 2)]), sigma / math.sqrt(n),
         (sigma ** 2 / n) * (w[0] + 2.0 * float(np.sum(w[1:]))),
-        n * math.sqrt(h) / (sigma ** 2 * math.sqrt(config.kernel.gamma_sq)))
+        kernel_unit(config, n))
 
 
 def kernel_statistic_fourier(obs: KernelObservations, config: KernelTestConfig,
@@ -286,19 +306,13 @@ def t1n(theta: SignalSpec, config: KernelTestConfig, n: int | None = None) -> fl
     """Smoothed signal energy Sum_j |Khat(j h)|^2 |theta_j|^2."""
     if theta.basis is not Basis.TRIG_FULL:
         raise ValidationError("t1n requires a TrigFull signal")
-    h = config.bandwidth(n)
-    w = np.square(config.kernel.khat(np.arange(1, theta.J + 1) * h))
-    return float(w @ theta.index_energy())
+    return float(_khat_sq(config, n, theta.J)[1:] @ theta.index_energy())
 
 
 def kernel_power_prediction(theta: SignalSpec, config: KernelTestConfig,
                             n: int) -> float:
     """Gaussian type-II error of the kernel test against theta."""
-    h = config.bandwidth(n)
-    shift = (n * math.sqrt(h) / (config.noise_sigma ** 2
-                                 * math.sqrt(config.kernel.gamma_sq))
-             * t1n(theta, config, n))
-    return float(stats.norm.cdf(config.x_alpha - shift))
+    return float(ndtr(config.x_alpha - kernel_unit(config, n) * t1n(theta, config, n)))
 
 
 def decide_and_predict(obs: KernelObservations, config: KernelTestConfig,

@@ -16,10 +16,11 @@ the noise scale, and its ``reject_block`` callable, which returns a block
 of noise rows' whole (rows x variants) decision matrix. Pairing and
 determinism come from the single block loop ``_rejections``, which fills
 each block from the substreams and hands it to ``reject_block`` once.
-quad, kernel and fixed pack their variant rows and take the rest from the
-family module's :class:`~uniconsist.quad.QuadraticForm`: ``_form_rejections``
-scores every variant with one GEMM per block (``weighted_square_sums``).
-chi2 and cvm score a block one variant column at a time (``_per_column``).
+quad, kernel and fixed take their coordinate map and their
+:class:`~uniconsist.quad.QuadraticForm` from the family module; ``_rows``
+packs the variants and ``_form_rejections`` scores them all with one GEMM
+per block (``weighted_square_sums``). chi2 and cvm score a block one
+variant column at a time (``_per_column``).
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ import numpy as np
 from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
 from .cvm import CvmNullTable, cvm_statistic
 from .errors import ValidationError
-from .kernel import KernelTestConfig, kernel_form
-from .quad import (FixedKappa, QuadraticForm, QuadTestConfig,
+from .kernel import KernelTestConfig, kernel_coordinates, kernel_form
+from .quad import (FixedKappa, QuadraticForm, QuadTestConfig, quad_coordinates,
                    weighted_square_sums)
 from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, substream
-from .signals import Basis, DensitySpec, SignalSpec, cdf_offset, invert_cdf
+from .signals import DensitySpec, SignalSpec, cdf_offset, invert_cdf
 
 BLOCK_ROWS = 512
 _Z95 = 1.959963984540054
@@ -158,40 +159,23 @@ def _per_column(variants, reject):
     return reject_block
 
 
-def _rows(variants, J: int, coeffs) -> np.ndarray:
-    """Variants packed as rows of length J; None is the zero row.
-
-    ``coeffs(v, variant)`` applies the family's own check and returns the
-    variant's finite coefficients; support past the truncation J must be 0.
-    """
-    rows = np.zeros((len(variants), J))
+def _rows(variants, size: int, coordinates) -> np.ndarray:
+    """Variants as rows of a test's ``size`` coordinates, each mapped by the
+    family's ``coordinates``; None is the zero row. Coordinates must be
+    finite and zero past ``size``; an error names the variant."""
+    rows = np.zeros((len(variants), size))
     for v, variant in enumerate(variants):
         if variant is None:
             continue
-        vec = coeffs(v, variant)
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(f"variant {v} has non-finite coefficients")
-        if vec.shape[0] > J:
-            if np.any(vec[J:] != 0.0):
-                raise ValidationError(
-                    f"variant {v} has support beyond the {J} coordinates of the test")
-            vec = vec[:J]
-        rows[v, :vec.shape[0]] = vec
+        try:
+            vec = coordinates(variant)
+            if not np.all(np.isfinite(vec)) or np.any(vec[size:] != 0.0):
+                raise ValidationError("coordinates must be finite, with none "
+                                      f"beyond the {size} of the test")
+        except ValidationError as exc:
+            raise ValidationError(f"variant {v}: {exc}") from None
+        rows[v, :min(vec.size, size)] = vec[:size]
     return rows
-
-
-def _sequence_coeffs(v, theta) -> np.ndarray:
-    if isinstance(theta, SignalSpec):
-        if theta.basis is Basis.TRIG_FULL:
-            raise ValidationError("sequence-model runs need a 1-D basis signal")
-        return np.asarray(theta.coeffs, dtype=float)
-    return np.asarray(theta, dtype=float)
-
-
-def _pair_coeffs(v, theta) -> np.ndarray:
-    if not isinstance(theta, SignalSpec) or theta.basis is not Basis.TRIG_FULL:
-        raise ValidationError("kernel runs take TrigFull signals (or None)")
-    return np.append(0.0, theta.coeffs)  # no signal at the zero frequency
 
 
 def _form_rejections(mc: MCConfig, form: QuadraticForm, critical: float,
@@ -210,7 +194,7 @@ def quad_rejections(mc: MCConfig, config: QuadTestConfig, n: int,
     """Rejection matrix of the quadratic test; one column per theta variant."""
     form = config.profile.form(n)
     return _form_rejections(mc, form, config.x_alpha,
-                            _rows(thetas, form.weights.size, _sequence_coeffs))
+                            _rows(thetas, form.weights.size, quad_coordinates))
 
 
 def kernel_rejections(mc: MCConfig, config: KernelTestConfig, n: int,
@@ -218,7 +202,7 @@ def kernel_rejections(mc: MCConfig, config: KernelTestConfig, n: int,
     """Rejection matrix of the kernel test; one column per theta variant."""
     form = kernel_form(config, n, J)
     return _form_rejections(mc, form, config.x_alpha,
-                            _rows(thetas, form.weights.size, _pair_coeffs))
+                            _rows(thetas, form.weights.size, kernel_coordinates))
 
 
 def _densities(variants) -> list:
@@ -301,11 +285,5 @@ def fixed_rejections(mc: MCConfig, fk: FixedKappa, critical: float,
     """Rejection matrix of the fixed-weight test; one column per shift."""
     if not math.isfinite(critical):
         raise ValidationError(f"critical value {critical!r} must be finite")
-
-    def shift(v, eta) -> np.ndarray:
-        vec = np.asarray(eta, dtype=float)
-        if vec.shape != (fk.L,):
-            raise ValidationError(f"shift {v} must have shape ({fk.L},)")
-        return vec
-
-    return _form_rejections(mc, fk.form(), critical, _rows(etas, fk.L, shift))
+    return _form_rejections(mc, fk.form(), critical,
+                            _rows(etas, fk.L, fk.coordinates))

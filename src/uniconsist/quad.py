@@ -2,7 +2,8 @@
 
 Each test here, and the kernel test, is one :class:`QuadraticForm`, read
 alike by its ``statistic``, the engine's :func:`weighted_square_sums` and
-the exact law cvm.weighted_chisq_sf(center + t / unit, w scale^2, theta / scale).
+the exact law cvm.weighted_chisq_sf(center + t / unit, w scale^2, theta / scale);
+``noncentrality`` and the engine read one coordinate map, ``quad_coordinates``.
 
 The quad test at n (``KappaProfile.form``, scale sigma / sqrt(n)) centres
 T_n(y) = Sum_j kappa_nj^2 y_j^2 - sigma^2 rho_n / n, rho_n = Sum_j kappa_nj^2,
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .errors import AssumptionError, ValidationError
 from .reports import TestReport
@@ -53,17 +54,15 @@ def gaussian_upper_quantile(alpha: float) -> float:
     """x_alpha with 1 - Phi(x_alpha) = alpha (machine-precision inverse)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
-    return float(stats.norm.isf(alpha))
+    return float(-ndtri(alpha))
 
 
-def _as_energy(theta) -> np.ndarray:
-    """Per-index squared coefficient mass from a SignalSpec or raw array."""
-    if isinstance(theta, SignalSpec):
-        return theta.index_energy()
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError("coefficient array must be 1-D")
-    return np.square(arr)
+def quad_coordinates(theta) -> np.ndarray:
+    """theta_j of a SignalSpec or an array; TrigFull pairs (2-D) are refused."""
+    arr = np.asarray(theta.coeffs if isinstance(theta, SignalSpec) else theta, dtype=float)
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        raise ValidationError("quad tests take a 1-D-basis signal or a finite 1-D array")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,7 @@ class QuadTestConfig:
 
     def __post_init__(self):
         x = gaussian_upper_quantile(self.alpha)
-        if abs((1.0 - stats.norm.cdf(x)) - self.alpha) > 1e-8:
+        if abs((1.0 - ndtr(x)) - self.alpha) > 1e-8:
             raise ValidationError("critical point fails the quantile identity")
         object.__setattr__(self, "x_alpha", x)
 
@@ -268,12 +267,11 @@ def weighted_square_sums(noise: np.ndarray, rows: np.ndarray,
 def noncentrality(theta, profile: KappaProfile, n: int) -> float:
     """R_n(theta) = sigma^{-4} n^2 Sum_j kappa_nj^2 theta_j^2."""
     profile.require_n(n)
-    energy = _as_energy(theta)
-    if energy.size > profile.J:
-        if np.any(energy[profile.J:] > 0.0):
-            raise ValidationError(
-                "signal support exceeds profile truncation J; rebuild with larger J")
-        energy = energy[:profile.J]
+    theta = quad_coordinates(theta)
+    if np.any(theta[profile.J:] != 0.0):
+        raise ValidationError(
+            "signal support exceeds profile truncation J; rebuild with larger J")
+    energy = np.square(theta[:profile.J])
     w = profile.kappa_sq[n][:energy.size]
     return float(profile.sigma ** (-4) * n ** 2 * (w @ energy))
 
@@ -287,7 +285,7 @@ def null_variance(profile: KappaProfile, n: int) -> float:
 
 def predict_beta(R_n: float, A_n: float, x_alpha: float) -> float:
     """Gaussian type-II error Phi(x_alpha - R_n / sqrt(2 A_n))."""
-    return float(stats.norm.cdf(x_alpha - R_n / math.sqrt(2.0 * A_n)))
+    return float(ndtr(x_alpha - R_n / math.sqrt(2.0 * A_n)))
 
 
 def decide_and_predict(y: np.ndarray, config: QuadTestConfig, n: int,
@@ -347,6 +345,12 @@ class FixedKappa:
 
     def form(self) -> QuadraticForm:
         return QuadraticForm(self.kappa_sq, self.scales())
+
+    def coordinates(self, eta) -> np.ndarray:
+        """A shift eta on the test's coordinates: exactly L of them."""
+        if np.shape(eta) != (self.L,):
+            raise ValidationError(f"shift must have shape ({self.L},)")
+        return np.asarray(eta, dtype=float)
 
 
 def fixed_kappa_statistic(z: np.ndarray, fk: FixedKappa):

@@ -36,15 +36,17 @@ def json_value(obj: dict, key: str, kind=float):
 
 
 def json_array(obj: dict, key: str, ndims=(1,)) -> np.ndarray:
-    """``obj[key]``, a JSON array of numbers nested ``ndims`` deep, as floats."""
+    """``obj[key]``, a JSON array of finite numbers nested ``ndims`` deep,
+    as floats."""
     value = json_require(obj, key)
     try:
         arr = np.asarray(value) if isinstance(value, list) else None
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim not in ndims:
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.ndim not in ndims
+            or not np.all(np.isfinite(arr))):
         depth = " or ".join(map(str, ndims))
-        raise ValidationError(f"{key!r} must be a {depth}-D array of numbers")
+        raise ValidationError(f"{key!r} must be a {depth}-D array of finite numbers")
     return arr.astype(float)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from .cvm import (_J_NULL_MAX, bridge_weights, cvm_consistency_index,
 from .errors import ValidationError
 from .funclasses import EllipsoidSet, compactness_diagnostic, greedy_widths
 from .kernel import (KernelTestConfig, builtin_kernel, half_level_radius,
-                     inconsistency_bandwidths, t1n)
+                     inconsistency_bandwidths, kernel_unit, t1n)
 from .mclab import (MCConfig, chi2_rejections, estimate_columns,
                     fixed_rejections, paired_excess, power_row,
                     quad_rejections)
@@ -57,18 +58,6 @@ class SuiteResult:
     tables: dict
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def write_result(result: SuiteResult, out_dir) -> list[str]:
     """Write one CSV per table plus <name>_summary.json; returns the paths."""
     out = Path(out_dir)
@@ -80,8 +69,8 @@ def write_result(result: SuiteResult, out_dir) -> list[str]:
         paths.append(str(path))
     payload = {"suite": result.name, "passed": result.passed, **result.summary}
     path = out / f"{result.name}_summary.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_jsonify) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
     paths.append(str(path))
     return paths
 
@@ -93,14 +82,18 @@ def merge_config(default: dict, override: dict | None) -> dict:
     section (or the reverse), or a value whose JSON type differs from its
     default's (number, integer, string, or a list of the default's item kind)
     raises ValidationError naming its dotted path, so a misspelled key cannot
-    silently leave its default in force. Values are not converted.
+    silently leave its default in force. A number must be finite as a float.
+    Values are not converted.
     """
     def check(default, value, path: str):
         items = isinstance(default, list)
-        types, name = JSON_KINDS[type(default[0] if items else default)]
+        kind = type(default[0] if items else default)
+        types, name = JSON_KINDS[kind]
         values = value if items and isinstance(value, list) else [value]
         if items != isinstance(value, list) or any(
-                isinstance(v, bool) or not isinstance(v, types) for v in values):
+                isinstance(v, bool) or not isinstance(v, types)
+                or kind is float and not abs(v) <= sys.float_info.max
+                for v in values):
             name = f"a list, each item {name}" if items else name
             raise ValidationError(f"config key {path!r} must be {name}, "
                                   f"got {value!r}")
@@ -651,12 +644,11 @@ def _suite_maxiset(cfg: dict, mc: MCConfig) -> SuiteResult:
     h_list = inconsistency_bandwidths(kernel, cfg["m_list"])
     kernel_rows = []
     kernel_shifts = []
-    gamma = math.sqrt(kernel.gamma_sq)
     for pos, n in enumerate(kseq.n_list):
         h = h_list[pos]
         ktest = KernelTestConfig(kernel=kernel, alpha=alpha, h=h)
         t_1n = t1n(kseq.signals[n], ktest)
-        shift = n * math.sqrt(h) * t_1n / gamma
+        shift = kernel_unit(ktest, n) * t_1n
         kernel_shifts.append(shift)
         kernel_rows.append([n, cfg["m_list"][pos], h, t_1n, shift])
 

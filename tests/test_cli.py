@@ -1,6 +1,7 @@
 """End-to-end command-line runs through main(argv): exit codes and outputs."""
 
 import json
+import math
 from functools import reduce
 
 import numpy as np
@@ -568,3 +569,69 @@ def test_wrong_type_field_exits_2(tmp_path, capsys, case, wrong):
     assert code == 2, (field, wrong, err)
     assert err.startswith(f"error: {path}") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def _number_arrays(obj, path=()):
+    """Paths of the fields of ``obj`` that hold JSON arrays of numbers."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _number_arrays(value, path + (key,))
+        elif isinstance(value, list) and all(
+                isinstance(x, (int, float)) for x in np.ravel(value).tolist()):
+            yield path + (key,)
+
+
+def _first_entry(value, entry):
+    """``value``, a nested list, with its first number replaced by ``entry``."""
+    if isinstance(value, list):
+        return [_first_entry(value[0], entry)] + value[1:]
+    return entry
+
+
+_ARRAY_FIELDS = [(command, data, field) for command, data in _VALID
+                 for field in _number_arrays(data)]
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command, data, field", _ARRAY_FIELDS,
+                         ids=["-".join(c) + ":" + ".".join(f)
+                              for c, _, f in _ARRAY_FIELDS])
+def test_non_finite_array_entry_exits_2(tmp_path, capsys, command, data,
+                                        field, entry):
+    """Python's json reads NaN and Infinity; no array field accepts them."""
+    current = reduce(lambda obj, key: obj[key], field, data)
+    path = _write(tmp_path, "nan.json",
+                  _replace(data, field, _first_entry(current, entry)))
+    code = main(_argv(command, path, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2, (field, entry, err)
+    assert err.startswith(f"error: {path}") and repr(field[-1]) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_suite_threshold_exits_2(tmp_path, capsys, entry):
+    path = _write(tmp_path, "cfg.json", {"thresholds": {"final_excess": entry}})
+    code = main(["suite", "compactness", "--config", path,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {path}") and "'thresholds.final_excess'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("table", [
+    {**_TABLE, "alpha": [0.1, 0.05], "critical": [0.5, 0.4]},
+    {**_TABLE, "alpha": [0.1, 0.05], "critical": [0.4, 0.5]},
+    {**_TABLE, "alpha": [0.05, 0.05], "critical": [0.46, 0.46]},
+    {**_TABLE, "alpha": [0.05, 1.5], "critical": [0.46, 0.1]},
+], ids=["descending-pairs-swapped", "descending", "repeated", "past-1"])
+def test_cvm_table_alphas_must_increase_within_unit_interval(tmp_path, capsys,
+                                                             table):
+    path = _write(tmp_path, "t.json", {**_CVM, "table": table})
+    code = main(["statistic", "cvm", "--data", path])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {path}") and "alphas must increase" in err

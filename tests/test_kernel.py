@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 from oracles import kernel_smoothed_field_sq
 from uniconsist.errors import ValidationError
@@ -12,8 +13,9 @@ from uniconsist.kernel import (Kernel, KernelObservations, KernelTestConfig,
                                box_kernel, builtin_kernel, decide_and_predict,
                                epanechnikov_kernel, half_level_radius,
                                inconsistency_bandwidths,
+                               kernel_coordinates, kernel_form,
                                kernel_power_prediction,
-                               kernel_statistic_fourier,
+                               kernel_statistic_fourier, kernel_unit,
                                sample_kernel_observations, t1n)
 from uniconsist.signals import Basis, NoiseModel, SignalSpec
 
@@ -251,3 +253,42 @@ def test_decide_and_predict_report():
     assert rep.ingredients["h"] == 0.15
     assert rep.ingredients["T1n"] == pytest.approx(t1n(sig, cfg, n))
     assert rep.predicted_beta == pytest.approx(kernel_power_prediction(sig, cfg, n))
+
+
+_SIGNAL = SignalSpec(Basis.TRIG_FULL, np.array([[0.3, -0.1], [0.0, 0.2],
+                                                [0.05, 0.0]]))
+
+
+@pytest.mark.parametrize("cfg, n", [
+    (KernelTestConfig(kernel=BOX, alpha=0.05, h=0.1), 64),
+    (KernelTestConfig(kernel=EPA, alpha=0.05, noise_sigma=0.7, h=0.25), 100),
+    (KernelTestConfig(kernel=BOX, alpha=0.01, noise_sigma=1.3,
+                      h_rule=(0.3, 0.5)), 256),
+], ids=["box", "epanechnikov-sigma", "box-h-rule-sigma"])
+def test_unit_and_weights_are_shared(cfg, n):
+    """The form, the power prediction and T1n read one unit n h^{1/2}
+    sigma^{-2} gamma^{-1} and one set of weights |Khat(j h)|^2."""
+    h = cfg.bandwidth(n)
+    unit = kernel_unit(cfg, n)
+    assert unit == pytest.approx(
+        n * math.sqrt(h) / (cfg.noise_sigma ** 2 * math.sqrt(cfg.kernel.gamma_sq)),
+        rel=1e-15)
+    form = kernel_form(cfg, n, 512)
+    assert form.unit == unit
+    shift = unit * t1n(_SIGNAL, cfg, n)
+    assert kernel_power_prediction(_SIGNAL, cfg, n) == float(
+        ndtr(cfg.x_alpha - shift))
+    # T1n is the form's weighted energy of the signal's coordinates.
+    theta = np.zeros(form.weights.size)
+    coords = kernel_coordinates(_SIGNAL)
+    theta[:coords.size] = coords
+    assert coords[0] == 0.0
+    assert form.unit * (form.weights @ np.square(theta)) == pytest.approx(
+        shift, rel=1e-13)
+
+
+def test_coordinates_refuse_one_dimensional_signals():
+    with pytest.raises(ValidationError, match="TrigFull"):
+        kernel_coordinates(SignalSpec(Basis.COSINE_PI, np.array([0.3])))
+    with pytest.raises(ValidationError, match="TrigFull"):
+        kernel_coordinates(np.array([0.0, 0.3, 0.4]))

@@ -553,3 +553,22 @@ def test_non_finite_inputs_rejected(run):
     not a rejection rate."""
     with pytest.raises(ValidationError, match="finite"):
         run(MCConfig(100, seed=0))
+
+
+@pytest.mark.parametrize("run, why", [
+    (lambda mc: kernel_rejections(mc, KCFG, 64, [None, SignalSpec(
+        Basis.COSINE_PI, np.array([0.3]))], KERNEL_J), "TrigFull"),
+    (lambda mc: kernel_rejections(mc, KCFG, 64, [None, SignalSpec(
+        Basis.TRIG_FULL, np.full((KERNEL_J + 1, 2), 0.1))], KERNEL_J),
+     f"beyond the {2 * KERNEL_J + 1} of the test"),
+    (lambda mc: fixed_rejections(mc, _FK, 2.0, [None, np.zeros(3)]),
+     r"shape \(2,\)"),
+    (lambda mc: quad_rejections(mc, QCFG, 64, [None, SignalSpec(
+        Basis.TRIG_FULL, np.array([[0.3, 0.4]]))]), "1-D-basis signal"),
+], ids=["kernel-1-d-signal", "kernel-past-J", "fixed-wrong-length",
+        "quad-trigfull"])
+def test_variant_errors_name_the_variant(run, why):
+    """Each family's coordinate map refuses the variant; the engine names
+    its index."""
+    with pytest.raises(ValidationError, match=f"variant 1: .*{why}"):
+        run(MCConfig(100, seed=0))

@@ -325,3 +325,22 @@ def test_fixed_bridge_weights_match_cvm_null_law():
     sample_cvm = cvm_null_sample(J, np.random.default_rng(2718), size=draws)
     ks = stats.ks_2samp(sample_fixed, sample_cvm)
     assert ks.pvalue > 0.01, ks
+
+
+@pytest.mark.parametrize("theta", [
+    SignalSpec(Basis.TRIG_FULL, np.array([[0.3, 0.4]])),
+    np.array([[0.3, 0.4]]),
+    np.array([0.3, math.nan]),
+], ids=["trigfull-signal", "2-d-array", "nan-entry"])
+def test_prediction_refuses_what_the_engine_refuses(theta):
+    """noncentrality, decide_and_predict and quad_rejections read one
+    coordinate map, so each refuses the same alternatives."""
+    from uniconsist.mclab import MCConfig, quad_rejections
+    prof = small_profile(J=64, n_list=(64,))
+    cfg = QuadTestConfig(profile=prof, alpha=0.05)
+    with pytest.raises(ValidationError):
+        noncentrality(theta, prof, 64)
+    with pytest.raises(ValidationError):
+        decide_and_predict(np.zeros(64), cfg, 64, theta=theta)
+    with pytest.raises(ValidationError, match="variant 1"):
+        quad_rejections(MCConfig(100), cfg, 64, [None, theta])
