@@ -10,6 +10,7 @@ from scipy import stats
 
 from uniconsist.cvm import cvm_null_sample
 from uniconsist.errors import AssumptionError, ValidationError
+from uniconsist.mclab import MCConfig, quad_rejections
 from uniconsist.quad import (FixedKappa, QuadTestConfig, build_profile,
                              cumulative_k, decide_and_predict,
                              fixed_kappa_statistic, gaussian_upper_quantile,
@@ -335,7 +336,6 @@ def test_fixed_bridge_weights_match_cvm_null_law():
 def test_prediction_refuses_what_the_engine_refuses(theta):
     """noncentrality, decide_and_predict and quad_rejections read one
     coordinate map, so each refuses the same alternatives."""
-    from uniconsist.mclab import MCConfig, quad_rejections
     prof = small_profile(J=64, n_list=(64,))
     cfg = QuadTestConfig(profile=prof, alpha=0.05)
     with pytest.raises(ValidationError):
