@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .funclasses import besov_seminorm
-from .quad import KappaProfile
+from .quad import KappaProfile, dimension_exponent
 from .reports import json_require, json_value
 from .rng import STREAM_FACTORY, substream
 from .signals import (DENSITY_TOL, Basis, SignalSpec, density_minimum,
@@ -35,55 +35,53 @@ MASS_PROFILES = ("lowest", "spread", "random")
 
 @dataclass(frozen=True)
 class FamilyRule:
-    """A test family's rate, canonical basis, and effective-dimension rule."""
+    """A test family's rate, canonical basis, and k_n ~ n^exponent rule."""
 
     name: str
     r: float
     basis: Basis
+    exponent: float
     k_of: object
+
+
+def _power_family(name: str, r: float, basis: Basis,
+                  exponent: float) -> FamilyRule:
+    """k_n = max(1, round(n^exponent))."""
+    return FamilyRule(name=name, r=r, basis=basis, exponent=exponent,
+                      k_of=lambda n: max(1, round(n ** exponent)))
 
 
 def quad_family(profile: KappaProfile) -> FamilyRule:
     """k_n from the profile's exact cumulative definition."""
     return FamilyRule(name="quad", r=profile.r, basis=Basis.COSINE_PI,
+                      exponent=dimension_exponent(profile.r),
                       k_of=lambda n: profile.k[n])
 
 
 def kernel_family(r: float) -> FamilyRule:
-    _check_rate(r)
-    return FamilyRule(name="kernel", r=r, basis=Basis.TRIG_FULL,
-                      k_of=lambda n: max(1, round(n ** (2.0 - 4.0 * r))))
+    return _power_family("kernel", r, Basis.TRIG_FULL, dimension_exponent(r))
 
 
 def chi2_family(r: float) -> FamilyRule:
-    _check_rate(r)
-    s = r / (2.0 - 4.0 * r)
-    return FamilyRule(name="chi2", r=r, basis=Basis.TRIG_FULL,
-                      k_of=lambda n: max(1, round(n ** (2.0 / (1.0 + 4.0 * s)))))
+    return _power_family("chi2", r, Basis.TRIG_FULL, dimension_exponent(r))
 
 
 def cvm_family(r: float) -> FamilyRule:
-    _check_rate(r)
-    return FamilyRule(name="cvm", r=r, basis=Basis.COSINE_PI,
-                      k_of=lambda n: max(1, round(n ** ((1.0 - 2.0 * r) / 2.0))))
+    """k_n ~ n^{(1-2r)/2}, a quarter of the quadratic families' exponent."""
+    return _power_family("cvm", r, Basis.COSINE_PI, dimension_exponent(r) / 4.0)
 
 
 def fixed_family() -> FamilyRule:
     """Boundary rate r = 1/2: fixed weights, constant effective dimension."""
-    return FamilyRule(name="fixed", r=0.5, basis=Basis.COSINE_PI, k_of=lambda n: 1)
-
-
-def _check_rate(r: float):
-    if not (0.0 < r < 0.5):
-        raise ValidationError("rate r must lie in (0, 1/2)")
+    return _power_family("fixed", 0.5, Basis.COSINE_PI, 0.0)
 
 
 def smoothness_of(family: FamilyRule) -> float:
-    """The smoothness s calibrated to the family's rate r."""
-    r = family.r
-    if family.name == "cvm":
-        return 2.0 * r / (1.0 - 2.0 * r)
-    return r / (2.0 - 4.0 * r)
+    """s = r / exponent, the smoothness calibrated to the family's rate r."""
+    if family.exponent == 0.0:
+        raise ValidationError("no smoothness is calibrated to a family whose "
+                              "k_n does not grow (exponent 0)")
+    return family.r / family.exponent
 
 
 @dataclass(frozen=True)
@@ -346,8 +344,9 @@ class ClassifyThresholds:
     C1: float = 4.0
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.eps, self.C1) <= 0:
-            raise ValidationError("thresholds must be positive")
+        values = (self.c1, self.c2, self.eps, self.C1)
+        if not all(0.0 < v < math.inf for v in values):
+            raise ValidationError("thresholds must be positive and finite")
         if self.c1 <= self.eps:
             raise ValidationError("need c1 > eps so the verdict classes are disjoint")
 

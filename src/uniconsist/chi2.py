@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ValidationError
-from .quad import gaussian_upper_quantile
+from .quad import dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
 from .signals import Basis, SignalSpec, cdf_offset, to_exponential
 
@@ -31,9 +31,9 @@ from .signals import Basis, SignalSpec, cdf_offset, to_exponential
 class Chi2Config:
     """Cell rule and level. One of ``m`` (fixed) or ``m_rule = (r, const)``.
 
-    The rule resolves m_n = round(const * n^{2/(1+4s)}) with s = r/(2-4r),
-    the calibration under which the cell count tracks the effective
-    dimension of the matched quadratic test.
+    The rule resolves m_n = round(const * n^{2-4r}), the calibration under
+    which the cell count tracks the effective dimension of the matched
+    quadratic test.
     """
 
     alpha: float
@@ -48,8 +48,9 @@ class Chi2Config:
             raise ValidationError("m must be at least 2")
         if self.m_rule is not None:
             r, const = self.m_rule
-            if not (0.0 < r < 0.5) or const <= 0.0:
-                raise ValidationError("m_rule requires 0 < r < 1/2 and const > 0")
+            dimension_exponent(r)
+            if not const > 0.0:
+                raise ValidationError(f"m_rule const must be positive, got {const!r}")
         object.__setattr__(self, "x_alpha", gaussian_upper_quantile(self.alpha))
 
     def cells(self, n: int | None = None) -> int:
@@ -61,8 +62,7 @@ class Chi2Config:
             if n is None:
                 raise ValidationError("m_rule needs n to resolve the cell count")
             r, const = self.m_rule
-            s = r / (2.0 - 4.0 * r)
-            m = int(round(const * float(n) ** (2.0 / (1.0 + 4.0 * s))))
+            m = int(round(const * float(n) ** dimension_exponent(r)))
             m = max(m, 2)
         if n is not None and m > n ** 2 / math.log(n):
             raise ValidationError(f"cell count m = {m} exceeds the n^2/log n guard")

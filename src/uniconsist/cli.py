@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -26,7 +27,7 @@ from .chi2 import Chi2Config
 from .chi2 import decide_and_predict as chi2_decide
 from .cvm import CvmNullTable, build_cvm_null_table, decide as cvm_decide
 from .errors import ThresholdError, UniconsistError, ValidationError
-from .funclasses import compactness_diagnostic, greedy_widths, set_from_json
+from .funclasses import compactness_diagnostic, set_from_json
 from .kernel import KernelObservations, KernelTestConfig, builtin_kernel
 from .kernel import decide_and_predict as kernel_decide
 from .quad import FixedKappa, QuadTestConfig, build_profile, fixed_kappa_statistic
@@ -81,6 +82,17 @@ def _profile_from(obj: dict):
     return build_profile(json_value(spec, "r"), json_value(spec, "gamma"),
                          json_value(spec, "c"), json_value(spec, "J", int),
                          json_array(spec, "n_list"))
+
+
+def _finite(text: str) -> float:
+    """argparse type of the float flags: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _print_json(payload: dict) -> None:
@@ -206,9 +218,8 @@ def cmd_widths(args) -> int:
     descriptor = _load_json(args.set)
     with _prefix(args.set):
         descriptor = set_from_json(descriptor)
-    seq = greedy_widths(descriptor, args.i_max)
     diag = compactness_diagnostic(descriptor, args.epsilon, args.i_max)
-    _print_json({"widths": [float(w) for w in seq.widths],
+    _print_json({"widths": [float(w) for w in diag.widths],
                  "epsilon": args.epsilon,
                  "first_index": diag.first_index,
                  "verdict": diag.verdict})
@@ -236,15 +247,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a serialized sequence")
     p.add_argument("--sequence", required=True, help="JSON sequence file")
-    p.add_argument("--c1", type=float, default=0.5)
-    p.add_argument("--c2", type=float, default=2.0)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--C1", type=float, default=4.0)
+    p.add_argument("--c1", type=_finite, default=0.5)
+    p.add_argument("--c2", type=_finite, default=2.0)
+    p.add_argument("--eps", type=_finite, default=0.05)
+    p.add_argument("--C1", type=_finite, default=4.0)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("nulltable", help="generate a null critical-value table")
     p.add_argument("family", choices=["cvm"])
-    p.add_argument("--alpha", type=float, nargs="+", required=True)
+    p.add_argument("--alpha", type=_finite, nargs="+", required=True)
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--j-null", type=int, default=1024)
@@ -254,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("widths", help="greedy approximation widths of a set")
     p.add_argument("--set", required=True, help="JSON set descriptor")
     p.add_argument("--i-max", type=int, default=16)
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--epsilon", type=_finite, default=0.01)
     p.set_defaults(fn=cmd_widths)
 
     return parser

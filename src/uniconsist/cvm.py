@@ -317,10 +317,10 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
         raise ValidationError("weights must be a nonempty 1-D array")
-    if np.any(weights < 0.0):
-        raise ValidationError("weights must be nonnegative")
+    if not np.all((weights >= 0.0) & (weights < np.inf)):
+        raise ValidationError("weights must be finite and nonnegative")
     alphas = np.asarray(sorted(float(a) for a in alphas))
-    if alphas.size == 0 or np.any((alphas <= 0) | (alphas >= 1)):
+    if alphas.size == 0 or not np.all((alphas > 0) & (alphas < 1)):
         raise ValidationError("alphas must lie in (0, 1)")
     if replicates < 100:
         raise ValidationError("at least 100 replicates required")
@@ -351,7 +351,10 @@ class CvmNullTable:
         if not (np.all((alphas > 0.0) & (alphas < 1.0))
                 and np.all(np.diff(alphas) > 0.0)):
             raise ValidationError("alphas must increase strictly within (0, 1)")
-        if np.any(np.diff(np.asarray(self.criticals)) > 0.0):
+        criticals = np.asarray(self.criticals, dtype=float)
+        if not np.all(np.isfinite(criticals)):
+            raise ValidationError("criticals must be finite")
+        if np.any(np.diff(criticals) > 0.0):
             raise ValidationError("criticals must decrease as alpha grows")
 
     def critical(self, alpha: float) -> float:

@@ -32,7 +32,7 @@ from scipy import optimize
 from scipy.special import ndtr
 
 from .errors import ValidationError
-from .quad import QuadraticForm, gaussian_upper_quantile
+from .quad import QuadraticForm, dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
 from .signals import Basis, NoiseModel, SignalSpec
 
@@ -224,7 +224,7 @@ class KernelTestConfig:
     """Kernel, bandwidth rule, and level.
 
     Exactly one of ``h`` (explicit bandwidth) or ``h_rule = (r, const)``
-    (bandwidth const * n^{4r-2}) must be given.
+    (bandwidth const * n^{-(2-4r)}) must be given.
     """
 
     kernel: Kernel
@@ -239,8 +239,9 @@ class KernelTestConfig:
             raise ValidationError("give exactly one of h or h_rule")
         if self.h_rule is not None:
             r, const = self.h_rule
-            if not (0.0 < r < 0.5) or const <= 0.0:
-                raise ValidationError("h_rule requires 0 < r < 1/2 and const > 0")
+            dimension_exponent(r)
+            if not const > 0.0:
+                raise ValidationError(f"h_rule const must be positive, got {const!r}")
         lo, hi = _SIGMA_BOUNDS
         if not lo <= self.noise_sigma <= hi:
             raise ValidationError(f"noise_sigma must lie in [{lo:g}, {hi:g}], "
@@ -254,7 +255,7 @@ class KernelTestConfig:
             if n is None:
                 raise ValidationError("h_rule needs n to resolve the bandwidth")
             r, const = self.h_rule
-            h = const * float(n) ** (4.0 * r - 2.0)
+            h = const * float(n) ** -dimension_exponent(r)
         if not (0.0 < h < 1.0):
             raise ValidationError(f"bandwidth {h!r} outside (0, 1)")
         return h

@@ -57,6 +57,13 @@ def gaussian_upper_quantile(alpha: float) -> float:
     return float(-ndtri(alpha))
 
 
+def dimension_exponent(r: float) -> float:
+    """2 - 4r: k_n, the chi2 cell count m_n and 1/h_n grow like n^{2-4r}."""
+    if not 0.0 < r < 0.5:
+        raise ValidationError(f"rate r must lie in (0, 1/2), got {r!r}")
+    return 2.0 - 4.0 * r
+
+
 def quad_coordinates(theta) -> np.ndarray:
     """theta_j of a SignalSpec or an array; TrigFull pairs (2-D) are refused."""
     arr = np.asarray(theta.coeffs if isinstance(theta, SignalSpec) else theta, dtype=float)
@@ -111,7 +118,7 @@ class KappaProfile:
 
     @property
     def beta_exponent(self) -> float:
-        return (2.0 - 4.0 * self.r) * self.gamma
+        return dimension_exponent(self.r) * self.gamma
 
     @property
     def lambda_exponent(self) -> float:
@@ -142,8 +149,7 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
     ``band_limit``: optional map n -> l_n activating the banded variant
     (weights zero above l_n, k_n := l_n, kappa_n^2 := kappa_n1^2).
     """
-    if not (0.0 < r < 0.5):
-        raise ValidationError("rate r must lie in (0, 1/2); r = 1/2 uses FixedKappa")
+    beta = dimension_exponent(r) * gamma
     if gamma <= 1.0:
         raise AssumptionError("A1", f"weight decay requires gamma > 1, got {gamma}")
     if c <= 0.0:
@@ -157,7 +163,6 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
     if not 2 <= J <= _J_MAX:
         raise ValidationError(f"J must lie in [2, {_J_MAX}], got {J}")
 
-    beta = (2.0 - 4.0 * r) * gamma
     lam = 2.0 - 2.0 * r - beta
     # j^gamma and n^beta are the largest powers in the weights.
     if not max(gamma * math.log(J),

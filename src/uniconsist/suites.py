@@ -13,7 +13,10 @@ strictly.
 
 Scaffold: ``run_suite`` is the one place that merges a config over its
 suite's defaults and builds the ``MCConfig`` (replicates, seed, threads);
-it then calls the registered ``fn(cfg, mc)``. A suite never sees the thread
+it then calls the registered ``fn(cfg, mc)`` and wraps the ``(passed,
+summary, tables)`` it returns in a ``SuiteResult`` under the registry name,
+with the config's ``thresholds`` section in the summary. A ``classify``
+section is checked before the suite runs. A suite never sees the thread
 count, so threads cannot reach anything but the engine.
 """
 
@@ -37,14 +40,14 @@ from .chi2 import Chi2Config, chi2_population, chi2_predicted_beta
 from .cvm import (_J_NULL_MAX, bridge_weights, cvm_consistency_index,
                   weighted_chisq_quantile)
 from .errors import ValidationError
-from .funclasses import EllipsoidSet, compactness_diagnostic, greedy_widths
+from .funclasses import EllipsoidSet, compactness_diagnostic
 from .kernel import (KernelTestConfig, builtin_kernel, half_level_radius,
                      inconsistency_bandwidths, kernel_unit, t1n)
 from .mclab import (MCConfig, chi2_rejections, estimate_columns,
                     fixed_rejections, paired_excess, power_row,
                     quad_rejections)
-from .quad import (FixedKappa, QuadTestConfig, build_profile, noncentrality,
-                   predict_beta)
+from .quad import (FixedKappa, QuadTestConfig, build_profile,
+                   dimension_exponent, noncentrality, predict_beta)
 from .reports import JSON_KINDS, write_csv
 from .rng import STREAM_FACTORY, substream
 from .signals import DensitySpec
@@ -138,6 +141,17 @@ def _quad_setup(q: dict, alpha: float):
     return profile, quad_family(profile), QuadTestConfig(profile, alpha)
 
 
+def _head(family, section: dict, n_list) -> AlternativeSequence:
+    """The consistent (head-concentrated) sequence a config section describes."""
+    return make_consistent(family, section["c2"], section["mass_profile"],
+                           n_list, section["norm_const"])
+
+
+def _verdict(seq: AlternativeSequence, cfg: dict) -> str:
+    """The classifier's verdict under the config's ``classify`` thresholds."""
+    return classify(seq, ClassifyThresholds(**cfg["classify"])).verdict
+
+
 def _paired_gap(rej: np.ndarray):
     """Column estimates, |power(col 2) - power(col 1)| and its paired SE."""
     pe = paired_excess(rej, 2, 1)
@@ -156,12 +170,11 @@ CONSISTENCY_DEFAULT = {
 }
 
 
-def _suite_consistency(cfg: dict, mc: MCConfig) -> SuiteResult:
+def _suite_consistency(cfg: dict, mc: MCConfig):
     q = cfg["quad"]
     alpha = cfg["alpha"]
     profile, family, test = _quad_setup(q, alpha)
-    seq = make_consistent(family, q["c2"], q["mass_profile"], q["n_list"],
-                          q["norm_const"])
+    seq = _head(family, q, q["n_list"])
     rows = []
     for n in seq.n_list:
         r_n = noncentrality(seq.signals[n], profile, n)
@@ -177,13 +190,12 @@ def _suite_consistency(cfg: dict, mc: MCConfig) -> SuiteResult:
                        cfg["thresholds"]["power_band"])
     rows[-1][5:] = [size_est.estimate, emp_beta_largest, report["abs_gap"],
                     report["within_band"]]
-    verdict = classify(seq, ClassifyThresholds(**cfg["classify"])).verdict
+    verdict = _verdict(seq, cfg)
     beta_ok = emp_beta_largest <= 1.0 - alpha - cfg["thresholds"]["beta_margin"]
     consistent = ("consistent-witness", "purely-consistent-witness")
     passed = bool(beta_ok and verdict in consistent)
     summary = {
         "family": "quad",
-        "thresholds": cfg["thresholds"],
         "verdict": verdict,
         "empirical_beta_largest_n": emp_beta_largest,
         "beta_requirement": 1.0 - alpha - cfg["thresholds"]["beta_margin"],
@@ -192,8 +204,7 @@ def _suite_consistency(cfg: dict, mc: MCConfig) -> SuiteResult:
     }
     columns = ("n", "k_n", "R_n", "A_n", "predicted_beta",
                "empirical_alpha", "empirical_beta", "abs_gap", "within_band")
-    return SuiteResult(name="consistency", passed=passed, summary=summary,
-                       tables={"consistency_power": (columns, rows)})
+    return passed, summary, {"consistency_power": (columns, rows)}
 
 
 INCONSISTENCY_DEFAULT = {
@@ -211,7 +222,7 @@ INCONSISTENCY_DEFAULT = {
 }
 
 
-def _suite_inconsistency(cfg: dict, mc: MCConfig) -> SuiteResult:
+def _suite_inconsistency(cfg: dict, mc: MCConfig):
     q = cfg["quad"]
     alpha = cfg["alpha"]
     profile, family, test = _quad_setup(q, alpha)
@@ -228,7 +239,7 @@ def _suite_inconsistency(cfg: dict, mc: MCConfig) -> SuiteResult:
         excesses.append(excess)
         quad_rows.append([n, profile.k[n], spike, r_n, size_est.estimate,
                           power_est.estimate, excess])
-    verdict = classify(seq, ClassifyThresholds(**cfg["classify"])).verdict
+    verdict = _verdict(seq, cfg)
 
     cv = cfg["cvm"]
     cseq = make_inconsistent(cvm_family(cv["r"]), cv["schedule"],
@@ -249,7 +260,6 @@ def _suite_inconsistency(cfg: dict, mc: MCConfig) -> SuiteResult:
         and verdict == "inconsistent-witness"
         and gate["ok"])
     summary = {
-        "thresholds": cfg["thresholds"],
         "verdict": verdict,
         "quad_noncentralities": r_values,
         "quad_power_excess_largest_n": excesses[-1],
@@ -257,16 +267,13 @@ def _suite_inconsistency(cfg: dict, mc: MCConfig) -> SuiteResult:
         "g1_gate": gate,
         "pairing": "variants share the replicate xi vector",
     }
-    return SuiteResult(
-        name="inconsistency", passed=passed, summary=summary,
-        tables={
-            "inconsistency_quad": (
-                ("n", "k_n", "spike", "R_n", "empirical_alpha",
-                 "empirical_power", "excess_vs_alpha"), quad_rows),
-            "inconsistency_cvm": (
-                ("n", "k_n", "spike", "consistency_index", "g1_value"),
-                cvm_rows),
-        })
+    return passed, summary, {
+        "inconsistency_quad": (
+            ("n", "k_n", "spike", "R_n", "empirical_alpha",
+             "empirical_power", "excess_vs_alpha"), quad_rows),
+        "inconsistency_cvm": (
+            ("n", "k_n", "spike", "consistency_index", "g1_value"), cvm_rows),
+    }
 
 
 INTERACTION_DEFAULT = {
@@ -288,9 +295,8 @@ INTERACTION_DEFAULT = {
 
 def _head_plus_spike(family, section: dict, n_list):
     """The head sequence of a section and its head-plus-spike combination."""
-    h, sp = section["head"], section["spike"]
-    head = make_consistent(family, h["c2"], h["mass_profile"], n_list,
-                           h["norm_const"])
+    sp = section["spike"]
+    head = _head(family, section["head"], n_list)
     spike = make_inconsistent(family, sp["schedule"], n_list, sp["norm_const"])
     return head, combine(head, spike, kind="head-plus-spike")
 
@@ -344,14 +350,13 @@ _INTERACTION = {
 }
 
 
-def _suite_interaction(cfg: dict, mc: MCConfig) -> SuiteResult:
+def _suite_interaction(cfg: dict, mc: MCConfig):
     names, families = list(_INTERACTION), cfg["families"]
     if not (families and all(f in names for f in families)):
         raise ValidationError("interaction families must be a non-empty "
                               f"subset of {names}, got {families!r}")
     tables = {}
-    summary = {"thresholds": cfg["thresholds"],
-               "pairing": "head and head-plus-spike share replicate noise"}
+    summary = {"pairing": "head and head-plus-spike share replicate noise"}
     passed = True
     for name, (rows_of, columns) in _INTERACTION.items():
         if name not in families:
@@ -364,8 +369,7 @@ def _suite_interaction(cfg: dict, mc: MCConfig) -> SuiteResult:
                          "passed": ok}
         passed = passed and ok
         tables[f"interaction_{name}"] = (columns, rows)
-    return SuiteResult(name="interaction", passed=passed,
-                       summary=summary, tables=tables)
+    return passed, summary, tables
 
 
 PURITY_DEFAULT = {
@@ -399,22 +403,20 @@ def _tail(profile, family, n_list, position_factor: float, amplitude,
         metadata={"position_factor": position_factor})
 
 
-def _suite_purity(cfg: dict, mc: MCConfig) -> SuiteResult:
+def _suite_purity(cfg: dict, mc: MCConfig):
     q = cfg["quad"]
-    th = ClassifyThresholds(**cfg["classify"])
     profile, family, test = _quad_setup(q, cfg["alpha"])
-    head = make_consistent(family, q["head"]["c2"], q["head"]["mass_profile"],
-                           q["n_list"], q["head"]["norm_const"])
+    head = _head(family, q["head"], q["n_list"])
     delta_target = cfg["tail"]["delta_target"]
     tail = _tail(profile, family, q["n_list"], cfg["tail"]["position_factor"],
                  lambda n, kap: math.sqrt(delta_target / (float(n) ** 2 * kap)),
                  kind="delta-tail")
     comb = combine(head, tail, kind="head-plus-delta-tail")
     eps_norm = math.sqrt(cfg["pure_tail"]["mass_eps"])
-    pure = combine(head, _tail(profile, family, q["n_list"], th.C1,
-                               lambda n, kap: eps_norm * float(n) ** (-family.r),
-                               kind="far-mass-tail"),
-                   kind="purely-consistent")
+    far = _tail(profile, family, q["n_list"], cfg["classify"]["C1"],
+                lambda n, kap: eps_norm * float(n) ** (-family.r),
+                kind="far-mass-tail")
+    pure = combine(head, far, kind="purely-consistent")
     rows, gaps = [], []
     gap_ok = True
     for n in q["n_list"]:
@@ -429,8 +431,8 @@ def _suite_purity(cfg: dict, mc: MCConfig) -> SuiteResult:
             gap_ok = gap_ok and gap <= cfg["thresholds"]["gap"]
         rows.append([n, profile.k[n], delta, bound, ests[1].estimate,
                      ests[2].estimate, gap, se])
-    comb_verdict = classify(comb, th).verdict
-    pure_verdict = classify(pure, th).verdict
+    comb_verdict = _verdict(comb, cfg)
+    pure_verdict = _verdict(pure, cfg)
     tq12_rows = []
     tq12_ok = True
     for n in q["n_list"]:
@@ -444,7 +446,6 @@ def _suite_purity(cfg: dict, mc: MCConfig) -> SuiteResult:
     passed = bool(gap_ok and comb_verdict == "consistent-witness"
                   and pure_verdict == "purely-consistent-witness" and tq12_ok)
     summary = {
-        "thresholds": cfg["thresholds"],
         "gaps": gaps,
         "combined_verdict": comb_verdict,
         "pure_verdict": pure_verdict,
@@ -454,8 +455,7 @@ def _suite_purity(cfg: dict, mc: MCConfig) -> SuiteResult:
     }
     columns = ("n", "k_n", "delta", "predicted_gap_bound", "power_head",
                "power_full", "empirical_gap", "paired_se")
-    return SuiteResult(name="purity", passed=passed, summary=summary,
-                       tables={"purity_power": (columns, rows)})
+    return passed, summary, {"purity_power": (columns, rows)}
 
 
 # In both fixed-weight suites "table_replicates" is read by nothing: the
@@ -484,7 +484,7 @@ def _fixed_critical(cfg: dict) -> tuple[FixedKappa, float]:
     return fk, weighted_chisq_quantile(cfg["alpha"], fk.kappa_sq)
 
 
-def _suite_compactness(cfg: dict, mc: MCConfig) -> SuiteResult:
+def _suite_compactness(cfg: dict, mc: MCConfig):
     alpha = cfg["alpha"]
     L = cfg["L"]
     fk, critical = _fixed_critical(cfg)
@@ -511,12 +511,11 @@ def _suite_compactness(cfg: dict, mc: MCConfig) -> SuiteResult:
 
     w = cfg["widths"]
     axes = 0.5 ** np.arange(1, w["dim"] + 1)
-    seq = greedy_widths(EllipsoidSet(axes), w["i_max"])
+    diag = compactness_diagnostic(EllipsoidSet(axes), w["epsilon"], w["i_max"])
     expected = np.zeros(w["i_max"])
     expected[:w["dim"]] = np.sort(axes)[::-1]
-    width_err = float(np.max(np.abs(seq.widths - expected)))
-    diag = compactness_diagnostic(EllipsoidSet(axes), w["epsilon"], w["i_max"])
-    width_rows = [[i + 1, float(seq.widths[i]), float(expected[i])]
+    width_err = float(np.max(np.abs(diag.widths - expected)))
+    width_rows = [[i + 1, float(diag.widths[i]), float(expected[i])]
                   for i in range(w["i_max"])]
     widths_ok = (width_err <= cfg["thresholds"]["width_tol"]
                  and diag.first_index == w["expected_first_index"])
@@ -525,7 +524,6 @@ def _suite_compactness(cfg: dict, mc: MCConfig) -> SuiteResult:
                   and final_excess <= cfg["thresholds"]["final_excess"]
                   and widths_ok)
     summary = {
-        "thresholds": cfg["thresholds"],
         "critical": critical,
         "empirical_size": ests[0].estimate,
         "powers": powers,
@@ -536,15 +534,12 @@ def _suite_compactness(cfg: dict, mc: MCConfig) -> SuiteResult:
         "widths_verdict": diag.verdict,
         "pairing": "all spikes share the replicate xi vector",
     }
-    return SuiteResult(
-        name="compactness", passed=passed, summary=summary,
-        tables={
-            "compactness_power": (
-                ("spike_index", "kappa_sq", "shift", "power", "ci_lo",
-                 "ci_hi", "excess_vs_size", "paired_se"), rows),
-            "compactness_widths": (
-                ("i", "width", "expected"), width_rows),
-        })
+    return passed, summary, {
+        "compactness_power": (
+            ("spike_index", "kappa_sq", "shift", "power", "ci_lo", "ci_hi",
+             "excess_vs_size", "paired_se"), rows),
+        "compactness_widths": (("i", "width", "expected"), width_rows),
+    }
 
 
 UNBIASEDNESS_DEFAULT = {
@@ -559,7 +554,7 @@ UNBIASEDNESS_DEFAULT = {
 }
 
 
-def _suite_unbiasedness(cfg: dict, mc: MCConfig) -> SuiteResult:
+def _suite_unbiasedness(cfg: dict, mc: MCConfig):
     L = cfg["L"]
     fk, critical = _fixed_critical(cfg)
     support = cfg["shift_support"]
@@ -590,9 +585,7 @@ def _suite_unbiasedness(cfg: dict, mc: MCConfig) -> SuiteResult:
     }
     columns = ("shift", "noncentrality", "power", "size", "excess",
                "paired_se", "ok")
-    return SuiteResult(name="unbiasedness", passed=bool(all_ok),
-                       summary=summary,
-                       tables={"unbiasedness_shifts": (columns, rows)})
+    return bool(all_ok), summary, {"unbiasedness_shifts": (columns, rows)}
 
 
 MAXISET_DEFAULT = {
@@ -608,19 +601,17 @@ MAXISET_DEFAULT = {
 }
 
 
-def _suite_maxiset(cfg: dict, mc: MCConfig) -> SuiteResult:
+def _suite_maxiset(cfg: dict, mc: MCConfig):
     q = cfg["quad"]
     alpha = cfg["alpha"]
     r = q["r"]
-    s = r / (2.0 - 4.0 * r)
+    s = r / dimension_exponent(r)
     n_list = spike_tail_schedule(r, s, cfg["m_list"], cfg["C_list"],
                                  cfg["norm_const"])
     J = max(4 * max(n_list), max(cfg["m_list"]) + 32)
-    profile = build_profile(r, q["gamma"], q["c"], J, n_list)
-    family = quad_family(profile)
+    profile, family, test = _quad_setup({**q, "J": J, "n_list": n_list}, alpha)
     seq = make_spike_tail(family, cfg["m_list"], cfg["C_list"],
                           cfg["norm_const"])
-    test = QuadTestConfig(profile, alpha)
     rows, excesses, ses, r_values = [], [], [], []
     seminorms = seq.metadata["seminorms"]
     for pos, n in enumerate(seq.n_list):
@@ -659,7 +650,6 @@ def _suite_maxiset(cfg: dict, mc: MCConfig) -> SuiteResult:
         and excesses[-1] <= cfg["thresholds"]["final_excess"]
         and _strictly_decreasing(kernel_shifts))
     summary = {
-        "thresholds": cfg["thresholds"],
         "smoothness": s,
         "n_schedule": [int(n) for n in seq.n_list],
         "seminorms": list(seminorms),
@@ -669,15 +659,12 @@ def _suite_maxiset(cfg: dict, mc: MCConfig) -> SuiteResult:
         "kernel_shifts": kernel_shifts,
         "pairing": "spike and null share the replicate xi vector",
     }
-    return SuiteResult(
-        name="maxiset-counterexample", passed=passed, summary=summary,
-        tables={
-            "maxiset_quad": (
-                ("n", "m", "k_n", "seminorm", "R_n", "empirical_alpha",
-                 "empirical_power", "excess_vs_size", "paired_se"), rows),
-            "maxiset_kernel": (
-                ("n", "m", "h", "T1n", "shift"), kernel_rows),
-        })
+    return passed, summary, {
+        "maxiset_quad": (
+            ("n", "m", "k_n", "seminorm", "R_n", "empirical_alpha",
+             "empirical_power", "excess_vs_size", "paired_se"), rows),
+        "maxiset_kernel": (("n", "m", "h", "T1n", "shift"), kernel_rows),
+    }
 
 
 SUITES = {
@@ -700,8 +687,13 @@ def default_config(name: str) -> dict:
 
 def run_suite(name: str, config: dict | None = None,
               threads: int = 1) -> SuiteResult:
-    """Execute a registered suite: merge the config, build MCConfig, run."""
+    """Execute a registered suite: merge the config, build MCConfig, run, wrap."""
     cfg = merge_config(default_config(name), config)
     mc = MCConfig(replicates=cfg["replicates"], seed=cfg["seed"],
                   threads=threads)
-    return SUITES[name][0](cfg, mc)
+    if "classify" in cfg:  # refuse bad thresholds before the Monte Carlo run
+        ClassifyThresholds(**cfg["classify"])
+    passed, summary, tables = SUITES[name][0](cfg, mc)
+    if "thresholds" in cfg:
+        summary["thresholds"] = cfg["thresholds"]
+    return SuiteResult(name=name, passed=passed, summary=summary, tables=tables)

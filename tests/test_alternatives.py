@@ -15,9 +15,11 @@ from uniconsist.alternatives import (AlternativeSequence, ClassifyThresholds,
                                      make_spike_tail, quad_family,
                                      sequence_from_json, smoothness_of,
                                      spike_tail_schedule)
+from uniconsist.chi2 import Chi2Config
 from uniconsist.errors import DensityError, ValidationError
 from uniconsist.funclasses import besov_seminorm
-from uniconsist.quad import build_profile
+from uniconsist.kernel import KernelTestConfig, builtin_kernel
+from uniconsist.quad import build_profile, dimension_exponent
 from uniconsist.signals import DENSITY_TOL, Basis, DensitySpec, SignalSpec
 
 N_LIST = (64, 256, 1024, 4096)
@@ -347,3 +349,57 @@ def test_alternative_sequence_envelope_enforced():
     with pytest.raises(ValidationError):
         AlternativeSequence(family=cvm_fam(), n_list=(64,), signals={},
                             norm_lo=1.0, norm_hi=1.0, kind="raw")
+
+
+# One calibration: every family's rate check and exponent come from
+# quad.dimension_exponent, so k_n, the chi2 cell count and the kernel
+# bandwidth cannot drift apart.
+
+_BAD_RATES = [0.0, 0.5, math.nan, -0.1]
+
+
+@pytest.mark.parametrize("entry", [
+    dimension_exponent, kernel_family, chi2_family, cvm_family,
+    lambda r: Chi2Config(0.05, m_rule=(r, 1.0)),
+    lambda r: KernelTestConfig(kernel=builtin_kernel("box"), alpha=0.05,
+                               h_rule=(r, 1.0)),
+    lambda r: build_profile(r=r, gamma=2.0, c=1.0, J=64, n_list=[64]),
+], ids=["dimension_exponent", "kernel_family", "chi2_family", "cvm_family",
+        "Chi2Config", "KernelTestConfig", "build_profile"])
+@pytest.mark.parametrize("r", _BAD_RATES, ids=["0", "0.5", "NaN", "-0.1"])
+def test_every_rate_entry_refuses_r_outside_open_half(entry, r):
+    with pytest.raises(ValidationError, match="rate r must lie in"):
+        entry(r)
+
+
+def test_fixed_family_has_no_smoothness():
+    with pytest.raises(ValidationError, match="exponent 0"):
+        smoothness_of(fixed_family())
+    with pytest.raises(ValidationError, match="exponent 0"):
+        make_spike_tail(fixed_family(), [4, 8], [1.0, 2.0])
+
+
+def test_smoothness_is_rate_over_exponent():
+    for fam in (kernel_family(0.3), chi2_family(0.3), cvm_family(0.3)):
+        assert smoothness_of(fam) == fam.r / fam.exponent
+    prof = build_profile(r=0.3, gamma=2.0, c=1.0, J=64, n_list=[64])
+    assert quad_family(prof).exponent == dimension_exponent(0.3) == 2.0 - 1.2
+    assert cvm_family(0.3).exponent == (1.0 - 0.6) / 2.0
+    assert fixed_family().exponent == 0.0
+
+
+@pytest.mark.parametrize("r", np.linspace(0.125, 0.45, 27).tolist())
+def test_family_k_n_matches_cells_and_inverse_bandwidth(r):
+    cells = Chi2Config(0.05, m_rule=(r, 1.0))
+    kernel = KernelTestConfig(kernel=builtin_kernel("box"), alpha=0.05,
+                              h_rule=(r, 1.0))
+    for n in (16, 64, 100, 1000, 4096, 65536):
+        assert chi2_family(r).k_of(n) == cells.cells(n)
+        assert kernel_family(r).k_of(n) == round(1.0 / kernel.bandwidth(n))
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "eps", "C1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_thresholds_refuse_non_finite(name, value):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        ClassifyThresholds(**{name: value})

@@ -635,3 +635,25 @@ def test_cvm_table_alphas_must_increase_within_unit_interval(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith(f"error: {path}") and "alphas must increase" in err
+
+
+_FLOAT_FLAGS = [
+    (["classify", "--sequence", "seq.json"], "--c1"),
+    (["classify", "--sequence", "seq.json"], "--c2"),
+    (["classify", "--sequence", "seq.json"], "--eps"),
+    (["classify", "--sequence", "seq.json"], "--C1"),
+    (["nulltable", "cvm", "--replicates", "200"], "--alpha"),
+    (["widths", "--set", "set.json"], "--epsilon"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag", _FLOAT_FLAGS,
+                         ids=[flag for _, flag in _FLOAT_FLAGS])
+def test_non_finite_float_flag_exits_2(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2, err
+    assert f"argument {flag}: expected a finite number" in err
+    assert "Traceback" not in err

@@ -290,3 +290,24 @@ def test_null_table_quantile_within_binomial_ci_of_exact(seed):
     z = stats.norm.isf(0.0005)
     size = weighted_chisq_sf(crit[0], w)
     assert abs(size - alpha) <= z * math.sqrt(alpha * (1.0 - alpha) / n)
+
+
+@pytest.mark.parametrize("critical", [math.nan, math.inf, -math.inf])
+def test_null_table_refuses_non_finite_critical(critical):
+    with pytest.raises(ValidationError, match="criticals must be finite"):
+        CvmNullTable(alphas=(0.05,), criticals=(critical,),
+                     J_null=64, replicates=2000, seed=1)
+    with pytest.raises(ValidationError, match="criticals must be finite"):
+        CvmNullTable(alphas=(0.05, 0.1), criticals=(critical, 0.1),
+                     J_null=64, replicates=2000, seed=1)
+
+
+def test_weighted_null_quantiles_refuses_nan_alpha_and_infinite_weight():
+    with pytest.raises(ValidationError, match="alphas"):
+        weighted_null_quantiles(np.array([0.1, 0.2]), [math.nan], 200, seed=0)
+    with pytest.raises(ValidationError, match="alphas"):
+        weighted_null_quantiles(np.array([0.1, 0.2]), [0.05, math.nan], 200,
+                                seed=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="weights"):
+            weighted_null_quantiles(np.array([0.1, bad]), [0.05], 200, seed=0)

@@ -13,8 +13,9 @@ from uniconsist.errors import ValidationError
 from uniconsist.mclab import MCConfig, fixed_rejections
 from uniconsist.quad import FixedKappa
 from uniconsist.rng import STREAM_FACTORY, substream
-from uniconsist.suites import (INTERACTION_DEFAULT, SUITES, default_config,
-                               merge_config, run_suite, write_result)
+from uniconsist.suites import (INTERACTION_DEFAULT, SUITES, SuiteResult,
+                               default_config, merge_config, run_suite,
+                               write_result)
 
 SMOKE = {
     "consistency": {"replicates": 400},
@@ -78,6 +79,25 @@ def test_default_config_copies():
 def test_unknown_suite_rejected():
     with pytest.raises(ValidationError):
         run_suite("no-such-suite")
+
+
+@pytest.mark.parametrize("name", ["consistency", "inconsistency", "purity"])
+def test_bad_classify_section_refused_before_the_suite_runs(name, monkeypatch):
+    def never(cfg, mc):
+        raise AssertionError("the suite ran with a bad classify section")
+    monkeypatch.setitem(SUITES, name, (never, SUITES[name][1]))
+    with pytest.raises(ValidationError, match="c1 > eps"):
+        run_suite(name, {"classify": {"c1": 0.01}})
+
+
+def test_run_suite_builds_the_envelope(monkeypatch):
+    for name in ("purity", "unbiasedness"):
+        monkeypatch.setitem(SUITES, name, (lambda cfg, mc: (True, {"x": 1}, {}),
+                                           SUITES[name][1]))
+    purity = run_suite("purity", {"thresholds": {"gap": 0.5}})
+    assert purity == SuiteResult(
+        "purity", True, {"x": 1, "thresholds": {"gap": 0.5, "delta_max": 0.1}}, {})
+    assert run_suite("unbiasedness") == SuiteResult("unbiasedness", True, {"x": 1}, {})
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE))
