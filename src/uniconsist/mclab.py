@@ -11,16 +11,19 @@ xi vector in the sequence model, the uniform sample in the i.i.d. model),
 so variant contrasts are common-random-number comparisons.
 
 Loop contract: every family's ``*_rejections`` supplies only its noise draw
-(a method call on the replicate's generator that fills one row in place),
-the noise scale, and its ``reject_block`` callable, which returns a block
-of noise rows' whole (rows x variants) decision matrix. Pairing and
-determinism come from the single block loop ``_rejections``, which fills
-each block from the substreams and hands it to ``reject_block`` once.
+(a method call on the replicate's generator that fills one row in place)
+and its ``reject_block`` callable, which returns a block of noise rows'
+whole (rows x variants) decision matrix. Pairing and determinism come from
+the single block loop ``_rejections``, which fills each block from the
+substreams, unscaled, and hands it to ``reject_block`` once.
 quad, kernel and fixed take their coordinate map and their
 :class:`~uniconsist.quad.QuadraticForm` from the family module; ``_rows``
-packs the variants and ``_form_rejections`` scores them all with one GEMM
-per block (``weighted_square_sums``). chi2 and cvm score a block one
-variant column at a time (``_per_column``).
+packs the variants and ``_form_rejections`` scores every variant of one or
+more forms on the same coordinates from one block, folding each form's
+noise scale into its weights (``weighted_square_sums``). A quad sweep
+(:func:`quad_sweep`) is one such call: the profile's J is the same at every
+n, so replicate i's xi is drawn once for all of them. chi2 and cvm score a
+block one variant column at a time (``_per_column``).
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
 from .cvm import CvmNullTable, cvm_statistic
 from .errors import ValidationError
 from .kernel import KernelTestConfig, kernel_coordinates, kernel_form
-from .quad import (FixedKappa, QuadraticForm, QuadTestConfig, quad_coordinates,
+from .quad import (FixedKappa, QuadTestConfig, quad_coordinates,
                    weighted_square_sums)
-from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, substream
+from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, check_seed, substream
 from .signals import DensitySpec, SignalSpec, cdf_offset, invert_cdf
 
 BLOCK_ROWS = 512
@@ -51,10 +54,15 @@ class MCConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("replicates", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 100:
             raise ValidationError("replicates must be at least 100")
         if self.threads < 1:
             raise ValidationError("threads must be at least 1")
+        check_seed(self.seed)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -114,13 +122,12 @@ def power_row(n: int, empirical_alpha: float, empirical_beta: float,
             "abs_gap": gap, "within_band": bool(gap <= band)}
 
 
-def _rejections(mc: MCConfig, stream: int, width: int, draw, scale,
+def _rejections(mc: MCConfig, stream: int, width: int, draw,
                 reject_block) -> np.ndarray:
     """The one block loop behind every family's rejection matrix.
 
     Row i of a block is filled in place by
-    ``draw(substream(seed, stream, i), row)``, a length ``width`` noise row,
-    and the block is then multiplied by ``scale`` (None: kept as drawn).
+    ``draw(substream(seed, stream, i), row)``, a length ``width`` noise row.
     ``reject_block(block)`` returns the block's (rows x variants) decisions;
     it may overwrite the block, which is not used again.
     """
@@ -129,8 +136,6 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw, scale,
         noise = np.empty((hi - lo, width))
         for row, i in zip(noise, range(lo, hi)):
             draw(substream(mc.seed, stream, i), row)
-        if scale is not None:
-            noise *= scale
         return reject_block(noise)
 
     starts = range(0, mc.replicates, BLOCK_ROWS)
@@ -178,31 +183,87 @@ def _rows(variants, size: int, coordinates) -> np.ndarray:
     return rows
 
 
-def _form_rejections(mc: MCConfig, form: QuadraticForm, critical: float,
-                     rows: np.ndarray) -> np.ndarray:
-    """Decisions unit (Sum w y^2 - center) > critical on y = row + scale xi."""
-    def reject_block(noise):
-        return form.unit * (weighted_square_sums(noise, rows, form.weights)
-                            - form.center) > critical
+def _fold(tests) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and weights of every ``(form, critical, rows)`` of ``tests``, each
+    form's noise scale s folded in: Sum w (theta + s xi)^2 equals
+    Sum (w s^2) (theta / s + xi)^2, so ``weighted_square_sums(xi, *_fold(tests))``
+    scores unscaled noise for every (form, variant) column.
 
-    return _rejections(mc, STREAM_SEQUENCE_MODEL, form.weights.size, _normals,
-                       form.scale, reject_block)
+    The forms must share their coordinate count. One form keeps one weight
+    vector; several give each row its form's weights.
+    """
+    width = tests[0][0].weights.size
+    for k, (form, _, _) in enumerate(tests):
+        if form.weights.size != width:
+            raise ValidationError(
+                f"forms scored together must share their coordinates: form {k} "
+                f"has {form.weights.size}, form 0 has {width}")
+    rows = np.concatenate([rows / form.scale for form, _, rows in tests])
+    w = [form.weights * np.square(form.scale) for form, _, _ in tests]
+    if len(w) == 1:
+        return rows, w[0]
+    return rows, np.concatenate([np.broadcast_to(wf, r.shape)
+                                 for wf, (_, _, r) in zip(w, tests)])
+
+
+def _form_rejections(mc: MCConfig, tests) -> list[np.ndarray]:
+    """One decision matrix per ``(form, critical, rows)`` of ``tests``:
+    unit (Sum w y^2 - center) > critical on y = row + scale xi.
+
+    One unscaled xi per replicate serves every form (:func:`_fold`); per
+    block, ``weighted_square_sums`` gives the sums of every column from one
+    GEMM for the cross terms and one on the block squared in place.
+    """
+    rows, w = _fold(tests)
+    bounds = np.cumsum([0] + [r.shape[0] for _, _, r in tests])
+    spans = list(zip(bounds[:-1], bounds[1:]))
+
+    def reject_block(noise):
+        sums = weighted_square_sums(noise, rows, w)
+        out = np.empty(sums.shape, dtype=bool)
+        for (form, critical, _), (lo, hi) in zip(tests, spans):
+            out[:, lo:hi] = form.unit * (sums[:, lo:hi] - form.center) > critical
+        return out
+
+    rej = _rejections(mc, STREAM_SEQUENCE_MODEL, rows.shape[1], _normals,
+                      reject_block)
+    return [rej[:, lo:hi] for lo, hi in spans]
+
+
+def quad_sweep(mc: MCConfig, config: QuadTestConfig,
+               variants_by_n) -> dict[int, np.ndarray]:
+    """Rejection matrix of the quadratic test at every n of ``variants_by_n``
+    (n -> theta variants), one column per variant.
+
+    Every n of a profile has the profile's J coordinates, so each
+    replicate's xi is drawn once and scored at every n; each matrix equals
+    the one :func:`quad_rejections` gives at its n alone.
+    """
+    if not variants_by_n:
+        raise ValidationError("a quad sweep needs at least one n")
+    tests = []
+    for n, thetas in variants_by_n.items():
+        form = config.profile.form(n)
+        try:
+            rows = _rows(thetas, form.weights.size, quad_coordinates)
+        except ValidationError as exc:
+            raise ValidationError(f"n = {n}: {exc}") from None
+        tests.append((form, config.x_alpha, rows))
+    return dict(zip(variants_by_n, _form_rejections(mc, tests)))
 
 
 def quad_rejections(mc: MCConfig, config: QuadTestConfig, n: int,
                     thetas) -> np.ndarray:
     """Rejection matrix of the quadratic test; one column per theta variant."""
-    form = config.profile.form(n)
-    return _form_rejections(mc, form, config.x_alpha,
-                            _rows(thetas, form.weights.size, quad_coordinates))
+    return quad_sweep(mc, config, {n: thetas})[n]
 
 
 def kernel_rejections(mc: MCConfig, config: KernelTestConfig, n: int,
                       thetas, J: int) -> np.ndarray:
     """Rejection matrix of the kernel test; one column per theta variant."""
     form = kernel_form(config, n, J)
-    return _form_rejections(mc, form, config.x_alpha,
-                            _rows(thetas, form.weights.size, kernel_coordinates))
+    return _form_rejections(mc, [(form, config.x_alpha, _rows(
+        thetas, form.weights.size, kernel_coordinates))])[0]
 
 
 def _densities(variants) -> list:
@@ -226,7 +287,7 @@ def chi2_rejections(mc: MCConfig, config: Chi2Config, n: int,
                 cell_statistic(np.searchsorted(cut, u, side="right"), m))
         return chi2_standardize(stat, m) > config.x_alpha
 
-    return _rejections(mc, STREAM_IID, n, _uniforms, None,
+    return _rejections(mc, STREAM_IID, n, _uniforms,
                        _per_column(cuts, reject))
 
 
@@ -239,7 +300,7 @@ def cvm_rejections(mc: MCConfig, table: CvmNullTable, alpha: float, n: int,
         return cvm_statistic(
             u if density is None else invert_cdf(density, u)) > critical
 
-    return _rejections(mc, STREAM_IID, n, _uniforms, None,
+    return _rejections(mc, STREAM_IID, n, _uniforms,
                        _per_column(_densities(densities), reject))
 
 
@@ -285,5 +346,5 @@ def fixed_rejections(mc: MCConfig, fk: FixedKappa, critical: float,
     """Rejection matrix of the fixed-weight test; one column per shift."""
     if not math.isfinite(critical):
         raise ValidationError(f"critical value {critical!r} must be finite")
-    return _form_rejections(mc, fk.form(), critical,
-                            _rows(etas, fk.L, fk.coordinates))
+    return _form_rejections(mc, [(fk.form(), critical,
+                                  _rows(etas, fk.L, fk.coordinates))])[0]

@@ -1,8 +1,9 @@
 """Quadratic sequence-model tests with scaled weight profiles.
 
 Each test here, and the kernel test, is one :class:`QuadraticForm`, read
-alike by its ``statistic``, the engine's :func:`weighted_square_sums` and
-the exact law cvm.weighted_chisq_sf(center + t / unit, w scale^2, theta / scale);
+alike by its ``statistic``, the exact law cvm.weighted_chisq_sf(center +
+t / unit, w scale^2, theta / scale) and the engine, which draws xi unscaled
+and scores Sum (w scale^2) (theta / scale + xi)^2 (:func:`weighted_square_sums`);
 ``noncentrality`` and the engine read one coordinate map, ``quad_coordinates``.
 
 The quad test at n (``KappaProfile.form``, scale sigma / sqrt(n)) centres
@@ -252,20 +253,25 @@ def weighted_square_sums(noise: np.ndarray, rows: np.ndarray,
                          w: np.ndarray) -> np.ndarray:
     """Sum_j w_j (rows_v + noise_i)_j^2 for every noise row i and variant row v.
 
-    Expands the square, so the (i, v) matrix costs one GEMM for the cross
-    terms and one weighted sum of squares per noise row, whatever the
-    number of variants:
+    ``w`` is one weight vector for every row, or one per row (shape
+    ``rows.shape``). Expands the square, so the (i, v) matrix costs one GEMM
+    for the cross terms and one for the weighted sums of squares, whatever
+    the number of variants:
 
         Sum w xi^2 + 2 xi . (w theta) + Sum w theta^2.
 
-    A zero variant row gives exactly ``np.square(noise) @ w``. ``noise`` is
-    overwritten with its square.
+    With one weight vector, a zero variant row gives exactly
+    ``np.square(noise) @ w``. ``noise`` is overwritten with its square.
     """
     sums = noise @ (rows * w).T
     sums *= 2.0
     np.square(noise, out=noise)
-    sums += (noise @ w)[:, None]
-    sums += np.square(rows) @ w
+    if w.ndim == 1:
+        sums += (noise @ w)[:, None]
+        sums += np.square(rows) @ w
+    else:
+        sums += noise @ w.T
+        sums += np.einsum("vj,vj->v", np.square(rows), w)
     return sums
 
 

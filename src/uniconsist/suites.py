@@ -45,7 +45,7 @@ from .kernel import (KernelTestConfig, builtin_kernel, half_level_radius,
                      inconsistency_bandwidths, kernel_unit, t1n)
 from .mclab import (MCConfig, chi2_rejections, estimate_columns,
                     fixed_rejections, paired_excess, power_row,
-                    quad_rejections)
+                    quad_rejections, quad_sweep)
 from .quad import (FixedKappa, QuadTestConfig, build_profile,
                    dimension_exponent, noncentrality, predict_beta)
 from .reports import JSON_KINDS, write_csv
@@ -227,13 +227,12 @@ def _suite_inconsistency(cfg: dict, mc: MCConfig):
     alpha = cfg["alpha"]
     profile, family, test = _quad_setup(q, alpha)
     seq = make_inconsistent(family, q["schedule"], q["n_list"], q["norm_const"])
+    rejs = quad_sweep(mc, test, {n: [None, seq.signals[n]] for n in seq.n_list})
     quad_rows = []
     r_values, excesses = [], []
     for n, spike in zip(seq.n_list, seq.metadata["spikes"]):
-        sig = seq.signals[n]
-        r_n = noncentrality(sig, profile, n)
-        rej = quad_rejections(mc, test, n, [None, sig])
-        size_est, power_est = estimate_columns(rej)
+        r_n = noncentrality(seq.signals[n], profile, n)
+        size_est, power_est = estimate_columns(rejs[n])
         excess = power_est.estimate - alpha
         r_values.append(r_n)
         excesses.append(excess)
@@ -305,15 +304,15 @@ def _interaction_quad(cfg: dict, mc: MCConfig) -> list:
     q = cfg["quad"]
     profile, family, test = _quad_setup(q, cfg["alpha"])
     head, comb = _head_plus_spike(family, q, q["n_list"])
+    rejs = quad_sweep(mc, test, {n: [None, head.signals[n], comb.signals[n]]
+                                 for n in head.n_list})
     rows = []
     for n in head.n_list:
-        h_sig, c_sig = head.signals[n], comb.signals[n]
-        r_h = noncentrality(h_sig, profile, n)
-        r_c = noncentrality(c_sig, profile, n)
+        r_h = noncentrality(head.signals[n], profile, n)
+        r_c = noncentrality(comb.signals[n], profile, n)
         gap_pred = abs(predict_beta(r_h, profile.A[n], test.x_alpha)
                        - predict_beta(r_c, profile.A[n], test.x_alpha))
-        ests, gap, se = _paired_gap(
-            quad_rejections(mc, test, n, [None, h_sig, c_sig]))
+        ests, gap, se = _paired_gap(rejs[n])
         rows.append([n, r_h, r_c - r_h, gap_pred, ests[1].estimate,
                      ests[2].estimate, gap, se])
     return rows
@@ -417,15 +416,15 @@ def _suite_purity(cfg: dict, mc: MCConfig):
                 lambda n, kap: eps_norm * float(n) ** (-family.r),
                 kind="far-mass-tail")
     pure = combine(head, far, kind="purely-consistent")
+    rejs = quad_sweep(mc, test, {n: [None, head.signals[n], comb.signals[n]]
+                                 for n in q["n_list"]})
     rows, gaps = [], []
     gap_ok = True
     for n in q["n_list"]:
-        h_sig, c_sig = head.signals[n], comb.signals[n]
         delta = noncentrality(tail.signals[n], profile, n)
         bound = (1.0 / math.sqrt(2.0 * math.pi)
                  * delta / math.sqrt(2.0 * profile.A[n]))
-        ests, gap, se = _paired_gap(
-            quad_rejections(mc, test, n, [None, h_sig, c_sig]))
+        ests, gap, se = _paired_gap(rejs[n])
         gaps.append(gap)
         if delta <= cfg["thresholds"]["delta_max"]:
             gap_ok = gap_ok and gap <= cfg["thresholds"]["gap"]
@@ -612,14 +611,14 @@ def _suite_maxiset(cfg: dict, mc: MCConfig):
     profile, family, test = _quad_setup({**q, "J": J, "n_list": n_list}, alpha)
     seq = make_spike_tail(family, cfg["m_list"], cfg["C_list"],
                           cfg["norm_const"])
+    rejs = quad_sweep(mc, test, {n: [None, seq.signals[n]] for n in seq.n_list})
     rows, excesses, ses, r_values = [], [], [], []
     seminorms = seq.metadata["seminorms"]
     for pos, n in enumerate(seq.n_list):
-        sig = seq.signals[n]
         m_l = cfg["m_list"][pos]
-        r_n = noncentrality(sig, profile, n)
+        r_n = noncentrality(seq.signals[n], profile, n)
         r_values.append(r_n)
-        rej = quad_rejections(mc, test, n, [None, sig])
+        rej = rejs[n]
         ests = estimate_columns(rej)
         pe = paired_excess(rej, 1, 0)
         excesses.append(pe["difference"])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import exact_power, wilson_interval_at
-from uniconsist import chi2, cvm
+from uniconsist import chi2, cvm, mclab
 from uniconsist.alternatives import make_consistent, quad_family
 from uniconsist.chi2 import Chi2Config, chi2_statistic
 from uniconsist.cvm import build_cvm_null_table, cvm_statistic
@@ -25,9 +25,10 @@ from uniconsist.mclab import (MCConfig, MCEstimate, chi2_rejections,
                               cvm_rejections, estimate_columns, estimate_power,
                               estimate_size, fixed_rejections,
                               kernel_rejections, paired_excess, power_row,
-                              quad_rejections, wilson_interval)
-from uniconsist.quad import (FixedKappa, QuadTestConfig, build_profile,
-                             decide_and_predict, fixed_kappa_statistic)
+                              quad_rejections, quad_sweep, wilson_interval)
+from uniconsist.quad import (FixedKappa, QuadraticForm, QuadTestConfig,
+                             build_profile, decide_and_predict,
+                             fixed_kappa_statistic, weighted_square_sums)
 from uniconsist.rng import (STREAM_IID, STREAM_SEQUENCE_MODEL, substream)
 from uniconsist.signals import (Basis, DensitySpec, NoiseModel, SignalSpec,
                                 invert_cdf, sample_iid)
@@ -43,6 +44,30 @@ def test_mcconfig_validations():
         MCConfig(replicates=50)
     with pytest.raises(ValidationError):
         MCConfig(replicates=100, threads=0)
+
+
+@pytest.mark.parametrize("replicates", [100.5, 200.0, True, "200", None])
+def test_mcconfig_replicates_must_be_an_int(replicates):
+    with pytest.raises(ValidationError, match="replicates must be an integer"):
+        MCConfig(replicates=replicates)
+
+
+@pytest.mark.parametrize("threads", [2.5, 1.0, True, "2"])
+def test_mcconfig_threads_must_be_an_int(threads):
+    with pytest.raises(ValidationError, match="threads must be an integer"):
+        MCConfig(replicates=100, threads=threads)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7", None])
+def test_mcconfig_seed_checked_at_construction(seed):
+    """A bad seed fails when the config is built, before any draw."""
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        MCConfig(replicates=100, seed=seed)
+
+
+def test_mcconfig_takes_numpy_integers():
+    mc = MCConfig(np.int64(200), seed=np.uint64(2 ** 63), threads=np.int32(2))
+    assert mc.replicates == 200 and mc.threads == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -572,3 +597,138 @@ def test_variant_errors_name_the_variant(run, why):
     its index."""
     with pytest.raises(ValidationError, match=f"variant 1: .*{why}"):
         run(MCConfig(100, seed=0))
+
+
+SWEEP_PROFILE = build_profile(r=0.3, gamma=2.0, c=1.0, J=256,
+                              n_list=[32, 64, 128, 256])
+SWEEP_CFG = QuadTestConfig(SWEEP_PROFILE, 0.05)
+
+
+def _sweep_variants():
+    """A different number of variants at each n, None included at most n."""
+    thetas = _three_thetas()
+    return {32: [None], 64: [None, thetas[0]], 128: thetas,
+            256: [None, thetas[2], thetas[1], 2.0 * thetas[0]]}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_quad_sweep_equals_quad_rejections_at_every_n(threads):
+    """Each n's matrix is exactly the one a separate quad_rejections call
+    gives at that n, across two blocks and any thread count."""
+    mc = MCConfig(600, seed=5, threads=threads)
+    variants = _sweep_variants()
+    got = quad_sweep(mc, SWEEP_CFG, variants)
+    assert list(got) == list(variants)
+    for n, thetas in variants.items():
+        want = quad_rejections(mc, SWEEP_CFG, n, thetas)
+        assert got[n].shape == (600, len(thetas))
+        assert np.array_equal(got[n], want), n
+    assert 0 < got[256].sum() < got[256].size
+
+
+def test_quad_sweep_of_one_n_is_quad_rejections():
+    mc = MCConfig(600, seed=6)
+    thetas = _three_thetas()
+    got = quad_sweep(mc, SWEEP_CFG, {128: thetas})
+    assert list(got) == [128]
+    assert np.array_equal(got[128], quad_rejections(mc, SWEEP_CFG, 128, thetas))
+
+
+def test_quad_sweep_draws_each_replicate_once(monkeypatch):
+    """Four n of R replicates cost R substreams, not 4R."""
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(mclab, "substream", counted)
+    mc = MCConfig(600, seed=8, threads=2)
+    quad_sweep(mc, SWEEP_CFG, _sweep_variants())
+    assert sorted(calls) == [(8, STREAM_SEQUENCE_MODEL, i) for i in range(600)]
+
+
+def test_quad_sweep_block_holds_no_scaled_copy():
+    """A four-n sweep's 512-row block peaks below 1.5 noise blocks of
+    traced memory: the scales are folded into the weights, not the block."""
+    J = 4096
+    profile = build_profile(r=0.3, gamma=2.0, c=1.0, J=J,
+                            n_list=[512, 1024, 2048, 4096])
+    theta = np.zeros(J)
+    theta[:16] = 0.05
+    variants = {n: [None, theta, 2.0 * theta] for n in profile.n_list}
+    tracemalloc.start()
+    try:
+        quad_sweep(MCConfig(512, seed=3), QuadTestConfig(profile, 0.05), variants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 512 * J * 8, peak / (512 * J * 8)
+
+
+@pytest.mark.parametrize("variants, why", [
+    ({}, "at least one n"),
+    ({64: [None], 128: [None, np.full(SWEEP_PROFILE.J + 1, 0.1)]},
+     "n = 128: variant 1: .*beyond the 256"),
+    ({64: [None], 128: [_theta_with(math.nan)]}, "n = 128: variant 0: .*finite"),
+], ids=["empty", "past-J", "non-finite"])
+def test_quad_sweep_errors_name_the_n(variants, why):
+    with pytest.raises(ValidationError, match=why):
+        quad_sweep(MCConfig(100, seed=0), SWEEP_CFG, variants)
+
+
+def test_quad_sweep_refuses_n_outside_the_profile():
+    with pytest.raises(ValidationError, match="n = 100 not in profile"):
+        quad_sweep(MCConfig(100, seed=0), SWEEP_CFG, {64: [None], 100: [None]})
+
+
+def test_forms_of_different_lengths_are_not_scored_together():
+    a = QuadraticForm(np.ones(8), 1.0)
+    b = QuadraticForm(np.ones(6), 1.0)
+    with pytest.raises(ValidationError, match="form 1 has 6, form 0 has 8"):
+        mclab._form_rejections(MCConfig(100, seed=0),
+                               [(a, 1.0, np.zeros((1, 8))),
+                                (b, 1.0, np.zeros((1, 6)))])
+
+
+@st.composite
+def folded_forms(draw):
+    """One to three forms on J coordinates, each with scalar or vector
+    (FixedKappa sigmas) noise scale, and one to three variant rows each."""
+    J = draw(st.integers(1, 40))
+    forms = []
+    for seed in draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                              max_size=3)):
+        gen = np.random.default_rng(seed)
+        w = np.sort(gen.uniform(0.01, 2.0, J))[::-1]
+        if draw(st.booleans()):
+            form = FixedKappa(w, gen.uniform(0.2, 3.0, J)).form()
+        else:
+            form = QuadraticForm(w, float(gen.uniform(1e-3, 10.0)),
+                                 center=float(gen.uniform(0.0, 5.0)))
+        rows = draw(st.sampled_from([0.0, 1.0, 1e3])) * gen.standard_normal(
+            (draw(st.integers(1, 3)), J))
+        forms.append((form, 0.0, rows))
+    return forms, draw(st.integers(1, 5)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_forms())
+def test_folded_scorer_matches_direct_statistic(case):
+    """weighted_square_sums on unscaled xi with the scales folded in, less
+    the centre, equals form.statistic(row + scale xi) within float64
+    rounding, for scalar and per-coordinate scales."""
+    tests, rows_n, seed = case
+    xi = np.random.default_rng(seed).standard_normal(
+        (rows_n, tests[0][0].weights.size))
+    got = weighted_square_sums(xi.copy(), *mclab._fold(tests))
+    col = 0
+    for form, _, rows in tests:
+        for row in rows:
+            direct = form.statistic(row + form.scale * xi)
+            size = (np.square(form.scale * xi) @ form.weights
+                    + np.square(row) @ form.weights + form.center)
+            bound = 16.0 * (xi.shape[1] + 2) * np.finfo(float).eps * size
+            assert np.all(np.abs(got[:, col] - form.center - direct) <= bound)
+            col += 1
+    assert col == got.shape[1]
