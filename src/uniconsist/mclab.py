@@ -184,14 +184,10 @@ def _rows(variants, size: int, coordinates) -> np.ndarray:
 
 
 def _fold(tests) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and weights of every ``(form, critical, rows)`` of ``tests``, each
-    form's noise scale s folded in: Sum w (theta + s xi)^2 equals
-    Sum (w s^2) (theta / s + xi)^2, so ``weighted_square_sums(xi, *_fold(tests))``
-    scores unscaled noise for every (form, variant) column.
-
-    The forms must share their coordinate count. One form keeps one weight
-    vector; several give each row its form's weights.
-    """
+    """Rows and weights of every ``(form, critical, rows)`` of ``tests`` (forms
+    of one coordinate count), each form's scale s folded in so that
+    ``weighted_square_sums(xi, *_fold(tests))`` scores unscaled noise:
+    Sum w (theta + s xi)^2 = Sum (w s^2) (theta / s + xi)^2."""
     width = tests[0][0].weights.size
     for k, (form, _, _) in enumerate(tests):
         if form.weights.size != width:
@@ -208,12 +204,8 @@ def _fold(tests) -> tuple[np.ndarray, np.ndarray]:
 
 def _form_rejections(mc: MCConfig, tests) -> list[np.ndarray]:
     """One decision matrix per ``(form, critical, rows)`` of ``tests``:
-    unit (Sum w y^2 - center) > critical on y = row + scale xi.
-
-    One unscaled xi per replicate serves every form (:func:`_fold`); per
-    block, ``weighted_square_sums`` gives the sums of every column from one
-    GEMM for the cross terms and one on the block squared in place.
-    """
+    unit (Sum w y^2 - center) > critical on y = row + scale xi, every form
+    scored from the same unscaled xi of each replicate (:func:`_fold`)."""
     rows, w = _fold(tests)
     bounds = np.cumsum([0] + [r.shape[0] for _, _, r in tests])
     spans = list(zip(bounds[:-1], bounds[1:]))
