@@ -605,7 +605,7 @@ SWEEP_CFG = QuadTestConfig(SWEEP_PROFILE, 0.05)
 
 
 def _sweep_variants():
-    """A different number of variants at each n, None included at most n."""
+    """A different number of variants at each n; None at three of the four."""
     thetas = _three_thetas()
     return {32: [None], 64: [None, thetas[0]], 128: thetas,
             256: [None, thetas[2], thetas[1], 2.0 * thetas[0]]}
