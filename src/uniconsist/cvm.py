@@ -31,7 +31,7 @@ from scipy import optimize
 
 from .errors import ValidationError
 from .reports import TestReport, json_array, json_value
-from .rng import STREAM_NULL_TABLE, substream
+from .rng import STREAM_NULL_TABLE, substreams
 from .signals import Basis, SignalSpec
 
 _TABLE_BLOCK = 4096
@@ -312,7 +312,8 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
 
     Every block of 4096 replicates draws from the null-table substream keyed
     by its block index, row-major by (replicate, j), so the table is
-    reproducible independent of scheduling.
+    reproducible independent of scheduling. The blocks share one buffer,
+    squared in place, so no block-sized temporary is allocated.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
@@ -325,11 +326,15 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     if replicates < 100:
         raise ValidationError("at least 100 replicates required")
     draws = np.empty(replicates)
-    for b, start in enumerate(range(0, replicates, _TABLE_BLOCK)):
+    block = np.empty((min(_TABLE_BLOCK, replicates), weights.size))
+    starts = range(0, replicates, _TABLE_BLOCK)
+    blocks = substreams(seed, STREAM_NULL_TABLE, range(len(starts)))
+    for start, gen in zip(starts, blocks):
         rows = min(_TABLE_BLOCK, replicates - start)
-        gen = substream(seed, STREAM_NULL_TABLE, b)
-        draws[start:start + rows] = (
-            np.square(gen.standard_normal((rows, weights.size))) @ weights)
+        xi = block[:rows]
+        gen.standard_normal(out=xi)
+        np.square(xi, out=xi)
+        np.matmul(xi, weights, out=draws[start:start + rows])
     criticals = np.quantile(draws, 1.0 - alphas)
     return alphas, criticals
 

@@ -36,7 +36,7 @@ from .quad import QuadraticForm, dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
 from .signals import Basis, NoiseModel, SignalSpec
 
-_GAUSS_NODES = 96
+_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(96)
 
 # The statistic divides by noise_sigma^2: this range keeps sigma^2 and its
 # inverse far inside the float range.
@@ -46,7 +46,7 @@ _SIGMA_BOUNDS = (1e-100, 1e100)
 def _gauss_integral(f, a: float, b: float, pieces) -> float:
     """Gauss-Legendre integration split at the given interior knots."""
     knots = [a] + [p for p in pieces if a < p < b] + [b]
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    x, w = _GAUSS_LEGENDRE
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -85,7 +85,7 @@ class Kernel:
     @cached_property
     def autoconv(self):
         """t -> (K*K)(t), exact overlap integration, support [-2, 2]."""
-        x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+        x, w = _GAUSS_LEGENDRE
 
         def conv(ts):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))

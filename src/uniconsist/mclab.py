@@ -2,9 +2,10 @@
 
 Reproducibility contract: replicate i of a run draws from the counter-based
 substream keyed by (seed, stream, i), independent of execution order, block
-size, or thread count. Runs aggregate boolean rejection matrices whose rows
-are fully determined by the key, so identical configurations produce
-byte-identical summaries on any schedule.
+size, or thread count; a block keys all of its replicates in one pass
+(:func:`~uniconsist.rng.substreams`). Runs aggregate boolean rejection
+matrices whose rows are fully determined by the key, so identical
+configurations produce byte-identical summaries on any schedule.
 
 Pairing: all variant signals within a run share the replicate's noise (the
 xi vector in the sequence model, the uniform sample in the i.i.d. model),
@@ -14,8 +15,8 @@ Loop contract: every family's ``*_rejections`` supplies only its noise draw
 (a method call on the replicate's generator that fills one row in place)
 and its ``reject_block`` callable, which returns a block of noise rows'
 whole (rows x variants) decision matrix. Pairing and determinism come from
-the single block loop ``_rejections``, which fills each block from the
-substreams, unscaled, and hands it to ``reject_block`` once.
+the single block loop ``_rejections``, which fills each block from its
+replicates' substreams, unscaled, and hands it to ``reject_block`` once.
 quad, kernel and fixed take their coordinate map and their
 :class:`~uniconsist.quad.QuadraticForm` from the family module; ``_rows``
 packs the variants and ``_form_rejections`` scores every variant of one or
@@ -40,7 +41,7 @@ from .errors import ValidationError
 from .kernel import KernelTestConfig, kernel_coordinates, kernel_form
 from .quad import (FixedKappa, QuadTestConfig, quad_coordinates,
                    weighted_square_sums)
-from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, check_seed, substream
+from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, check_seed, substreams
 from .signals import DensitySpec, SignalSpec, cdf_offset, invert_cdf
 
 BLOCK_ROWS = 512
@@ -126,16 +127,18 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw,
                 reject_block) -> np.ndarray:
     """The one block loop behind every family's rejection matrix.
 
-    Row i of a block is filled in place by
-    ``draw(substream(seed, stream, i), row)``, a length ``width`` noise row.
-    ``reject_block(block)`` returns the block's (rows x variants) decisions;
-    it may overwrite the block, which is not used again.
+    A block covers replicates lo .. hi - 1 and keys their substreams in one
+    pass, ``substreams(seed, stream, range(lo, hi))``; row i is filled in
+    place by ``draw(generator, row)``, a length ``width`` noise row, before
+    the generator is re-keyed for row i + 1. ``reject_block(block)``
+    returns the block's (rows x variants) decisions; it may overwrite the
+    block, which is not used again.
     """
     def work(lo: int) -> np.ndarray:
         hi = min(lo + BLOCK_ROWS, mc.replicates)
         noise = np.empty((hi - lo, width))
-        for row, i in zip(noise, range(lo, hi)):
-            draw(substream(mc.seed, stream, i), row)
+        for row, gen in zip(noise, substreams(mc.seed, stream, range(lo, hi))):
+            draw(gen, row)
         return reject_block(noise)
 
     starts = range(0, mc.replicates, BLOCK_ROWS)

@@ -201,3 +201,18 @@ def exact_power(form, critical: float, row=None) -> float:
     offsets = None if row is None else np.asarray(row, dtype=float) / scale
     return weighted_chisq_sf(form.center + critical / form.unit,
                              form.weights * np.square(scale), offsets)
+
+
+def seedsequence_key(seed: int, stream: int, replicate: int) -> np.ndarray:
+    """numpy's own Philox key for (seed, stream, replicate): the two uint64
+    words of ``SeedSequence(seed, spawn_key=(stream, replicate))``."""
+    return np.random.SeedSequence(seed, spawn_key=(stream, replicate)).generate_state(
+        2, np.uint64)
+
+
+def seedsequence_generator(seed: int, stream: int,
+                           replicate: int) -> np.random.Generator:
+    """A generator built by numpy from that ``SeedSequence``, the way
+    ``Philox(SeedSequence(...))`` keys itself."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(stream, replicate))))

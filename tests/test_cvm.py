@@ -1,6 +1,7 @@
 """Cramer-von Mises: exact statistic, population series, null tables."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -129,6 +130,19 @@ def test_weighted_chisq_draw_order_fixed():
         for b, rows in enumerate((4096, 904))])
     alphas, crit = weighted_null_quantiles(w, [0.1, 0.05], 5000, seed=9)
     assert np.array_equal(crit, np.quantile(draws, 1.0 - alphas))
+
+
+def test_null_table_reuses_one_block_buffer():
+    """Five blocks of J = 1024 peak below 1.5 blocks of traced memory: one
+    buffer, squared in place, holds every block's draws."""
+    block = 4096 * 1024 * 8
+    tracemalloc.start()
+    try:
+        weighted_null_quantiles(bridge_weights(1024), [0.05], 20_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block, peak / block
 
 
 @pytest.mark.parametrize("weights", [[], [[0.1, 0.2]], [0.1, -0.2]],

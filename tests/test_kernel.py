@@ -86,6 +86,14 @@ def test_builtin_kernel_built_once_per_name():
     assert builtin_kernel.cache_info().currsize <= 2
 
 
+@pytest.mark.parametrize("name, gamma_sq", [
+    ("box", 0.6666666666666659), ("epanechnikov", 0.8675324675324733)])
+def test_builtin_gamma_sq_pinned(name, gamma_sq):
+    """gamma^2 by overlap quadrature, pinned to the last bit: the
+    Gauss-Legendre rule is built once per module, with the same nodes."""
+    assert builtin_kernel(name).gamma_sq == gamma_sq
+
+
 def test_half_level_radius_box():
     b = half_level_radius(BOX)
     # frozen value: sinc(2w) = 1/2 near w = 0.30168

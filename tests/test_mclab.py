@@ -29,7 +29,8 @@ from uniconsist.mclab import (MCConfig, MCEstimate, chi2_rejections,
 from uniconsist.quad import (FixedKappa, QuadraticForm, QuadTestConfig,
                              build_profile, decide_and_predict,
                              fixed_kappa_statistic, weighted_square_sums)
-from uniconsist.rng import (STREAM_IID, STREAM_SEQUENCE_MODEL, substream)
+from uniconsist.rng import (STREAM_IID, STREAM_SEQUENCE_MODEL, substream,
+                            substreams)
 from uniconsist.signals import (Basis, DensitySpec, NoiseModel, SignalSpec,
                                 invert_cdf, sample_iid)
 from uniconsist.suites import CONSISTENCY_DEFAULT
@@ -638,11 +639,12 @@ def test_quad_sweep_draws_each_replicate_once(monkeypatch):
     """Four n of R replicates cost R substreams, not 4R."""
     calls = []
 
-    def counted(*key):
-        calls.append(key)
-        return substream(*key)
+    def counted(seed, stream, ids):
+        ids = list(ids)
+        calls.extend((seed, stream, i) for i in ids)
+        return substreams(seed, stream, ids)
 
-    monkeypatch.setattr(mclab, "substream", counted)
+    monkeypatch.setattr(mclab, "substreams", counted)
     mc = MCConfig(600, seed=8, threads=2)
     quad_sweep(mc, SWEEP_CFG, _sweep_variants())
     assert sorted(calls) == [(8, STREAM_SEQUENCE_MODEL, i) for i in range(600)]
