@@ -328,8 +328,8 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     draws = np.empty(replicates)
     block = np.empty((min(_TABLE_BLOCK, replicates), weights.size))
     starts = range(0, replicates, _TABLE_BLOCK)
-    blocks = substreams(seed, STREAM_NULL_TABLE, range(len(starts)))
-    for start, gen in zip(starts, blocks):
+    gens = substreams(seed, STREAM_NULL_TABLE, range(len(starts)))
+    for start, gen in zip(starts, gens):
         rows = min(_TABLE_BLOCK, replicates - start)
         xi = block[:rows]
         gen.standard_normal(out=xi)
