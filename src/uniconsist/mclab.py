@@ -42,7 +42,8 @@ from .kernel import KernelTestConfig, kernel_coordinates, kernel_form
 from .quad import (FixedKappa, QuadTestConfig, quad_coordinates,
                    weighted_square_sums)
 from .rng import STREAM_IID, STREAM_SEQUENCE_MODEL, check_seed, substreams
-from .signals import DensitySpec, SignalSpec, cdf_offset, invert_cdf
+from .signals import (DensitySpec, SignalSpec, cdf_offset, invert_cdf,
+                      sorted_lookup)
 
 BLOCK_ROWS = 512
 _Z95 = 1.959963984540054
@@ -274,16 +275,17 @@ def chi2_rejections(mc: MCConfig, config: Chi2Config, n: int,
     # F is monotone, so F^{-1}(u) lies in cell l iff F(l/m) <= u < F((l+1)/m):
     # count the uniforms' cells against F at the interior edges, not invert.
     edges = np.arange(1, m) / m
-    cuts = [None if d is None else edges + cdf_offset(d.signal, edges)
-            for d in _densities(densities)]
+    cells = [None if d is None else
+             sorted_lookup(edges + cdf_offset(d.signal, edges), "right")
+             for d in _densities(densities)]
 
-    def reject(u, cut):
-        stat = (chi2_statistic(u, m) if cut is None else
-                cell_statistic(np.searchsorted(cut, u, side="right"), m))
+    def reject(u, cell):
+        stat = (chi2_statistic(u, m) if cell is None else
+                cell_statistic(cell(u), m))
         return chi2_standardize(stat, m) > config.x_alpha
 
     return _rejections(mc, STREAM_IID, n, _uniforms,
-                       _per_column(cuts, reject))
+                       _per_column(cells, reject))
 
 
 def cvm_rejections(mc: MCConfig, table: CvmNullTable, alpha: float, n: int,

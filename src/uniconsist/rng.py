@@ -17,9 +17,9 @@ disjoint replicate ids.
 
 :func:`philox_keys` computes those keys without building a
 ``SeedSequence``: it restates numpy's pool mixing, hashes the (seed,
-stream) prefix once and mixes only the replicate words as a vector.
-:func:`substreams` re-keys one Philox for each id of a block, and
-:func:`substream` is its one-id case.
+stream) prefix once and mixes only the replicate words, as a vector (a
+lone id in Python ints). :func:`substreams` re-keys one Philox for each
+id of a block, and :func:`substream` builds a fresh one for one id.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ def philox_keys(seed: int, stream: int, ids) -> np.ndarray:
     ids = list(ids)
     if not all(isinstance(i, (int, np.integer)) and 0 <= i < 2**64 for i in ids):
         raise ValidationError("replicate ids must be integers in [0, 2**64)")
-    ids = np.array(ids, dtype=np.uint64)
 
     hash_const = _INIT_A
     pool = []
@@ -117,19 +116,27 @@ def philox_keys(seed: int, stream: int, ids) -> np.ndarray:
     for w in _words(int(stream)):
         pool, hash_const = _absorb(pool, hash_const, w)
 
-    pool, hash_const = _absorb(pool, hash_const, ids & np.uint64(_MASK32))
-    high = ids >> np.uint64(32)
-    if high.any():
-        two_words, _ = _absorb(pool, hash_const, high)
-        pool = [np.where(high != 0, t, p) for t, p in zip(two_words, pool)]
+    if len(ids) == 1:
+        # One id stays in Python ints: numpy calls on one-element arrays
+        # would cost more than the hash itself.
+        for w in _words(int(ids[0])):
+            pool, hash_const = _absorb(pool, hash_const, w)
+    else:
+        ids = np.array(ids, dtype=np.uint64)
+        pool, hash_const = _absorb(pool, hash_const, ids & np.uint64(_MASK32))
+        high = ids >> np.uint64(32)
+        if high.any():
+            two_words, _ = _absorb(pool, hash_const, high)
+            pool = [np.where(high != 0, t, p) for t, p in zip(two_words, pool)]
 
     hash_const = _INIT_B
     state = []
     for p in pool:
         s, hash_const = _hashmix(p, hash_const, _MULT_B)
         state.append(s)
-    return np.stack([state[0] | state[1] << np.uint64(32),
-                     state[2] | state[3] << np.uint64(32)], axis=-1)
+    keys = np.array([state[0] | state[1] << 32, state[2] | state[3] << 32],
+                    dtype=np.uint64)
+    return keys.T.reshape(-1, 2)
 
 
 def substreams(seed: int, stream: int, ids):
@@ -153,4 +160,5 @@ def substreams(seed: int, stream: int, ids):
 
 def substream(seed: int, stream: int, replicate: int) -> np.random.Generator:
     """Return the independent generator keyed by (seed, stream, replicate)."""
-    return next(substreams(seed, stream, [replicate]))
+    key = philox_keys(seed, stream, [replicate])[0]
+    return np.random.Generator(np.random.Philox(key=key))

@@ -294,8 +294,43 @@ def sample_iid(density: DensitySpec, size: int,
     return invert_cdf(density, rng.random(size))
 
 
+def sorted_lookup(table, side: str = "left"):
+    """``lookup(x)``, equal to ``np.searchsorted(table, x, side)`` for every
+    array x of values in [0, 1], in O(1) a point for a nondecreasing table.
+
+    [0, 1] is cut into B = 2^k >= 8 len(table) equal buckets, so ``x * B``
+    is exact and its integer part is x's bucket b (x = 1 gets bucket B).
+    ``lo[b]``, the search result at b's left edge, is the answer up to the
+    table entries inside bucket b. Where the bucket holds at most one, one
+    compare with the entry at ``lo[b]`` (+inf past the end) settles it; a
+    point whose bucket holds more (ties, or a CDF grid where the density
+    nears 0) is searched in the whole table. A table out of order (a nan
+    included) has no exact shortcut, so every point is searched there.
+    """
+    table = np.asarray(table, dtype=float)
+    B = 8 << max(table.size - 1, 0).bit_length()
+    lo = np.searchsorted(table, np.arange(B + 2) / B, side)
+    many = np.diff(lo) > 1
+    if not np.all(table[:-1] <= table[1:]):
+        many[:] = True
+    ahead = np.append(table, np.inf)
+    passes = np.less if side == "left" else np.less_equal
+
+    def lookup(x):
+        x = np.asarray(x, dtype=float)
+        b = (x * B).astype(np.intp)
+        i = lo[b]
+        i += passes(ahead[i], x)
+        search = many[b]
+        if search.any():
+            i[search] = np.searchsorted(table, x[search], side)
+        return i
+
+    return lookup
+
+
 def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
-    """Map uniforms through the inverse CDF of 1 + f.
+    """Map uniforms in [0, 1] through the inverse CDF of 1 + f.
 
     Each uniform is inverted by bracketed Newton/bisection until the
     residual |F(x) - u| is at most INVCDF_TOL (guaranteed; raises otherwise).
@@ -304,25 +339,31 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
     signal = density.signal
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
+    bad = ~((flat >= 0.0) & (flat <= 1.0))
+    if bad.any():
+        raise ValidationError(f"u outside [0,1]: {flat[bad][:5].tolist()}")
     x = np.empty_like(flat)
     # Bracket on a monotone CDF grid, then refine with safeguarded Newton on
     # the points still above tolerance; a point leaves for good once within.
     G = 2048
     gx = np.linspace(0.0, 1.0, G + 1)
     gF = gx + cdf_offset(signal, gx)
+    bracket = sorted_lookup(gF, "left")
     for start in range(0, flat.size, INVCDF_CHUNK):
         active = np.arange(start, min(start + INVCDF_CHUNK, flat.size))
-        idx = np.clip(np.searchsorted(gF, flat[active], side="left"), 1, G)
+        idx = np.clip(bracket(flat[active]), 1, G)
         lo, hi = gx[idx - 1], gx[idx]
         xa = 0.5 * (lo + hi)
         for _ in range(200):
             r = (xa + cdf_offset(signal, xa)) - flat[active]
             done = np.abs(r) <= INVCDF_TOL
-            x[active[done]] = xa[done]
-            if done.all():
-                break
-            keep = ~done
-            active, xa, r, lo, hi = active[keep], xa[keep], r[keep], lo[keep], hi[keep]
+            if done.any():
+                x[active[done]] = xa[done]
+                if done.all():
+                    break
+                keep = ~done
+                active, xa, r, lo, hi = (active[keep], xa[keep], r[keep],
+                                         lo[keep], hi[keep])
             gt = r > 0.0
             hi = np.where(gt, xa, hi)
             lo = np.where(gt, lo, xa)

@@ -1,6 +1,8 @@
 """Bases, antiderivatives, densities, and exact inverse-CDF sampling."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +11,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import eval_signal, gauss01, norm_sq_quadrature
-from uniconsist import signals
+from uniconsist import alternatives, signals
 from uniconsist.errors import DensityError, ValidationError
 from uniconsist.signals import (INVCDF_TOL, SQRT2, Basis, DensitySpec,
                                 EmpiricalCdf, NoiseModel, SignalSpec,
                                 cdf_offset, density_minimum, empirical_cdf,
                                 evaluate, from_exponential, invert_cdf,
                                 sample_iid, sample_sequence_model,
-                                signal_from_json, to_exponential)
+                                signal_from_json, sorted_lookup,
+                                to_exponential)
+from uniconsist.rng import substream
 
 RNG = np.random.default_rng(20260816)
 
@@ -357,3 +361,112 @@ def test_density_spec_minimum_of_one_term(basis, j, c, phase):
             DensitySpec(sig)
     else:
         assert abs(DensitySpec(sig).minimum - analytic) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf, -math.inf])
+def test_invert_cdf_rejects_uniforms_outside_unit_interval(bad):
+    """A uniform outside [0, 1] (or nan) is refused before any Newton round,
+    and the error names it."""
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.3])))
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"u outside [0,1]: {[bad]}")):
+        invert_cdf(dens, np.array([0.2, bad, 0.7]))
+
+
+def test_invert_cdf_takes_both_endpoints():
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.3])))
+    u = np.array([0.0, 1.0])
+    x = invert_cdf(dens, u)
+    assert np.all((x > 0.0) & (x < 1.0))
+    assert float(np.max(np.abs(dens.cdf(x) - u))) <= INVCDF_TOL
+
+
+def _pinned_densities():
+    """A cvm_family(0.25) spike; a chi2_family(0.375) head-plus-spike with
+    272 coefficient pairs; 1 + cos(3 pi t), whose minimum touches 0, so CDF
+    grid points crowd where it does."""
+    spike = alternatives.make_inconsistent(
+        alternatives.cvm_family(0.25), [2.0], [4096], 1.0).signals[4096]
+    family = alternatives.chi2_family(0.375)
+    head = alternatives.make_consistent(family, 1.0, "lowest", [4096], 1.53)
+    tail = alternatives.make_inconsistent(family, [4.25], [4096], 4.05)
+    both = alternatives.combine(head, tail, kind="head-plus-spike").signals[4096]
+    touches = SignalSpec(Basis.COSINE_PI, np.array([0.0, 0.0, 1.0 / SQRT2]))
+    return {"cvm-spike": spike, "chi2-head-plus-spike": both,
+            "touches-zero": touches}
+
+
+# SHA-256 of invert_cdf's output bytes on 0, 1, 0.5, 1 - 2**-53, the least
+# subnormal and 30 000 uniforms of substream(17, 1, 0), recorded when the
+# bracket was found by np.searchsorted on the CDF grid.
+PINNED_INVERSIONS = {
+    "cvm-spike":
+        "cad98a150b428b26ed9a97be90397d148e84c11c2e907243b76e1019ccc0a69e",
+    "chi2-head-plus-spike":
+        "d2265bd4fbfb33d13ed18c64020d5b0fc9505305e11330d1b594a7d5409edbd1",
+    "touches-zero":
+        "c051ec1fb2d88a09a532bebad42d8bc5de5606bb129c277c6f32338f6d988ede",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INVERSIONS))
+def test_invert_cdf_bytes_pinned(name):
+    dens = DensitySpec(_pinned_densities()[name])
+    u = np.concatenate([[0.0, 1.0, 0.5, 1.0 - 2.0 ** -53, 5e-324],
+                        substream(17, 1, 0).random(30000)])
+    x = invert_cdf(dens, u)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == PINNED_INVERSIONS[name]
+
+
+@st.composite
+def lookup_cases(draw):
+    """A sorted table of 1 to 3000 entries and query points in [0, 1].
+
+    Tables are uniform, tied (entries from a few values), clustered (many
+    entries within 1e-9, so one bucket holds them) or on dyadic edges
+    j / 2^k, some with entries below 0 or above 1. Queries are 0, 1, dyadic
+    edges j / 2^k for every k a bucket count can take here, every entry and
+    its neighbours one ulp away, and uniforms."""
+    size = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "ties", "cluster", "edges"]))
+    if kind == "uniform":
+        table = rng.random(size)
+    elif kind == "ties":
+        table = rng.choice(rng.random(draw(st.integers(1, 8))), size)
+    elif kind == "cluster":
+        table = rng.random(size)
+        crowd = rng.random(size) < draw(st.floats(0.1, 0.9))
+        table[crowd] = rng.random() + 1e-9 * rng.random(int(crowd.sum()))
+    else:
+        k = rng.integers(0, 16, size)
+        table = rng.integers(0, 2 ** k + 1) / 2.0 ** k
+    if draw(st.booleans()):
+        table[rng.random(size) < 0.05] += draw(st.sampled_from([-1.0, 1.0]))
+    table = np.sort(table)
+    k = np.arange(3, 16).repeat(40)
+    edges = rng.integers(0, 2 ** k + 1) / 2.0 ** k
+    x = np.concatenate([[0.0, 1.0], edges, table, np.nextafter(table, -1.0),
+                        np.nextafter(table, 2.0), rng.random(1000)])
+    return table, x[(x >= 0.0) & (x <= 1.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(lookup_cases(), st.sampled_from(["left", "right"]))
+def test_sorted_lookup_equals_searchsorted(case, side):
+    table, x = case
+    got = sorted_lookup(table, side)(x)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.searchsorted(table, x, side))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sorted_lookup_searches_every_point_of_an_unsorted_table(side):
+    """With no order to bucket on, the lookup is np.searchsorted itself,
+    whatever that gives; a nan entry is out of order too."""
+    x = np.random.default_rng(5).random(2000)
+    x[:3] = 0.0, 1.0, 0.5
+    for table in ([0.5, 0.2, 0.9], [0.1, np.nan, 0.6], [0.0, -1e-19, 0.5, 1.0]):
+        table = np.array(table)
+        assert np.array_equal(sorted_lookup(table, side)(x),
+                              np.searchsorted(table, x, side))
