@@ -24,7 +24,8 @@ from scipy.special import ndtr
 from .errors import ValidationError
 from .quad import dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
-from .signals import Basis, SignalSpec, cdf_offset, to_exponential
+from .signals import (Basis, SignalSpec, cdf_offset, check_unit_interval,
+                      to_exponential)
 
 
 @dataclass(frozen=True)
@@ -219,6 +220,7 @@ def decide_and_predict(points: np.ndarray, config: Chi2Config, n: int,
     points = np.asarray(points, dtype=float)
     if points.size != n:
         raise ValidationError(f"sample size {points.size} != n = {n}")
+    check_unit_interval(points, "points")
     m = config.cells(n)
     stat = chi2_statistic(points, m)
     standardized = chi2_standardize(stat, m)

@@ -32,7 +32,7 @@ from scipy import optimize
 from .errors import ValidationError
 from .reports import TestReport, json_array, json_value
 from .rng import STREAM_NULL_TABLE, substreams
-from .signals import Basis, SignalSpec
+from .signals import Basis, SignalSpec, check_unit_interval
 
 _TABLE_BLOCK = 4096
 
@@ -396,9 +396,11 @@ def build_cvm_null_table(alphas, replicates: int, seed: int,
 
 def decide(points: np.ndarray, table: CvmNullTable, alpha: float) -> TestReport:
     """Table-based decision: reject iff n T^2 exceeds the tabulated critical."""
+    points = np.asarray(points, dtype=float)
+    check_unit_interval(points, "points")
     stat = cvm_statistic(points)
     crit = table.critical(alpha)
-    n = int(np.asarray(points).size)
+    n = int(points.size)
     return TestReport(
         family="cvm", n=n, statistic=stat, standardized=stat,
         reject=bool(stat > crit), predicted_beta=None,

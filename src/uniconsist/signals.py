@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DensityError, ValidationError
 from .reports import json_array, json_value
@@ -108,9 +107,16 @@ def signal_from_json(obj: dict) -> SignalSpec:
 
 
 def _check_domain(t: np.ndarray):
-    if t.size and not (np.all(t > 0.0) & np.all(t < 1.0)):
-        bad = t[(t <= 0.0) | (t >= 1.0)]
-        raise ValidationError(f"t outside (0,1): {bad[:5].tolist()}")
+    bad = ~((t > 0.0) & (t < 1.0))
+    if bad.any():
+        raise ValidationError(f"t outside (0,1): {t[bad][:5].tolist()}")
+
+
+def check_unit_interval(x: np.ndarray, name: str):
+    """Refuse values of x outside [0, 1] (nan included), naming up to five."""
+    bad = ~((x >= 0.0) & (x <= 1.0))
+    if bad.any():
+        raise ValidationError(f"{name} outside [0,1]: {x[bad][:5].tolist()}")
 
 
 def evaluate(signal: SignalSpec, t) -> np.ndarray | float:
@@ -230,29 +236,100 @@ def sample_sequence_model(signal: SignalSpec, noise: NoiseModel,
     return signal.coeffs + noise.noise_scale * xi
 
 
+def _bounded_minima(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded Brent minimisation of fn on every bracket [lo[i], hi[i]] at
+    once; returns the minimisers and fn there.
+
+    A lockstep port of scipy's ``minimize_scalar(method="bounded",
+    options={"xatol": 1e-12})`` (Brent 1973, ch. 5): each bracket is a lane
+    that takes scipy's parabolic or golden-section step by scipy's rules and
+    float operations, so each lane returns scipy's x and fun bit for bit.
+    ``fn`` maps an array of points to their values; it is called once an
+    iteration, on the lanes still running. A lane stops at scipy's
+    tolerance or after 500 evaluations, as scipy's does.
+    """
+    sqrt_eps, xatol = math.sqrt(2.2e-16), 1e-12
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = fn(xf)
+    e = rat = np.zeros_like(xf)
+    x_out, f_out = xf.copy(), fx.copy()
+    lane = np.arange(xf.size)
+    for _ in range(499):
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        run = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+        if not run.all():
+            (lane, a, b, xm, tol1, tol2, xf, fx, nfc, fnfc, fulc, ffulc, e,
+             rat) = (v[run] for v in (lane, a, b, xm, tol1, tol2, xf, fx, nfc,
+                                      fnfc, fulc, ffulc, e, rat))
+        if not lane.size:
+            break
+        # The parabola through xf, nfc and fulc is taken where the step
+        # before last exceeds tol1 and the vertex is inside (a, b) and less
+        # than half that step away; elsewhere a golden-section step.
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        fit = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+               & (p > q * (a - xf)) & (p < q * (b - xf)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (p + 0.0) / q
+            si = np.sign(xm - xf) + ((xm - xf) == 0)
+            near = ((xf + step - a) < tol2) | ((b - (xf + step)) < tol2)
+        step = np.where(near, tol1 * si, step)
+        golden = np.where(xf >= xm, a - xf, b - xf)
+        e = np.where(fit, rat, golden)
+        rat = np.where(fit, step, golden_mean * golden)
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = fn(x)
+        # The bracket end on x's side moves in: to xf if x is the new best,
+        # to x otherwise; then the three best points shift down.
+        better = fu <= fx
+        left = x < xf
+        cut = np.where(better, xf, x)
+        a = np.where(better != left, cut, a)
+        b = np.where(better == left, cut, b)
+        second = ~better & ((fu <= fnfc) | (nfc == xf))
+        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        fulc = np.where(better | second, nfc, np.where(third, x, fulc))
+        ffulc = np.where(better | second, fnfc, np.where(third, fu, ffulc))
+        nfc = np.where(better, xf, np.where(second, x, nfc))
+        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
+        xf = np.where(better, x, xf)
+        fx = np.where(better, fu, fx)
+        x_out[lane], f_out[lane] = xf, fx
+    return x_out, f_out
+
+
 def density_minimum(signal: SignalSpec) -> tuple[float, float]:
     """Minimum of the density 1 + f over (0, 1), and its location.
 
     Evaluates on a uniform midpoint grid of DENSITY_GRID cells, then locally
     refines by bounded scalar minimization around every grid-local minimum
     (including the boundary cells): a cell strictly below its left neighbour
-    and no higher than its right one, so a plateau is refined once.
+    and no higher than its right one, so a plateau is refined once. All the
+    refinements run in one lockstep pass and are taken in grid order.
     """
     t = (np.arange(DENSITY_GRID) + 0.5) / DENSITY_GRID
     vals = 1.0 + _evaluate_interior(signal, t)
     best_val = float(np.min(vals))
     best_t = float(t[int(np.argmin(vals))])
     padded = np.concatenate(([np.inf], vals, [np.inf]))
-    for i in np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:])):
-        lo = t[i - 1] if i > 0 else 1e-12
-        hi = t[i + 1] if i < DENSITY_GRID - 1 else 1.0 - 1e-12
-        res = optimize.minimize_scalar(
-            lambda x: 1.0 + float(_evaluate_interior(signal, np.array([x]))[0]),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_t = float(res.x)
+    cells = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
+    edges = np.concatenate(([1e-12], t, [1.0 - 1e-12]))
+    xs, fs = _bounded_minima(lambda x: 1.0 + _evaluate_interior(signal, x),
+                             edges[cells], edges[cells + 2])
+    for x, f in zip(xs.tolist(), fs.tolist()):
+        if f < best_val:
+            best_val, best_t = f, x
     return best_val, best_t
 
 
@@ -339,23 +416,28 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
     signal = density.signal
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
-    bad = ~((flat >= 0.0) & (flat <= 1.0))
-    if bad.any():
-        raise ValidationError(f"u outside [0,1]: {flat[bad][:5].tolist()}")
+    check_unit_interval(flat, "u")
     x = np.empty_like(flat)
     # Bracket on a monotone CDF grid, then refine with safeguarded Newton on
     # the points still above tolerance; a point leaves for good once within.
+    # Every point starts at its cell's midpoint, so the first round reads
+    # F and the density there from per-cell tables.
     G = 2048
     gx = np.linspace(0.0, 1.0, G + 1)
     gF = gx + cdf_offset(signal, gx)
+    mid = 0.5 * (gx[:-1] + gx[1:])
+    mid_F = mid + cdf_offset(signal, mid)
+    mid_dens = 1.0 + _evaluate_interior(signal, mid)
     bracket = sorted_lookup(gF, "left")
     for start in range(0, flat.size, INVCDF_CHUNK):
         active = np.arange(start, min(start + INVCDF_CHUNK, flat.size))
-        idx = np.clip(bracket(flat[active]), 1, G)
-        lo, hi = gx[idx - 1], gx[idx]
-        xa = 0.5 * (lo + hi)
-        for _ in range(200):
-            r = (xa + cdf_offset(signal, xa)) - flat[active]
+        cell = np.clip(bracket(flat[active]), 1, G) - 1
+        lo, hi, xa = gx[cell], gx[cell + 1], mid[cell]
+        for round_ in range(200):
+            if round_:
+                r = (xa + cdf_offset(signal, xa)) - flat[active]
+            else:
+                r = mid_F[cell] - flat[active]
             done = np.abs(r) <= INVCDF_TOL
             if done.any():
                 x[active[done]] = xa[done]
@@ -364,10 +446,15 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
                 keep = ~done
                 active, xa, r, lo, hi = (active[keep], xa[keep], r[keep],
                                          lo[keep], hi[keep])
+                if not round_:
+                    cell = cell[keep]
             gt = r > 0.0
             hi = np.where(gt, xa, hi)
             lo = np.where(gt, lo, xa)
-            dens = 1.0 + _evaluate_interior(signal, xa)
+            if round_:
+                dens = 1.0 + _evaluate_interior(signal, xa)
+            else:
+                dens = mid_dens[cell]
             with np.errstate(divide="ignore", invalid="ignore"):
                 xn = xa - r / dens
             # Newton only inside the closed bracket and only if it moves x.

@@ -8,6 +8,7 @@ rather than a function against itself.
 import math
 
 import numpy as np
+from scipy import optimize
 
 from uniconsist.signals import SignalSpec, _evaluate_interior
 
@@ -216,3 +217,16 @@ def seedsequence_generator(seed: int, stream: int,
     ``Philox(SeedSequence(...))`` keys itself."""
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(seed, spawn_key=(stream, replicate))))
+
+
+def bounded_minima_scipy(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's bounded Brent (``xatol`` 1e-12) on each bracket [lo[i], hi[i]]
+    in turn, fn taken one point at a time: x and fun of every bracket."""
+    xs, fs = [], []
+    for a, b in zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()):
+        res = optimize.minimize_scalar(
+            lambda x: float(fn(np.array([x]))[0]), bounds=(a, b),
+            method="bounded", options={"xatol": 1e-12})
+        xs.append(float(res.x))
+        fs.append(float(res.fun))
+    return np.array(xs), np.array(fs)

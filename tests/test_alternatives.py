@@ -315,6 +315,33 @@ def test_densitize_agrees_with_density_spec_at_tolerance(gap):
     assert densitize(seq).rows[64]["full"]["ok"] == accepted
 
 
+# densitize rows of the interaction suite's chi2 head-plus-spike sequence:
+# (min, argmin) of 1 + f for the full signal, its head and its tail, recorded
+# when each grid-local minimum was refined by its own
+# scipy.optimize.minimize_scalar call.
+PINNED_DENSITIZE = {
+    1024: {"full": (0.41397039234057786, 0.48750294672359556),
+           "head": (0.41397039234057786, 0.48750294672359556),
+           "tail": (1.0, 0.0001220703125)},
+    2048: {"full": (0.5477860188126988, 0.49509821679459953),
+           "head": (0.8759897175864972, 0.500000000004056),
+           "tail": (0.6717374877289631, 0.0049019607844113106)},
+    4096: {"full": (0.6512563781747522, 0.49816177242724324),
+           "head": (0.904375, 0.500000000003894),
+           "tail": (0.746875, 0.0018382352905768754)},
+}
+
+
+def test_densitize_rows_pinned():
+    family, n_list = chi2_family(0.375), [1024, 2048, 4096]
+    head = make_consistent(family, 1.0, "lowest", n_list, 1.53)
+    spike = make_inconsistent(family, [1.25, 2.25, 4.25], n_list, 4.05)
+    rep = densitize(combine(head, spike, kind="head-plus-spike"))
+    assert rep.ok
+    assert {n: {part: (row["min"], row["argmin"]) for part, row in entry.items()}
+            for n, entry in rep.rows.items()} == PINNED_DENSITIZE
+
+
 def test_sequence_json_round_trip():
     seq = make_inconsistent(cvm_fam(), [2, 3, 5, 8], N_LIST, norm_const=0.7)
     obj = seq.to_json_dict()

@@ -1,6 +1,7 @@
 """Chi-square tests with growing cells: statistic, population, projections."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,3 +224,19 @@ def test_decide_and_predict_report():
         n * 8 * chi2_population(sig, 8))
     with pytest.raises(ValidationError):
         decide_and_predict(pts, cfg, n + 1)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.7, math.nan, math.inf, -math.inf])
+def test_decide_and_predict_refuses_points_outside_unit_interval(bad):
+    """A point outside [0, 1] would be clipped into an end cell; it is
+    refused instead, and the error names it."""
+    cfg = Chi2Config(alpha=0.05, m=4)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"points outside [0,1]: {[bad]}")):
+        decide_and_predict(np.array([0.2, 0.5, bad, 0.7]), cfg, 4)
+
+
+def test_decide_and_predict_takes_both_endpoints():
+    rep = decide_and_predict(np.array([0.0, 0.5, 1.0, 0.7]),
+                             Chi2Config(alpha=0.05, m=4), 4)
+    assert rep.statistic == chi2_statistic(np.array([0.0, 0.5, 1.0, 0.7]), 4)

@@ -388,6 +388,10 @@ _FLAG = {"statistic": "--data", "widths": "--set", "classify": "--sequence"}
     (["statistic", "quad"], {**_QUAD, "alpha": 10**400}, "'alpha'"),
     (["statistic", "chi2"], json.dumps(_CHI2)[:-1] + ', "signal": 1' + "0" * 5000
      + "}", "4300 digits"),
+    (["statistic", "chi2"], {**_CHI2, "points": [0.2, 0.5, 1.5, 0.7]},
+     "points outside [0,1]: [1.5]"),
+    (["statistic", "cvm"], {**_CVM, "points": [0.2, 0.5, 1.5, -0.7]},
+     "points outside [0,1]: [1.5, -0.7]"),
 ], ids=["kernel-name-list", "kernel-h-string", "chi2-no-points",
         "chi2-one-point", "chi2-one-point-m-rule", "chi2-points-string",
         "chi2-signal-coeffs-string", "quad-y-string", "quad-r-string",
@@ -398,7 +402,8 @@ _FLAG = {"statistic": "--data", "widths": "--set", "classify": "--sequence"}
         "cvm-table-j-null-string", "cvm-table-j-null-overflow",
         "cvm-table-alpha-strings", "quad-gamma-overflow", "quad-j-too-large",
         "kernel-sigma-overflow", "quad-alpha-beyond-float",
-        "chi2-signal-int-past-digit-limit"])
+        "chi2-signal-int-past-digit-limit", "chi2-point-above-one",
+        "cvm-points-outside"])
 def test_malformed_data_field_exits_2(tmp_path, capsys, command, data, key):
     path = _write(tmp_path, "bad.json", data)
     code = main(command + [_FLAG[command[0]], path])

@@ -1,6 +1,7 @@
 """Cramer-von Mises: exact statistic, population series, null tables."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -227,6 +228,22 @@ def test_decide_report():
     assert rep.statistic == pytest.approx(cvm_statistic(pts))
     assert rep.reject == (rep.statistic > table.critical(0.05))
     assert rep.ingredients["J_null"] == 64
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.7, math.nan, math.inf, -math.inf])
+def test_decide_refuses_points_outside_unit_interval(bad):
+    """n T^2 is defined for points of [0, 1] only: one outside is refused,
+    and the error names it, before any statistic is formed."""
+    table = build_cvm_null_table([0.05], replicates=200, seed=2, J_null=16)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"points outside [0,1]: {[bad]}")):
+        decide(np.array([0.2, 0.5, bad, 0.7]), table, 0.05)
+
+
+def test_decide_takes_both_endpoints():
+    table = build_cvm_null_table([0.05], replicates=200, seed=2, J_null=16)
+    pts = np.array([0.0, 0.5, 1.0, 0.7])
+    assert decide(pts, table, 0.05).statistic == cvm_statistic(pts)
 
 
 def test_table_with_int_past_digit_limit_is_validation_error():

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import eval_signal, gauss01, norm_sq_quadrature
+from oracles import (bounded_minima_scipy, eval_signal, gauss01,
+                     norm_sq_quadrature)
 from uniconsist import alternatives, signals
 from uniconsist.errors import DensityError, ValidationError
 from uniconsist.signals import (INVCDF_TOL, SQRT2, Basis, DensitySpec,
@@ -84,6 +85,15 @@ def test_evaluate_rejects_boundary():
         evaluate(sig, 0.0)
     with pytest.raises(ValidationError):
         evaluate(sig, np.array([0.5, 1.0]))
+
+
+def test_evaluate_names_nan_outside_domain():
+    sig = random_signal(Basis.COSINE_PI, 3)
+    with pytest.raises(ValidationError, match=re.escape("t outside (0,1): [nan]")):
+        evaluate(sig, float("nan"))
+    with pytest.raises(ValidationError,
+                       match=re.escape("t outside (0,1): [nan, 1.0]")):
+        evaluate(sig, np.array([0.5, np.nan, 1.0]))
 
 
 def test_signal_shapes_validated():
@@ -165,17 +175,17 @@ def test_density_minimum_flat():
 @pytest.mark.parametrize("amplitude", [0.0, 1e-300])
 def test_density_minimum_refines_flat_once(monkeypatch, amplitude):
     # A flat grid is one plateau: refined once, not once per cell.
-    calls = []
-    minimize = signals.optimize.minimize_scalar
+    lanes = []
+    minima = signals._bounded_minima
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return minimize(*args, **kwargs)
+    def counting(fn, lo, hi):
+        lanes.append(len(lo))
+        return minima(fn, lo, hi)
 
-    monkeypatch.setattr(signals.optimize, "minimize_scalar", counting)
+    monkeypatch.setattr(signals, "_bounded_minima", counting)
     dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([amplitude])))
     assert dens.minimum == 1.0
-    assert len(calls) <= 2
+    assert sum(lanes) <= 2
 
 
 def test_density_spec_rejects_negative():
@@ -381,6 +391,21 @@ def test_invert_cdf_takes_both_endpoints():
     assert float(np.max(np.abs(dens.cdf(x) - u))) <= INVCDF_TOL
 
 
+def test_invert_cdf_converges_at_cell_midpoints():
+    """A uniform equal to F at its CDF-grid cell's midpoint is done in the
+    first round, from the cell tables, at that midpoint; the points beside
+    it in the same call go on, each as if inverted alone."""
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.4, -0.2, 0.1])))
+    mid = (np.arange(2048) + 0.5) / 2048
+    at = mid[[0, 17, 1024, 2047]]
+    u = np.concatenate([dens.cdf(at), np.random.default_rng(4).random(64)])
+    u = np.random.default_rng(5).permutation(u)
+    x = invert_cdf(dens, u)
+    assert np.array_equal(np.sort(x[np.isin(u, dens.cdf(at))]), at)
+    assert np.array_equal(x, np.concatenate([invert_cdf(dens, u[i:i + 1])
+                                             for i in range(u.size)]))
+
+
 def _pinned_densities():
     """A cvm_family(0.25) spike; a chi2_family(0.375) head-plus-spike with
     272 coefficient pairs; 1 + cos(3 pi t), whose minimum touches 0, so CDF
@@ -470,3 +495,99 @@ def test_sorted_lookup_searches_every_point_of_an_unsorted_table(side):
         table = np.array(table)
         assert np.array_equal(sorted_lookup(table, side)(x),
                               np.searchsorted(table, x, side))
+
+
+def _minimum_densities():
+    """The pinned inversion densities; amplitudes 0 and 1e-300 (flat grids);
+    24 nonzero TrigFull pairs among 64 frequencies."""
+    rng = np.random.default_rng(2024)
+    pairs = np.zeros((64, 2))
+    rows = rng.choice(64, 24, replace=False)
+    pairs[rows] = rng.normal(0.0, 0.02, (24, 2))
+    return {**_pinned_densities(),
+            "flat": SignalSpec(Basis.COSINE_PI, np.array([0.0])),
+            "flat-1e-300": SignalSpec(Basis.COSINE_PI, np.array([1e-300])),
+            "trig-full-24-pairs": SignalSpec(Basis.TRIG_FULL, pairs)}
+
+
+# density_minimum's (min, argmin), recorded when each grid-local minimum
+# was refined by its own scipy.optimize.minimize_scalar call.
+PINNED_MINIMA = {
+    "cvm-spike": (0.8232233047033631, 0.06250000025612384),
+    "chi2-head-plus-spike": (0.6512563781747522, 0.49816177242724324),
+    "touches-zero": (0.0, 0.3333333333336536),
+    "flat": (1.0, 0.0001220703125),
+    "flat-1e-300": (1.0, 0.0001220703125),
+    "trig-full-24-pairs": (0.7006200866109158, 0.5778387583272119),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MINIMA))
+def test_density_minimum_pinned(name):
+    assert density_minimum(_minimum_densities()[name]) == PINNED_MINIMA[name]
+
+
+@st.composite
+def bracket_cases(draw):
+    """A function of t and brackets in [1e-12, 1 - 1e-12] to minimise it on.
+
+    The function is 1 + f for a sparse f (up to six terms, j up to 64, on
+    any basis, amplitudes down to 0), or that rounded to a multiple of
+    2^-k, whose plateaus send Brent through its tie rules. The brackets are
+    density_minimum's own, around each grid-local minimum, or random ones,
+    points and the whole interval included."""
+    basis = draw(st.sampled_from(list(Basis)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (64, 2) if basis is Basis.TRIG_FULL else (64,)
+    coeffs = np.zeros(shape)
+    terms = rng.choice(64, draw(st.integers(0, 6)), replace=False)
+    coeffs[terms] = rng.normal(0.0, draw(st.sampled_from([1e-300, 1e-3, 0.1, 0.5])),
+                               (terms.size,) + shape[1:])
+    sig = SignalSpec(basis, coeffs)
+    k = draw(st.sampled_from([None, 4, 12, 30]))
+
+    def fn(t):
+        v = 1.0 + signals._evaluate_interior(sig, t)
+        return v if k is None else np.round(v * 2.0 ** k) / 2.0 ** k
+
+    if draw(st.booleans()):
+        t = (np.arange(signals.DENSITY_GRID) + 0.5) / signals.DENSITY_GRID
+        vals = fn(t)
+        padded = np.concatenate(([np.inf], vals, [np.inf]))
+        cells = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))[:200]
+        edges = np.concatenate(([1e-12], t, [1.0 - 1e-12]))
+        return fn, edges[cells], edges[cells + 2]
+    ends = np.sort(1e-12 + (1.0 - 2e-12) * rng.random((40, 2)), axis=1)
+    ends[0] = 1e-12, 1.0 - 1e-12
+    ends[1] = ends[1, 0]
+    return fn, ends[:, 0], ends[:, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_cases())
+def test_bounded_minima_equal_scipy_bounded_brent(case):
+    """Every lane of the lockstep minimiser is scipy's minimize_scalar
+    (method "bounded", xatol 1e-12) on that bracket, bit for bit."""
+    fn, lo, hi = case
+    x, f = signals._bounded_minima(fn, lo, hi)
+    want_x, want_f = bounded_minima_scipy(fn, lo, hi)
+    assert x.tobytes() == want_x.tobytes()
+    assert f.tobytes() == want_f.tobytes()
+
+
+def test_invert_cdf_evaluations_per_point(monkeypatch):
+    """For a cvm spike on 65 536 uniforms, F is evaluated at most 2.25 times a
+    point and the density at most 1.2 times, the CDF grid and the per-cell
+    tables included: each point's first Newton round reads both from the
+    tables at its cell's midpoint."""
+    dens = DensitySpec(_pinned_densities()["cvm-spike"])
+    u = substream(17, 1, 0).random(65536)
+    counts = {}
+    for name in ("cdf_offset", "_evaluate_interior"):
+        def counting(signal, x, fn=getattr(signals, name), name=name):
+            counts[name] = counts.get(name, 0) + np.size(x)
+            return fn(signal, x)
+        monkeypatch.setattr(signals, name, counting)
+    invert_cdf(dens, u)
+    assert counts["cdf_offset"] / u.size <= 2.25
+    assert counts["_evaluate_interior"] / u.size <= 1.2
