@@ -19,6 +19,16 @@ from .reports import json_array, json_value
 from .signals import SignalSpec
 
 
+def _weighted_tails(signal: SignalSpec, s: float) -> np.ndarray:
+    """m^{2s} Sum_{j>=m} theta_j^2 for m = 1 .. J, for finite s > 0."""
+    if not 0.0 < s < math.inf:
+        raise ValidationError(f"smoothness s must be finite and positive, got {s!r}")
+    energy = signal.index_energy()
+    tails = np.cumsum(energy[::-1])[::-1]
+    m = np.arange(1, energy.size + 1, dtype=float)
+    return np.power(m, 2.0 * s) * tails
+
+
 def besov_seminorm(signal: SignalSpec, s: float) -> float:
     """Exact value of sup_{lambda>0} lambda^{2s} Sum_{j>lambda} theta_j^2.
 
@@ -28,24 +38,13 @@ def besov_seminorm(signal: SignalSpec, s: float) -> float:
     the left). For TrigFull signals the mass at index j is a_j^2 + b_j^2,
     i.e. |theta_j|^2 + |theta_{-j}|^2 of the exponential coefficients.
     """
-    if s <= 0:
-        raise ValidationError("smoothness s must be positive")
-    energy = signal.index_energy()
-    if energy.size == 0:
-        return 0.0
-    tails = np.cumsum(energy[::-1])[::-1]
-    m = np.arange(1, energy.size + 1, dtype=float)
-    return float(np.max(np.power(m, 2.0 * s) * tails))
+    return float(np.max(_weighted_tails(signal, s), initial=0.0))
 
 
 def besov_argmax(signal: SignalSpec, s: float) -> int:
     """The integer breakpoint attaining the seminorm maximum."""
-    energy = signal.index_energy()
-    if energy.size == 0:
-        return 1
-    tails = np.cumsum(energy[::-1])[::-1]
-    m = np.arange(1, energy.size + 1, dtype=float)
-    return int(np.argmax(np.power(m, 2.0 * s) * tails)) + 1
+    tails = _weighted_tails(signal, s)
+    return int(np.argmax(tails)) + 1 if tails.size else 1
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,8 @@ class BesovBody:
     P0: float
 
     def __post_init__(self):
-        if self.s <= 0 or self.P0 <= 0:
-            raise ValidationError("s and P0 must be positive")
+        if not (0.0 < self.s < math.inf and 0.0 < self.P0 < math.inf):
+            raise ValidationError("s and P0 must be finite and positive")
 
     def member(self, signal: SignalSpec) -> bool:
         return besov_seminorm(signal, self.s) <= self.P0

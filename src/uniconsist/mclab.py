@@ -20,8 +20,8 @@ replicates' substreams, unscaled, and hands it to ``reject_block`` once.
 quad, kernel and fixed take their coordinate map and their
 :class:`~uniconsist.quad.QuadraticForm` from the family module; ``_rows``
 packs the variants and ``_form_rejections`` scores every variant of one or
-more forms on the same coordinates from one block, folding each form's
-noise scale into its weights (``weighted_square_sums``). A quad sweep
+more forms on the same coordinates from one block (``weighted_square_sums``
+on ``QuadraticForm.fold``, the fold that ``exact_power`` reads). A quad sweep
 (:func:`quad_sweep`) is one such call: the profile's J is the same at every
 n, so replicate i's xi is drawn once for all of them. chi2 and cvm score a
 block one variant column at a time (``_per_column``).
@@ -135,6 +135,9 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw,
     returns the block's (rows x variants) decisions; it may overwrite the
     block, which is not used again.
     """
+    if width < 1:
+        raise ValidationError(f"noise rows need a width of at least 1, got {width}")
+
     def work(lo: int) -> np.ndarray:
         hi = min(lo + BLOCK_ROWS, mc.replicates)
         noise = np.empty((hi - lo, width))
@@ -188,22 +191,19 @@ def _rows(variants, size: int, coordinates) -> np.ndarray:
 
 
 def _fold(tests) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and weights of every ``(form, critical, rows)`` of ``tests`` (forms
-    of one coordinate count), each form's scale s folded in so that
-    ``weighted_square_sums(xi, *_fold(tests))`` scores unscaled noise:
-    Sum w (theta + s xi)^2 = Sum (w s^2) (theta / s + xi)^2."""
+    """The ``(form, critical, rows)`` of ``tests`` (one coordinate count), each
+    folded by ``form.fold``, as the rows and weights that score unscaled xi."""
     width = tests[0][0].weights.size
     for k, (form, _, _) in enumerate(tests):
         if form.weights.size != width:
             raise ValidationError(
                 f"forms scored together must share their coordinates: form {k} "
                 f"has {form.weights.size}, form 0 has {width}")
-    rows = np.concatenate([rows / form.scale for form, _, rows in tests])
-    w = [form.weights * np.square(form.scale) for form, _, _ in tests]
+    rows, w = zip(*(form.fold(r) for form, _, r in tests))
     if len(w) == 1:
-        return rows, w[0]
-    return rows, np.concatenate([np.broadcast_to(wf, r.shape)
-                                 for wf, (_, _, r) in zip(w, tests)])
+        return rows[0], w[0]
+    return np.concatenate(rows), np.concatenate(
+        [np.broadcast_to(wf, r.shape) for r, wf in zip(rows, w)])
 
 
 def _form_rejections(mc: MCConfig, tests) -> list[np.ndarray]:

@@ -1,9 +1,9 @@
 """Quadratic sequence-model tests with scaled weight profiles.
 
 Each test here, and the kernel test, is one :class:`QuadraticForm`, read
-alike by its ``statistic``, the exact law cvm.weighted_chisq_sf(center +
-t / unit, w scale^2, theta / scale) and the engine, which draws xi unscaled
-and scores Sum (w scale^2) (theta / scale + xi)^2 (:func:`weighted_square_sums`);
+alike by its ``statistic``, by the exact law of :mod:`~uniconsist.wchisq`
+(``exact_power``, ``exact_critical``) and by the engine, which scores the
+rows and weights of ``fold`` on unscaled xi (:func:`weighted_square_sums`);
 ``noncentrality`` and the engine read one coordinate map, ``quad_coordinates``.
 
 The quad test at n (``KappaProfile.form``, scale sigma / sqrt(n)) centres
@@ -39,6 +39,7 @@ from scipy.special import ndtr, ndtri
 from .errors import AssumptionError, ValidationError
 from .reports import TestReport
 from .signals import SignalSpec
+from .wchisq import weighted_chisq_quantile, weighted_chisq_sf
 
 _A4_DELTA_GRID = (0.5, 1.0, 2.0, 4.0)
 _A5_C_GRID = (1.5, 2.0, 4.0)
@@ -89,6 +90,20 @@ class QuadraticForm:
             raise ValidationError(f"observation length {y.shape} != ({self.weights.size},)")
         t = np.square(y) @ self.weights - self.center
         return t if t.ndim else float(t)
+
+    def fold(self, rows):
+        """Rows theta / scale and weights w scale^2 on unscaled xi:
+        Sum w (theta + scale xi)^2 = Sum (w scale^2) (theta / scale + xi)^2."""
+        return np.asarray(rows, dtype=float) / self.scale, self.weights * np.square(self.scale)
+
+    def exact_power(self, critical: float, row=None) -> float:
+        """Exact P(unit * statistic(row + scale xi) > critical); row None: the null."""
+        offsets, w = self.fold(np.zeros(self.weights.shape) if row is None else row)
+        return weighted_chisq_sf(self.center + critical / self.unit, w, offsets)
+
+    def exact_critical(self, alpha: float) -> float:
+        """The critical value whose exact null rejection rate is alpha."""
+        return self.unit * (weighted_chisq_quantile(alpha, self.fold(0.0)[1]) - self.center)
 
 
 @dataclass(frozen=True)

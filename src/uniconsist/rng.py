@@ -17,9 +17,9 @@ disjoint replicate ids.
 
 :func:`philox_keys` computes those keys without building a
 ``SeedSequence``: it restates numpy's pool mixing, hashes the (seed,
-stream) prefix once and mixes only the replicate words, as a vector (a
-lone id in Python ints). :func:`substreams` re-keys one Philox for each
-id of a block, and :func:`substream` builds a fresh one for one id.
+stream) prefix once and mixes only the replicate words, as a vector.
+:func:`substreams` re-keys one Philox for each id of a block, and
+:func:`substream` builds a fresh one for one id.
 """
 
 from __future__ import annotations
@@ -116,18 +116,12 @@ def philox_keys(seed: int, stream: int, ids) -> np.ndarray:
     for w in _words(int(stream)):
         pool, hash_const = _absorb(pool, hash_const, w)
 
-    if len(ids) == 1:
-        # One id stays in Python ints: numpy calls on one-element arrays
-        # would cost more than the hash itself.
-        for w in _words(int(ids[0])):
-            pool, hash_const = _absorb(pool, hash_const, w)
-    else:
-        ids = np.array(ids, dtype=np.uint64)
-        pool, hash_const = _absorb(pool, hash_const, ids & np.uint64(_MASK32))
-        high = ids >> np.uint64(32)
-        if high.any():
-            two_words, _ = _absorb(pool, hash_const, high)
-            pool = [np.where(high != 0, t, p) for t, p in zip(two_words, pool)]
+    ids = np.array(ids, dtype=np.uint64)
+    pool, hash_const = _absorb(pool, hash_const, ids & np.uint64(_MASK32))
+    high = ids >> np.uint64(32)
+    if high.any():
+        two_words, _ = _absorb(pool, hash_const, high)
+        pool = [np.where(high != 0, t, p) for t, p in zip(two_words, pool)]
 
     hash_const = _INIT_B
     state = []

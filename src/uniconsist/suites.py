@@ -37,8 +37,7 @@ from .alternatives import (AlternativeSequence, ClassifyThresholds,
                            make_consistent, make_inconsistent,
                            make_spike_tail, quad_family, spike_tail_schedule)
 from .chi2 import Chi2Config, chi2_population, chi2_predicted_beta
-from .cvm import (_J_NULL_MAX, bridge_weights, cvm_consistency_index,
-                  weighted_chisq_quantile)
+from .cvm import _J_NULL_MAX, bridge_weights, cvm_consistency_index
 from .errors import ValidationError
 from .funclasses import EllipsoidSet, compactness_diagnostic
 from .kernel import (KernelTestConfig, builtin_kernel, half_level_radius,
@@ -475,12 +474,11 @@ COMPACTNESS_DEFAULT = {
 
 
 def _fixed_critical(cfg: dict) -> tuple[FixedKappa, float]:
-    """Bridge-weight fixed test on L coordinates and its exact alpha critical
-    value, the upper alpha-quantile of Sum_j kappa_j^2 xi_j^2."""
+    """Bridge-weight fixed test on L coordinates and its exact critical value."""
     if not 1 <= cfg["L"] <= _J_NULL_MAX:
         raise ValidationError(f"L must be in [1, {_J_NULL_MAX}], got {cfg['L']}")
     fk = FixedKappa(bridge_weights(cfg["L"]))
-    return fk, weighted_chisq_quantile(cfg["alpha"], fk.kappa_sq)
+    return fk, fk.form().exact_critical(cfg["alpha"])
 
 
 def _suite_compactness(cfg: dict, mc: MCConfig):

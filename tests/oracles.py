@@ -188,22 +188,6 @@ def two_term_chisq_sf(x: float, a: float, b: float, da: float, db: float) -> flo
     return float(tail(r, db)) + inner
 
 
-def exact_power(form, critical: float, row=None) -> float:
-    """P(form.unit * form.statistic(row + form.scale * xi) > critical), exact.
-
-    With xi standard normal and unit > 0 the event is
-    Sum_j w_j s_j^2 (xi_j + row_j / s_j)^2 > center + critical / unit, a
-    noncentral weighted chi-square tail (Imhof 1961). ``row`` None is the
-    null.
-    """
-    from uniconsist.cvm import weighted_chisq_sf
-
-    scale = np.broadcast_to(np.asarray(form.scale, dtype=float), form.weights.shape)
-    offsets = None if row is None else np.asarray(row, dtype=float) / scale
-    return weighted_chisq_sf(form.center + critical / form.unit,
-                             form.weights * np.square(scale), offsets)
-
-
 def seedsequence_key(seed: int, stream: int, replicate: int) -> np.ndarray:
     """numpy's own Philox key for (seed, stream, replicate): the two uint64
     words of ``SeedSequence(seed, spawn_key=(stream, replicate))``."""

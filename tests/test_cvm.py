@@ -17,11 +17,11 @@ from uniconsist.cvm import (CvmNullTable, bridge_weights, build_cvm_null_table,
                             cvm_consistency_index, cvm_null_sample,
                             cvm_population, cvm_statistic, decide,
                             series_shift, truncation_tail_bound,
-                            weighted_chisq_quantile, weighted_chisq_sf,
                             weighted_null_quantiles)
 from uniconsist.errors import ValidationError
 from uniconsist.rng import STREAM_NULL_TABLE, substream
 from uniconsist.signals import Basis, SignalSpec
+from uniconsist.wchisq import weighted_chisq_quantile, weighted_chisq_sf
 
 RNG = np.random.default_rng(515)
 
@@ -146,8 +146,8 @@ def test_null_table_reuses_one_block_buffer():
     assert peak < 1.5 * block, peak / block
 
 
-@pytest.mark.parametrize("weights", [[], [[0.1, 0.2]], [0.1, -0.2]],
-                         ids=["empty", "2-D", "negative"])
+@pytest.mark.parametrize("weights", [[], [[0.1, 0.2]], [0.1, -0.2], [0.0, 0.0, 0.0]],
+                         ids=["empty", "2-D", "negative", "all-zero"])
 def test_weighted_null_quantiles_rejects_bad_weights(weights):
     with pytest.raises(ValidationError, match="weights"):
         weighted_null_quantiles(np.array(weights), [0.05], 200, seed=0)

@@ -63,6 +63,18 @@ def test_seminorm_rejects_bad_s():
         besov_seminorm(sig([1.0]), 0.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_smoothness_checks_refuse_non_finite_or_nonpositive(bad):
+    with pytest.raises(ValidationError, match="smoothness s"):
+        besov_seminorm(sig([1.0]), bad)
+    with pytest.raises(ValidationError, match="smoothness s"):
+        besov_argmax(sig([1.0]), bad)
+    with pytest.raises(ValidationError, match="s and P0"):
+        BesovBody(bad, 1.0)
+    with pytest.raises(ValidationError, match="s and P0"):
+        BesovBody(0.5, bad)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-2, 2, allow_nan=False), min_size=1, max_size=10),
        st.floats(0.1, 2.0))

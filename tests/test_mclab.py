@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import exact_power, wilson_interval_at
+from oracles import wilson_interval_at
 from uniconsist import chi2, cvm, mclab
 from uniconsist.alternatives import make_consistent, quad_family
 from uniconsist.chi2 import Chi2Config, chi2_statistic
@@ -323,6 +323,14 @@ def test_cvm_rejections_match_statistic():
         assert rej[i, 1] == (cvm_statistic(invert_cdf(dens, u)) > crit)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_engine_refuses_noise_width_below_one(n):
+    with pytest.raises(ValidationError, match="width"):
+        cvm_rejections(MCConfig(100), CVM_TABLE, 0.05, n, [None])
+    with pytest.raises(ValidationError, match="width"):
+        estimate_power(CVM_TABLE, None, n, MCConfig(100), alpha=0.05)
+
+
 def test_fixed_rejections_match_statistic():
     j = np.arange(1, 65, dtype=float)
     fk = FixedKappa(1.0 / (math.pi ** 2 * j ** 2))
@@ -502,8 +510,8 @@ def test_quad_exact_size_and_beta_at_consistency_config():
     prediction is 0.4952)."""
     test, _, row = _consistency_quad(512)
     form = test.profile.form(512)
-    assert exact_power(form, test.x_alpha) == pytest.approx(0.05523, abs=1e-4)
-    assert 1.0 - exact_power(form, test.x_alpha, row) == pytest.approx(
+    assert form.exact_power(test.x_alpha) == pytest.approx(0.05523, abs=1e-4)
+    assert 1.0 - form.exact_power(test.x_alpha, row) == pytest.approx(
         0.50919, abs=1e-4)
 
 
@@ -513,7 +521,7 @@ def _assert_within_exact_law(rej, form, critical, rows):
     (Bonferroni), so on correct code this fails with probability <= 0.001."""
     z = stats.norm.isf(0.001 / (2 * len(rows)))
     for v, row in enumerate(rows):
-        exact = exact_power(form, critical, row)
+        exact = form.exact_power(critical, row)
         lo, hi = wilson_interval_at(int(rej[:, v].sum()), rej.shape[0], z)
         assert lo <= exact <= hi, (v, exact, lo, hi)
 

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from uniconsist.cvm import cvm_null_sample
+from oracles import two_term_chisq_sf
+from uniconsist.cvm import bridge_weights, cvm_null_sample
 from uniconsist.errors import AssumptionError, ValidationError
+from uniconsist.kernel import KernelTestConfig, box_kernel, kernel_form
 from uniconsist.mclab import MCConfig, quad_rejections
-from uniconsist.quad import (FixedKappa, QuadTestConfig, build_profile,
-                             cumulative_k, decide_and_predict,
+from uniconsist.quad import (FixedKappa, QuadraticForm, QuadTestConfig,
+                             build_profile, cumulative_k, decide_and_predict,
                              fixed_kappa_statistic, gaussian_upper_quantile,
                              noncentrality, null_variance, predict_beta,
                              quad_statistic, weighted_square_sums)
@@ -344,3 +346,38 @@ def test_prediction_refuses_what_the_engine_refuses(theta):
         decide_and_predict(np.zeros(64), cfg, 64, theta=theta)
     with pytest.raises(ValidationError, match="variant 1"):
         quad_rejections(MCConfig(100), cfg, 64, [None, theta])
+
+
+def test_form_exact_power_matches_two_term_oracle():
+    """Two coordinates with scales (0.5, 2), a centre and a unit: the event
+    2.5 (Sum w (row + s xi)^2 - 0.4) > t is 0.2 (xi_1 + 1.4)^2
+    + 1.2 (xi_2 - 0.55)^2 > 0.4 + t / 2.5, and under the null the same with
+    no offsets."""
+    form = QuadraticForm(np.array([0.8, 0.3]), np.array([0.5, 2.0]),
+                         center=0.4, unit=2.5)
+    row = np.array([0.7, -1.1])
+    for t in (-0.5, 0.3, 2.0, 6.0):
+        x = 0.4 + t / 2.5
+        assert abs(form.exact_power(t, row)
+                   - two_term_chisq_sf(x, 0.2, 1.2, 1.4, -0.55)) <= 1e-10
+        assert abs(form.exact_power(t)
+                   - two_term_chisq_sf(x, 0.2, 1.2, 0.0, 0.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("which", ["quad", "kernel", "fixed-sigmas"])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
+def test_form_exact_critical_has_exact_size_alpha(which, alpha):
+    form = {
+        "quad": lambda: small_profile().form(256),
+        "kernel": lambda: kernel_form(KernelTestConfig(
+            kernel=box_kernel(), alpha=0.05, h=0.1), 64, 64),
+        "fixed-sigmas": lambda: FixedKappa(
+            bridge_weights(16), np.linspace(0.5, 2.0, 16)).form(),
+    }[which]()
+    assert abs(form.exact_power(form.exact_critical(alpha)) - alpha) <= 1e-9
+
+
+def test_fixed_exact_critical_pinned():
+    """The compactness and unbiasedness critical value at L = 1024."""
+    form = FixedKappa(bridge_weights(1024)).form()
+    assert form.exact_critical(0.05) == 0.46126239541541825

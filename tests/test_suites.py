@@ -7,8 +7,7 @@ import pytest
 from scipy import stats
 
 from oracles import wilson_interval_at
-from uniconsist.cvm import (bridge_weights, weighted_chisq_quantile,
-                            weighted_chisq_sf)
+from uniconsist.cvm import bridge_weights
 from uniconsist.errors import ValidationError
 from uniconsist.mclab import MCConfig, fixed_rejections
 from uniconsist.quad import FixedKappa
@@ -168,7 +167,7 @@ def test_unbiasedness_power_matches_exact_noncentral_law():
     test fails with probability at most 0.001."""
     cfg = default_config("unbiasedness")
     fk = FixedKappa(bridge_weights(cfg["L"]))
-    critical = weighted_chisq_quantile(cfg["alpha"], fk.kappa_sq)
+    critical = fk.form().exact_critical(cfg["alpha"])
     etas = [None]
     for t in range(1, cfg["n_shifts"] + 1):
         v = substream(cfg["seed"], STREAM_FACTORY, t).standard_normal(
@@ -180,6 +179,6 @@ def test_unbiasedness_power_matches_exact_noncentral_law():
                            critical, etas)
     z = stats.norm.isf(0.001 / (2 * len(etas)))
     for v, eta in enumerate(etas):
-        exact = weighted_chisq_sf(critical, fk.kappa_sq, eta)
+        exact = fk.form().exact_power(critical, eta)
         lo, hi = wilson_interval_at(int(rej[:, v].sum()), rej.shape[0], z)
         assert lo <= exact <= hi, (v, exact, lo, hi)
