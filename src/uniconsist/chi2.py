@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._ports import ndtr
 from .errors import ValidationError
 from .quad import dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
@@ -212,7 +212,7 @@ def chi2_predicted_beta(signal: SignalSpec, config: Chi2Config, n: int) -> float
     """Phi(x_alpha - (2m)^{-1/2} T_n(F)) with T_n(F) = n m S(f, m)."""
     m = config.cells(n)
     t_pop = n * m * chi2_population(signal, m)
-    return float(ndtr(config.x_alpha - t_pop / math.sqrt(2.0 * m)))
+    return ndtr(config.x_alpha - t_pop / math.sqrt(2.0 * m))
 
 
 def decide_and_predict(points: np.ndarray, config: Chi2Config, n: int,

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import optimize
-from scipy.special import ndtr
 
+from ._ports import brentq, ndtr
 from .errors import ValidationError
 from .quad import QuadraticForm, dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
@@ -168,9 +167,8 @@ def half_level_radius(kernel: Kernel) -> float:
     i = int(below[0])
     if i == 0:
         raise ValidationError("|Khat(0)| < 1/2; not a unit-mass kernel")
-    return float(optimize.brentq(
-        lambda w: abs(float(kernel.khat(np.array([w]))[0])) - 0.5,
-        grid[i - 1], grid[i], xtol=1e-12))
+    return brentq(lambda w: abs(float(kernel.khat(np.array([w]))[0])) - 0.5,
+                  grid[i - 1], grid[i], xtol=1e-12)
 
 
 def inconsistency_bandwidths(kernel: Kernel, m_list) -> list[float]:
@@ -313,7 +311,7 @@ def t1n(theta: SignalSpec, config: KernelTestConfig, n: int | None = None) -> fl
 def kernel_power_prediction(theta: SignalSpec, config: KernelTestConfig,
                             n: int) -> float:
     """Gaussian type-II error of the kernel test against theta."""
-    return float(ndtr(config.x_alpha - kernel_unit(config, n) * t1n(theta, config, n)))
+    return ndtr(config.x_alpha - kernel_unit(config, n) * t1n(theta, config, n))
 
 
 def decide_and_predict(obs: KernelObservations, config: KernelTestConfig,

@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._ports import ndtr, ndtri
 from .errors import AssumptionError, ValidationError
 from .reports import TestReport
 from .signals import SignalSpec
@@ -56,7 +56,7 @@ def gaussian_upper_quantile(alpha: float) -> float:
     """x_alpha with 1 - Phi(x_alpha) = alpha (machine-precision inverse)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
-    return float(-ndtri(alpha))
+    return -ndtri(alpha)
 
 
 def dimension_exponent(r: float) -> float:
@@ -311,7 +311,7 @@ def null_variance(profile: KappaProfile, n: int) -> float:
 
 def predict_beta(R_n: float, A_n: float, x_alpha: float) -> float:
     """Gaussian type-II error Phi(x_alpha - R_n / sqrt(2 A_n))."""
-    return float(ndtr(x_alpha - R_n / math.sqrt(2.0 * A_n)))
+    return ndtr(x_alpha - R_n / math.sqrt(2.0 * A_n))
 
 
 def decide_and_predict(y: np.ndarray, config: QuadTestConfig, n: int,
@@ -345,6 +345,8 @@ class FixedKappa:
         w = np.asarray(self.kappa_sq, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("kappa_sq must be a nonempty 1-D array")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("kappa_sq must be finite")
         if np.any(w < 0.0) or w[0] <= 0.0:
             raise AssumptionError("D1", "weights must be nonnegative with kappa_1 > 0")
         if np.any(np.diff(w) > 0.0):

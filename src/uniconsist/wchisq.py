@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
+from ._ports import brentq
 from .errors import ValidationError
 
 # Bound on the part of the inversion integral that weighted_chisq_sf
@@ -214,5 +214,5 @@ def weighted_chisq_quantile(alpha: float, weights, offsets=None) -> float:
     if not 0.0 < lo < hi:
         raise ValidationError("could not bracket the quantile")
     u, c, K = _chisq_contour(lam, d2, lo, hi)
-    return optimize.brentq(lambda t: _contour_sf(t, u, c, K)[0] - alpha,
-                           lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    return brentq(lambda t: _contour_sf(t, u, c, K)[0] - alpha,
+                  lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)

@@ -307,6 +307,16 @@ def test_fixed_kappa_validations():
     assert np.array_equal(fk.scales(), np.ones(2))
 
 
+@pytest.mark.parametrize("kappa_sq", [[1.0, math.nan, 0.5], [math.inf, 1.0],
+                                      [1.0, -math.inf], [math.nan]])
+def test_fixed_kappa_refuses_non_finite_weights(kappa_sq):
+    # Refused as input, before the D1 checks: nan passes every comparison
+    # they make, and an infinite weight is no summable profile.
+    with pytest.raises(ValidationError, match="finite") as err:
+        FixedKappa(np.array(kappa_sq))
+    assert type(err.value) is ValidationError
+
+
 def test_fixed_kappa_statistic_hand_value():
     fk = FixedKappa(np.array([0.5, 0.25, 0.125]))
     z = np.array([2.0, -1.0, 3.0])
