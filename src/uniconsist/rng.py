@@ -25,6 +25,9 @@ stream) prefix once and mixes only the replicate words, as a vector.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that cost
+# in the package's import rather than in the first draw.
+from numpy.random import Generator, Philox
 
 from .errors import ValidationError
 
@@ -143,8 +146,8 @@ def substreams(seed: int, stream: int, ids):
     keys = philox_keys(seed, stream, ids).tolist()
     if not keys:
         return
-    bitgen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bitgen)
+    bitgen = Philox(key=keys[0])
+    gen = Generator(bitgen)
     state = bitgen.state
     for key in keys:
         state["state"] = {"counter": (0, 0, 0, 0), "key": key}
@@ -152,7 +155,7 @@ def substreams(seed: int, stream: int, ids):
         yield gen
 
 
-def substream(seed: int, stream: int, replicate: int) -> np.random.Generator:
+def substream(seed: int, stream: int, replicate: int) -> Generator:
     """Return the independent generator keyed by (seed, stream, replicate)."""
     key = philox_keys(seed, stream, [replicate])[0]
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
