@@ -97,9 +97,9 @@ def _p1evl(x: float, coef: tuple) -> float:
     return ans
 
 
-# Cephes erf and erfc, cut to the arguments ndtr passes: erf on
-# |x| < sqrt(1/2) and erfc on x >= sqrt(1/2). erf is odd, so Cephes'
-# -erf(-x) for x < 0 is the same product and quotient with x's sign.
+# Cephes erf and erfc, cut to the arguments ndtr passes: erf on |x| < 1
+# and erfc on x >= sqrt(1/2). erf is odd, so Cephes' -erf(-x) for x < 0
+# is the same product and quotient with x's sign.
 def _erf(x: float) -> float:
     z = x * x
     return x * _polevl(z, _T) / _p1evl(z, _U)
