@@ -38,13 +38,15 @@ _J_NULL_MAX = 2 ** 14
 
 def cvm_statistic(points: np.ndarray):
     """Exact value of n T^2(Fhat - F0) from the order statistics, one value
-    per sample along the last axis."""
+    per sample along the last axis. The caller's array is not written."""
+    # np.sort copies, so the subtract and the square run in place on the copy.
     u = np.sort(np.asarray(points, dtype=float), axis=-1)
     if u.size == 0:
         raise ValidationError("empty sample")
     n = u.shape[-1]
     grid = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    stat = np.sum(np.square(u - grid), axis=-1) + 1.0 / (12.0 * n)
+    np.subtract(u, grid, out=u)
+    stat = np.sum(np.square(u, out=u), axis=-1) + 1.0 / (12.0 * n)
     return stat if stat.ndim else float(stat)
 
 

@@ -17,7 +17,10 @@ and its ``reject_block`` callable, which returns a block of noise rows'
 whole (rows x variants) decision matrix. Pairing and determinism come from
 the single block loop ``_rejections``, which fills each block from its
 replicates' substreams, unscaled, and hands it to ``reject_block`` once.
-quad, kernel and fixed take their coordinate map and their
+The block is a view into its worker's reused noise buffer, valid only
+during that call, so ``reject_block`` must keep no reference to it; an
+engine call holds ``threads x BLOCK_ROWS x width`` floats of noise. quad,
+kernel and fixed take their coordinate map and their
 :class:`~uniconsist.quad.QuadraticForm` from the family module; ``_rows``
 packs the variants and ``_form_rejections`` scores every variant of one or
 more forms on the same coordinates from one block (``weighted_square_sums``
@@ -30,6 +33,7 @@ block one variant column at a time (``_per_column``).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -132,15 +136,25 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw,
     pass, ``substreams(seed, stream, range(lo, hi))``; row i is filled in
     place by ``draw(generator, row)``, a length ``width`` noise row, before
     the generator is re-keyed for row i + 1. ``reject_block(block)``
-    returns the block's (rows x variants) decisions; it may overwrite the
-    block, which is not used again.
+    returns the block's (rows x variants) decisions. The block is a view
+    of the leading rows of its worker's noise buffer, which the worker's
+    next block overwrites: ``reject_block`` may overwrite it too, but must
+    keep no reference to it past the call.
+
+    Each worker allocates its ``(min(BLOCK_ROWS, replicates), width)``
+    buffer once per call, so a call holds ``threads x BLOCK_ROWS x width``
+    floats of noise. Only the allocation is shared: each block keeps its
+    own row count, since BLAS row results can change with a matrix's rows.
     """
     if width < 1:
         raise ValidationError(f"noise rows need a width of at least 1, got {width}")
+    local = threading.local()
 
     def work(lo: int) -> np.ndarray:
         hi = min(lo + BLOCK_ROWS, mc.replicates)
-        noise = np.empty((hi - lo, width))
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty((min(BLOCK_ROWS, mc.replicates), width))
+        noise = local.buffer[:hi - lo]
         for row, gen in zip(noise, substreams(mc.seed, stream, range(lo, hi))):
             draw(gen, row)
         return reject_block(noise)

@@ -462,7 +462,7 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
             xa = np.where(ok, xn, 0.5 * (lo + hi))
         else:
             raise ValidationError("inverse-CDF sampling failed to reach tolerance")
-    x = np.clip(x, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    np.clip(x, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=x)
     return x.reshape(u.shape)
 
 

@@ -37,6 +37,18 @@ def test_statistic_ideal_spacings():
         assert cvm_statistic(u) == pytest.approx(1.0 / (12.0 * n))
 
 
+def test_statistic_leaves_its_input_untouched():
+    """The subtract and the square run in place on a sorted copy, never on
+    the caller's array (a read-only block of samples scores the same)."""
+    pts = np.random.default_rng(22).random((3, 40))
+    keep = pts.copy()
+    got = cvm_statistic(pts)
+    assert np.array_equal(pts, keep)
+    pts.flags.writeable = False
+    assert np.array_equal(cvm_statistic(pts), got)
+    assert cvm_statistic(pts[1]) == got[1]
+
+
 def test_statistic_empty_sample():
     with pytest.raises(ValidationError):
         cvm_statistic(np.array([]))

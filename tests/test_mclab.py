@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 import tracemalloc
 from functools import partial
 
@@ -151,6 +152,54 @@ def test_rejections_thread_invariance(run):
     assert 0 < rej1.sum() < rej1.size
 
 
+def _quad_run(mc):
+    theta = np.zeros(PROFILE.J)
+    theta[0] = 0.5
+    return quad_rejections(mc, QCFG, 64, [None, theta])
+
+
+@pytest.mark.parametrize("run", [_quad_run, _kernel_run, _chi2_run, _cvm_run,
+                                 _fixed_run],
+                         ids=["quad", "kernel", "chi2", "cvm", "fixed"])
+def test_partial_block_thread_invariance(run):
+    """At 1300 replicates (blocks 512, 512, 276) the short last block is a
+    slice of a reused buffer; every family's matrix is the same at 1 and 2
+    threads."""
+    rej1 = run(MCConfig(1300, seed=4, threads=1))
+    rej2 = run(MCConfig(1300, seed=4, threads=2))
+    assert np.array_equal(rej1, rej2)
+    assert rej1.shape == (1300, 2)
+
+
+@pytest.mark.parametrize("threads, most", [(1, 1), (2, 2)])
+def test_engine_draws_blocks_into_one_buffer_per_worker(threads, most):
+    """At 1300 replicates every block ``reject_block`` receives is a
+    leading-row view of its worker's one buffer, and holds exactly its own
+    replicates' draws (no stale rows in the short last block)."""
+    width = 8
+    bases, blocks = [], []
+    lock = threading.Lock()
+
+    def reject_block(noise):
+        with lock:
+            bases.append(noise.base)  # kept alive, so no id is reused
+            blocks.append(noise.copy())
+        return np.zeros((noise.shape[0], 1), dtype=bool)
+
+    mc = MCConfig(1300, seed=6, threads=threads)
+    rej = mclab._rejections(mc, STREAM_SEQUENCE_MODEL, width, mclab._normals,
+                            reject_block)
+    assert rej.shape == (1300, 1)
+    assert len({id(b) for b in bases}) <= most
+    assert all(b is not None and b.shape == (512, width) for b in bases)
+    xi = np.array([substream(6, STREAM_SEQUENCE_MODEL, i).standard_normal(width)
+                   for i in range(1300)])
+    expected = [xi[lo:lo + 512] for lo in (0, 512, 1024)]
+    assert sorted(b.shape[0] for b in blocks) == [276, 512, 512]
+    assert all(any(np.array_equal(b, e) for e in expected) for b in blocks)
+    assert all(any(np.array_equal(b, e) for b in blocks) for e in expected)
+
+
 def test_quad_rejections_match_single_decision():
     """Replicate i of a run equals a fresh decision on the same substream draw."""
     theta = np.zeros(PROFILE.J)
@@ -291,6 +340,22 @@ def test_kernel_block_allocates_no_per_variant_copies():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * block_bytes, peak / block_bytes
+
+
+def test_cvm_block_scores_on_one_sorted_copy():
+    """One 512-row cvm block at n = 4096 with a density column peaks below
+    3.5 noise blocks of traced memory: the uniforms, their inversion and
+    one sorted copy, with the subtract and the square run in place."""
+    n = 4096
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.05])))
+    block_bytes = 512 * n * 8
+    tracemalloc.start()
+    try:
+        cvm_rejections(MCConfig(512, seed=3), CVM_TABLE, 0.05, n, [None, dens])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * block_bytes, peak / block_bytes
 
 
 def test_chi2_rejections_match_statistic():

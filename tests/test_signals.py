@@ -213,6 +213,20 @@ def test_invert_cdf_round_trip():
     assert float(resid.max()) <= 1e-12
 
 
+def test_invert_cdf_leaves_its_input_untouched():
+    """The result is clipped in place into its own array, never into ``u``
+    (a read-only array inverts the same)."""
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.45, -0.2])))
+    u = np.random.default_rng(22).random((4, 64))
+    u[0, :2] = [0.0, 1.0]
+    keep = u.copy()
+    x = invert_cdf(dens, u)
+    assert np.array_equal(u, keep)
+    assert not np.shares_memory(x, u)
+    u.flags.writeable = False
+    assert np.array_equal(invert_cdf(dens, u), x)
+
+
 def test_invert_cdf_identity_for_uniform():
     dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.0])))
     u = np.array([0.01, 0.2, 0.5, 0.77, 0.999])
