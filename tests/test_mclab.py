@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import sys
 import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -171,8 +173,8 @@ def test_partial_block_thread_invariance(run):
     assert rej1.shape == (1300, 2)
 
 
-@pytest.mark.parametrize("threads, most", [(1, 1), (2, 2)])
-def test_engine_draws_blocks_into_one_buffer_per_worker(threads, most):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_engine_draws_blocks_into_one_buffer_per_worker(threads):
     """At 1300 replicates every block ``reject_block`` receives is a
     leading-row view of its worker's one buffer, and holds exactly its own
     replicates' draws (no stale rows in the short last block)."""
@@ -190,7 +192,7 @@ def test_engine_draws_blocks_into_one_buffer_per_worker(threads, most):
     rej = mclab._rejections(mc, STREAM_SEQUENCE_MODEL, width, mclab._normals,
                             reject_block)
     assert rej.shape == (1300, 1)
-    assert len({id(b) for b in bases}) <= most
+    assert len({id(b) for b in bases}) <= threads
     assert all(b is not None and b.shape == (512, width) for b in bases)
     xi = np.array([substream(6, STREAM_SEQUENCE_MODEL, i).standard_normal(width)
                    for i in range(1300)])
@@ -198,6 +200,27 @@ def test_engine_draws_blocks_into_one_buffer_per_worker(threads, most):
     assert sorted(b.shape[0] for b in blocks) == [276, 512, 512]
     assert all(any(np.array_equal(b, e) for e in expected) for b in blocks)
     assert all(any(np.array_equal(b, e) for b in blocks) for e in expected)
+
+
+def test_engine_workers_keep_their_buffers_under_thread_switching():
+    """Four workers (more than the cores) with a tiny switch interval: a
+    block still holds its own draws after its worker yields mid-call."""
+    def reject_block(noise):
+        before = noise.copy()
+        time.sleep(1e-4)  # let another worker draw meanwhile
+        same = np.all(noise == before, axis=1, keepdims=True)
+        return same & (noise[:, :1] > 0.5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [mclab._rejections(MCConfig(2900, seed=2, threads=t),
+                                  STREAM_IID, 16, mclab._uniforms, reject_block)
+                for t in (1, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(runs[0], runs[1])
+    assert 0 < runs[0].sum() < runs[0].size
 
 
 def test_quad_rejections_match_single_decision():
