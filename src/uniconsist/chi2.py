@@ -24,8 +24,8 @@ from ._ports import ndtr
 from .errors import ValidationError
 from .quad import dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
-from .signals import (Basis, SignalSpec, cdf_offset, check_unit_interval,
-                      to_exponential)
+from .signals import (Basis, SignalSpec, cdf_offset, check_sample_shape,
+                      check_unit_interval, to_exponential)
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,7 @@ def chi2_predicted_beta(signal: SignalSpec, config: Chi2Config, n: int) -> float
 def decide_and_predict(points: np.ndarray, config: Chi2Config, n: int,
                        signal: SignalSpec | None = None) -> TestReport:
     points = np.asarray(points, dtype=float)
+    check_sample_shape(points)
     if points.size != n:
         raise ValidationError(f"sample size {points.size} != n = {n}")
     check_unit_interval(points, "points")

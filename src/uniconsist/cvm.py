@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ValidationError
 from .reports import TestReport, json_array, json_value
 from .rng import STREAM_NULL_TABLE, substreams
-from .signals import Basis, SignalSpec, check_unit_interval
+from .signals import (Basis, SignalSpec, check_sample_shape,
+                      check_unit_interval)
 from .wchisq import check_weights
 
 _TABLE_BLOCK = 4096
@@ -191,6 +192,7 @@ def build_cvm_null_table(alphas, replicates: int, seed: int,
 def decide(points: np.ndarray, table: CvmNullTable, alpha: float) -> TestReport:
     """Table-based decision: reject iff n T^2 exceeds the tabulated critical."""
     points = np.asarray(points, dtype=float)
+    check_sample_shape(points)
     check_unit_interval(points, "points")
     stat = cvm_statistic(points)
     crit = table.critical(alpha)

@@ -27,7 +27,9 @@ more forms on the same coordinates from one block (``weighted_square_sums``
 on ``QuadraticForm.fold``, the fold that ``exact_power`` reads). A quad sweep
 (:func:`quad_sweep`) is one such call: the profile's J is the same at every
 n, so replicate i's xi is drawn once for all of them. chi2 and cvm score a
-block one variant column at a time (``_per_column``).
+block in row slices of at most SLICE_VALUES noise values (one row when a row
+is wider), one variant column at a time (``_per_column``); a row's decision
+reads only that row, so the slicing changes no decision.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ from .signals import (DensitySpec, SignalSpec, cdf_offset, invert_cdf,
                       sorted_lookup)
 
 BLOCK_ROWS = 512
+# chi2 and cvm score a block in row slices of at most this many noise values,
+# so a slice's cell lookups, inversions and sorted copies stay in cache and
+# no temporary is block-sized.
+SLICE_VALUES = 16384
 _Z95 = 1.959963984540054
 
 
@@ -175,11 +181,16 @@ def _uniforms(g, row):
 
 
 def _per_column(variants, reject):
-    """A ``reject_block`` that fills column v with ``reject(block, variants[v])``."""
+    """A ``reject_block`` that fills column v with ``reject(rows, variants[v])``
+    on consecutive row slices of the block, each of at most SLICE_VALUES
+    noise values (one row when a row is wider), every variant in turn."""
     def reject_block(noise):
         out = np.empty((noise.shape[0], len(variants)), dtype=bool)
-        for v, variant in enumerate(variants):
-            out[:, v] = reject(noise, variant)
+        step = max(1, SLICE_VALUES // noise.shape[1])
+        for lo in range(0, noise.shape[0], step):
+            rows = noise[lo:lo + step]
+            for v, variant in enumerate(variants):
+                out[lo:lo + step, v] = reject(rows, variant)
         return out
 
     return reject_block

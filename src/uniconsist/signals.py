@@ -15,6 +15,7 @@ Two observation models are supported: the Gaussian sequence model
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,8 +38,13 @@ INVCDF_TOL = 1e-12
 # The density guard evaluates 1 + f on this many midpoint cells before refining.
 DENSITY_GRID = 4096
 
-# Inverse-CDF sampling refines at most this many points at a time (memory cap).
+# Inverse-CDF sampling refines at most this many points at a time, which caps
+# its temporaries on long inputs. The engine's row slices are shorter (at most
+# mclab.SLICE_VALUES points, or one row), so there it never cuts.
 INVCDF_CHUNK = 65536
+
+# Inverse-CDF brackets are the cells of a uniform grid of this many cells.
+INVCDF_GRID = 2048
 
 
 class Basis(str, Enum):
@@ -117,6 +123,12 @@ def check_unit_interval(x: np.ndarray, name: str):
     bad = ~((x >= 0.0) & (x <= 1.0))
     if bad.any():
         raise ValidationError(f"{name} outside [0,1]: {x[bad][:5].tolist()}")
+
+
+def check_sample_shape(points: np.ndarray):
+    """Refuse a sample that is not one 1-D array of points, naming its shape."""
+    if points.ndim != 1:
+        raise ValidationError(f"a sample must be 1-D, got shape {points.shape}")
 
 
 def evaluate(signal: SignalSpec, t) -> np.ndarray | float:
@@ -333,13 +345,18 @@ def density_minimum(signal: SignalSpec) -> tuple[float, float]:
     return best_val, best_t
 
 
+_TABLES_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """The density 1 + f on (0, 1); nonnegativity and unit mass are verified
-    at construction."""
+    at construction, and its inversion tables are built on first use."""
 
     signal: SignalSpec
     minimum: float = field(init=False)
+    _tables: tuple | None = field(init=False, default=None, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         mn, arg = density_minimum(self.signal)
@@ -360,14 +377,38 @@ class DensitySpec:
             raise ValidationError("cdf argument outside [0,1]")
         return x + cdf_offset(self.signal, x)
 
+    def inversion_tables(self) -> tuple:
+        """``(gx, mid, mid_F, mid_dens, bracket)`` of :func:`invert_cdf`: the
+        INVCDF_GRID + 1 grid points on [0, 1], the cells' midpoints, F and
+        1 + f there, and ``bracket(u)``, the grid index where u sorts into
+        F on the grid (:func:`sorted_lookup`). Built on the first call, once
+        per density (under a lock, so concurrent first inversions share it).
+        """
+        if self._tables is None:
+            with _TABLES_LOCK:
+                if self._tables is None:
+                    gx = np.linspace(0.0, 1.0, INVCDF_GRID + 1)
+                    gF = gx + cdf_offset(self.signal, gx)
+                    mid = 0.5 * (gx[:-1] + gx[1:])
+                    mid_F = mid + cdf_offset(self.signal, mid)
+                    mid_dens = 1.0 + _evaluate_interior(self.signal, mid)
+                    for table in (gx, mid, mid_F, mid_dens):
+                        table.flags.writeable = False
+                    object.__setattr__(self, "_tables", (
+                        gx, mid, mid_F, mid_dens, sorted_lookup(gF, "left")))
+        return self._tables
+
 
 def sample_iid(density: DensitySpec, size: int,
                rng: np.random.Generator) -> np.ndarray:
     """Exact inverse-CDF draws from 1 + f.
 
     Consumes exactly ``size`` uniforms from ``rng``; see ``invert_cdf`` for
-    the inversion guarantee.
+    the inversion guarantee. ``size`` is a nonnegative integer (not a bool).
     """
+    if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
+            or size < 0):
+        raise ValidationError(f"size must be a nonnegative integer, got {size!r}")
     return invert_cdf(density, rng.random(size))
 
 
@@ -411,7 +452,8 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
 
     Each uniform is inverted by bracketed Newton/bisection until the
     residual |F(x) - u| is at most INVCDF_TOL (guaranteed; raises otherwise).
-    The inversion is elementwise, so the chunking changes no bit.
+    The inversion is elementwise, so the chunking changes no bit. The grid
+    and cell tables are the density's own (:meth:`DensitySpec.inversion_tables`).
     """
     signal = density.signal
     u = np.asarray(u, dtype=float)
@@ -419,47 +461,57 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
     check_unit_interval(flat, "u")
     x = np.empty_like(flat)
     # Bracket on a monotone CDF grid, then refine with safeguarded Newton on
-    # the points still above tolerance; a point leaves for good once within.
+    # the points still above tolerance; a point's x is written once, at its
+    # first iterate within tolerance, and the point then leaves the working
+    # arrays, so F and the density are evaluated only on points still going.
     # Every point starts at its cell's midpoint, so the first round reads
     # F and the density there from per-cell tables.
-    G = 2048
-    gx = np.linspace(0.0, 1.0, G + 1)
-    gF = gx + cdf_offset(signal, gx)
-    mid = 0.5 * (gx[:-1] + gx[1:])
-    mid_F = mid + cdf_offset(signal, mid)
-    mid_dens = 1.0 + _evaluate_interior(signal, mid)
-    bracket = sorted_lookup(gF, "left")
+    gx, mid, mid_F, mid_dens, bracket = density.inversion_tables()
     for start in range(0, flat.size, INVCDF_CHUNK):
-        active = np.arange(start, min(start + INVCDF_CHUNK, flat.size))
-        cell = np.clip(bracket(flat[active]), 1, G) - 1
-        lo, hi, xa = gx[cell], gx[cell + 1], mid[cell]
+        ua = flat[start:start + INVCDF_CHUNK]
+        xc = x[start:start + INVCDF_CHUNK]
+        cell = bracket(ua)
+        np.clip(cell, 1, gx.size - 1, out=cell)
+        cell -= 1
+        lo, hi, xa = gx[cell], gx[1:][cell], mid[cell]
+        active = None   # chunk positions of the working points; None: all
         for round_ in range(200):
             if round_:
-                r = (xa + cdf_offset(signal, xa)) - flat[active]
+                r = cdf_offset(signal, xa)
+                r += xa
             else:
-                r = mid_F[cell] - flat[active]
+                r = mid_F[cell]
+            r -= ua
             done = np.abs(r) <= INVCDF_TOL
             if done.any():
-                x[active[done]] = xa[done]
+                xc[done if active is None else active[done]] = xa[done]
                 if done.all():
                     break
-                keep = ~done
-                active, xa, r, lo, hi = (active[keep], xa[keep], r[keep],
-                                         lo[keep], hi[keep])
+                keep = np.logical_not(done, out=done)
+                active = (np.flatnonzero(keep) if active is None
+                          else active[keep])
+                ua, xa, r, lo, hi = (a[keep] for a in (ua, xa, r, lo, hi))
                 if not round_:
                     cell = cell[keep]
             gt = r > 0.0
-            hi = np.where(gt, xa, hi)
-            lo = np.where(gt, lo, xa)
+            np.copyto(hi, xa, where=gt)
+            np.copyto(lo, xa, where=np.logical_not(gt, out=gt))
             if round_:
-                dens = 1.0 + _evaluate_interior(signal, xa)
+                dens = _evaluate_interior(signal, xa)
+                dens += 1.0
             else:
                 dens = mid_dens[cell]
+            # Newton (xa - r / dens, in r's place) only inside the closed
+            # bracket and only if it moves x; else the bracket's midpoint.
             with np.errstate(divide="ignore", invalid="ignore"):
-                xn = xa - r / dens
-            # Newton only inside the closed bracket and only if it moves x.
-            ok = (dens > 1e-8) & (xn >= lo) & (xn <= hi) & (xn != xa)
-            xa = np.where(ok, xn, 0.5 * (lo + hi))
+                xn = np.subtract(xa, np.divide(r, dens, out=r), out=r)
+            ok = dens > 1e-8
+            ok &= xn >= lo
+            ok &= xn <= hi
+            ok &= xn != xa
+            xa = np.add(lo, hi, out=xa)
+            xa *= 0.5
+            np.copyto(xa, xn, where=ok)
         else:
             raise ValidationError("inverse-CDF sampling failed to reach tolerance")
     np.clip(x, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=x)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import threading
 import time
@@ -381,6 +382,69 @@ def test_cvm_block_scores_on_one_sorted_copy():
     assert peak < 3.5 * block_bytes, peak / block_bytes
 
 
+def test_chi2_block_scores_in_row_slices():
+    """One 256-row chi2 block at n = 4096 with a density column peaks below
+    1.5 noise blocks of traced memory: the cell lookups and occupancy counts
+    run on row slices of at most SLICE_VALUES uniforms, never on the block."""
+    n = 4096
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.05])))
+    block_bytes = 256 * n * 8
+    tracemalloc.start()
+    try:
+        chi2_rejections(MCConfig(256, seed=3), Chi2Config(alpha=0.05, m=64), n,
+                        [None, dens])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes, peak / block_bytes
+
+
+@pytest.mark.parametrize("bound", [None, 250, 64])
+def test_per_column_scores_each_row_once_in_bounded_slices(monkeypatch, bound):
+    """Over a 1300-replicate run (blocks 512, 512, 276) of 100-wide rows,
+    ``reject`` sees every row exactly once per variant, in order, in slices
+    of at most SLICE_VALUES values; a bound below the width gives one-row
+    slices."""
+    if bound is not None:
+        monkeypatch.setattr(mclab, "SLICE_VALUES", bound)
+    bound = mclab.SLICE_VALUES
+    width, seen = 100, []
+
+    def reject(rows, variant):
+        seen.append((variant, rows.copy()))
+        return np.zeros(rows.shape[0], dtype=bool)
+
+    rej = mclab._rejections(MCConfig(1300, seed=8), STREAM_IID, width,
+                            mclab._uniforms, mclab._per_column("ab", reject))
+    assert rej.shape == (1300, 2) and not rej.any()
+    want = np.array([substream(8, STREAM_IID, i).random(width)
+                     for i in range(1300)])
+    for variant in "ab":
+        slices = [rows for v, rows in seen if v == variant]
+        assert all(rows.size <= bound or rows.shape[0] == 1 for rows in slices)
+        assert max(rows.shape[0] for rows in slices) == max(1, bound // width)
+        assert np.array_equal(np.concatenate(slices), want)
+
+
+def test_iid_rows_wider_than_a_slice_equal_public_path():
+    """At n = 16 385 every slice is one row; each engine row still equals the
+    per-replicate public path: substream, sample_iid, then the decision."""
+    n = 16385
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.02, -0.01])))
+    mc = MCConfig(100, seed=12)
+    cfg = Chi2Config(alpha=0.05, m=128)
+    rej_chi2 = chi2_rejections(mc, cfg, n, [None, dens])
+    rej_cvm = cvm_rejections(mc, CVM_TABLE, 0.05, n, [None, dens])
+    for i in range(mc.replicates):
+        for v, variant in enumerate([None, dens]):
+            gen = substream(mc.seed, STREAM_IID, i)
+            points = gen.random(n) if variant is None else sample_iid(variant, n, gen)
+            assert rej_chi2[i, v] == chi2.decide_and_predict(points, cfg, n).reject
+            assert rej_cvm[i, v] == cvm.decide(points, CVM_TABLE, 0.05).reject
+    for rej in (rej_chi2, rej_cvm):
+        assert 0 < rej.sum() < rej.size
+
+
 def test_chi2_rejections_match_statistic():
     cfg = Chi2Config(alpha=0.05, m=8)
     n = 100
@@ -527,6 +591,21 @@ def test_iid_rejections_equal_public_path(dens, n, m, seed):
             points = gen.random(n) if variant is None else sample_iid(variant, n, gen)
             assert rej_chi2[i, v] == chi2.decide_and_predict(points, cfg, n).reject
             assert rej_cvm[i, v] == cvm.decide(points, CVM_TABLE, 0.05).reject
+
+
+@pytest.mark.parametrize("shape", [(2, 25), (50, 1), (1, 50), ()])
+@pytest.mark.parametrize("family", ["chi2", "cvm"])
+def test_iid_deciders_refuse_samples_that_are_not_1d(family, shape):
+    """A sample is one 1-D array of points: chi2.decide_and_predict and
+    cvm.decide refuse any other shape, naming it, before any statistic."""
+    points = np.random.default_rng(3).random(shape)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"must be 1-D, got shape {shape}")):
+        if family == "chi2":
+            chi2.decide_and_predict(points, Chi2Config(alpha=0.05, m=4),
+                                    points.size)
+        else:
+            cvm.decide(points, CVM_TABLE, 0.05)
 
 
 def _pinned_quad(mc):

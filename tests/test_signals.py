@@ -3,6 +3,10 @@
 import hashlib
 import math
 import re
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -240,6 +244,22 @@ def test_sample_iid_consumes_exactly_size_uniforms():
     a = sample_iid(dens, 100, np.random.default_rng(11))
     b = invert_cdf(dens, np.random.default_rng(11).random(100))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("size", [-1, 2.5, np.float64(3.0), True, "3", None,
+                                  (2, 3)])
+def test_sample_iid_refuses_a_size_that_is_not_a_nonnegative_integer(size):
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.3])))
+    with pytest.raises(ValidationError,
+                       match="size must be a nonnegative integer"):
+        sample_iid(dens, size, np.random.default_rng(1))
+
+
+def test_sample_iid_takes_size_zero_and_numpy_integers():
+    dens = DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([0.3])))
+    assert sample_iid(dens, 0, np.random.default_rng(1)).shape == (0,)
+    assert np.array_equal(sample_iid(dens, np.int64(5), np.random.default_rng(1)),
+                          sample_iid(dens, 5, np.random.default_rng(1)))
 
 
 def test_sample_iid_distribution_ks():
@@ -587,6 +607,60 @@ def test_bounded_minima_equal_scipy_bounded_brent(case):
     want_x, want_f = bounded_minima_scipy(fn, lo, hi)
     assert x.tobytes() == want_x.tobytes()
     assert f.tobytes() == want_f.tobytes()
+
+
+def test_invert_cdf_builds_tables_once_per_density(monkeypatch):
+    """Two inversions on one DensitySpec evaluate its CDF grid and cell
+    tables once, and give the bytes of one call on the concatenated input."""
+    sig = _pinned_densities()["chi2-head-plus-spike"]
+    u = substream(17, 1, 0).random(800)
+    want = invert_cdf(DensitySpec(sig), u)
+    sizes = []
+
+    def counting(signal, x, fn=signals.cdf_offset):
+        sizes.append(np.size(x))
+        return fn(signal, x)
+
+    monkeypatch.setattr(signals, "cdf_offset", counting)
+    dens = DensitySpec(sig)
+    got = np.concatenate([invert_cdf(dens, u[:300]), invert_cdf(dens, u[300:])])
+    assert sizes.count(signals.INVCDF_GRID + 1) == 1
+    assert sizes.count(signals.INVCDF_GRID) == 1
+    assert got.tobytes() == want.tobytes()
+
+
+def test_concurrent_first_inversions_build_tables_once(monkeypatch):
+    """Four threads (more than the cores) with a tiny switch interval make
+    their first inversion on one DensitySpec at once: its CDF grid is
+    evaluated once, and each thread gets the bytes of a lone call."""
+    sig = _pinned_densities()["cvm-spike"]
+    u = substream(17, 1, 0).random(4000)
+    want = invert_cdf(DensitySpec(sig), u)
+    grids = []
+
+    def counting(signal, x, fn=signals.cdf_offset):
+        if np.size(x) == signals.INVCDF_GRID + 1:
+            grids.append(threading.get_ident())
+            time.sleep(1e-3)  # hold the build open while the others arrive
+        return fn(signal, x)
+
+    monkeypatch.setattr(signals, "cdf_offset", counting)
+    dens = DensitySpec(sig)
+    start = threading.Barrier(4)
+
+    def invert(_):
+        start.wait(timeout=30)
+        return invert_cdf(dens, u)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(invert, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(grids) == 1
+    assert all(x.tobytes() == want.tobytes() for x in got)
 
 
 def test_invert_cdf_evaluations_per_point(monkeypatch):
