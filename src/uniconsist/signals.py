@@ -474,7 +474,7 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
         np.clip(cell, 1, gx.size - 1, out=cell)
         cell -= 1
         lo, hi, xa = gx[cell], gx[1:][cell], mid[cell]
-        active = None   # chunk positions of the working points; None: all
+        active = np.arange(ua.size)
         for round_ in range(200):
             if round_:
                 r = cdf_offset(signal, xa)
@@ -484,13 +484,12 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
             r -= ua
             done = np.abs(r) <= INVCDF_TOL
             if done.any():
-                xc[done if active is None else active[done]] = xa[done]
+                xc[active[done]] = xa[done]
                 if done.all():
                     break
                 keep = np.logical_not(done, out=done)
-                active = (np.flatnonzero(keep) if active is None
-                          else active[keep])
-                ua, xa, r, lo, hi = (a[keep] for a in (ua, xa, r, lo, hi))
+                active, ua, xa, r, lo, hi = (
+                    a[keep] for a in (active, ua, xa, r, lo, hi))
                 if not round_:
                     cell = cell[keep]
             gt = r > 0.0
