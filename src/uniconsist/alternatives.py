@@ -180,8 +180,8 @@ def make_consistent(family: FamilyRule, c2: float, mass_profile: str, n_list,
     """
     if mass_profile not in MASS_PROFILES:
         raise ValidationError(f"mass_profile must be one of {MASS_PROFILES}")
-    if c2 <= 0 or norm_const <= 0:
-        raise ValidationError("c2 and norm_const must be positive")
+    if not (0 < c2 < math.inf and 0 < norm_const < math.inf):
+        raise ValidationError("c2 and norm_const must be positive and finite")
     if c1 is not None and c1 > norm_const ** 2 * (1 + 1e-12):
         raise ValidationError(
             f"infeasible envelope: head constant c1 = {c1} exceeds "
@@ -230,8 +230,9 @@ def make_inconsistent(family: FamilyRule, growth_schedule, n_list,
     ratios = []
     spikes = {}
     for n, sep in zip(n_list, seps):
-        if sep <= 1.0:
-            raise ValidationError("separation factors must exceed 1")
+        if not 1.0 < sep < math.inf:
+            raise ValidationError(
+                f"separation factors must exceed 1 and be finite, got {sep!r}")
         k_n = family.k_of(n)
         m_l = int(math.ceil(sep * k_n))
         spikes[n] = m_l
@@ -276,6 +277,8 @@ def make_spike_tail(family: FamilyRule, m_list, C_list,
     C_list = [float(C) for C in C_list]
     if len(m_list) != len(C_list):
         raise ValidationError("m_list and C_list must align")
+    if not (0 < norm_const < math.inf and all(0 < C < math.inf for C in C_list)):
+        raise ValidationError("norm_const and C_list must be positive and finite")
     if np.any(np.diff(m_list) <= 0) or np.any(np.diff(C_list) <= 0):
         raise ValidationError("m_list and C_list must strictly increase")
     n_list = spike_tail_schedule(family.r, s, m_list, C_list, norm_const)
@@ -323,8 +326,8 @@ def decompose(signal: SignalSpec, cutoff: float) -> tuple[SignalSpec, SignalSpec
     head + tail reproduces the signal coefficient-wise, and
     ||head||^2 + ||tail||^2 = ||signal||^2 holds exactly (disjoint supports).
     """
-    if cutoff <= 0:
-        raise ValidationError("cutoff must be positive")
+    if not 0 < cutoff < math.inf:
+        raise ValidationError(f"cutoff must be positive and finite, got {cutoff!r}")
     head = np.array(signal.coeffs)
     tail = np.array(signal.coeffs)
     j = np.arange(1, signal.J + 1)

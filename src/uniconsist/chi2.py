@@ -7,10 +7,6 @@ reject iff (T_n - m + 1) / sqrt(2 m) > x_alpha. Against a density 1 + f the
 population counterpart is T_n(F) = n m Sum_l (int_cell f)^2 = n ||Pi f||^2,
 with Pi the L2 projection onto cell-wise constants, and the Gaussian power
 prediction is Phi(x_alpha - T_n(F) / sqrt(2 m)).
-
-A closed Fourier double series evaluates the population quantity directly
-from exponential coefficients; both routes return
-S(f, m) = Sum_l (int_cell f)^2 = T_n(F) / (n m).
 """
 
 from __future__ import annotations
@@ -24,8 +20,8 @@ from ._ports import ndtr
 from .errors import ValidationError
 from .quad import dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
-from .signals import (Basis, SignalSpec, cdf_offset, check_sample_shape,
-                      check_unit_interval, to_exponential)
+from .signals import (SignalSpec, cdf_offset, check_sample_shape,
+                      check_unit_interval)
 
 
 @dataclass(frozen=True)
@@ -45,13 +41,16 @@ class Chi2Config:
     def __post_init__(self):
         if (self.m is None) == (self.m_rule is None):
             raise ValidationError("give exactly one of m or m_rule")
-        if self.m is not None and self.m < 2:
-            raise ValidationError("m must be at least 2")
+        if self.m is not None and (isinstance(self.m, bool)
+                                   or not isinstance(self.m, (int, np.integer))
+                                   or self.m < 2):
+            raise ValidationError(f"m must be an integer of at least 2, got {self.m!r}")
         if self.m_rule is not None:
             r, const = self.m_rule
             dimension_exponent(r)
-            if not const > 0.0:
-                raise ValidationError(f"m_rule const must be positive, got {const!r}")
+            if not 0.0 < const < math.inf:
+                raise ValidationError(
+                    f"m_rule const must be positive and finite, got {const!r}")
         object.__setattr__(self, "x_alpha", gaussian_upper_quantile(self.alpha))
 
     def cells(self, n: int | None = None) -> int:
@@ -126,86 +125,6 @@ def chi2_population(signal: SignalSpec, m: int) -> float:
     if m < 2:
         raise ValidationError("m must be at least 2")
     return float(np.sum(np.square(cell_integrals(signal, m))))
-
-
-def projection_l2n(signal: SignalSpec, m: int) -> np.ndarray:
-    """Cell values of the L2 projection onto m-cell constants: m * int_cell f."""
-    return m * cell_integrals(signal, m)
-
-
-def projection_norm_sq(signal: SignalSpec, m: int) -> float:
-    """||Pi f||^2 = m * S(f, m); the statistic identity is T_n(F) = n ||Pi f||^2."""
-    return float(np.sum(np.square(projection_l2n(signal, m))) / m)
-
-
-def chi2_fourier_identity(signal: SignalSpec, m: int,
-                          K_max: int | None = None) -> float:
-    """S(f, m) via the exponential-coefficient double series.
-
-    S = m * Sum_k Sum_{j != 0, j != km} theta_j conj(theta_{j-km})
-        * (2 - 2 cos(2 pi j / m)) / (4 pi^2 j (j - km)),
-
-    with the 0/0 terms dropped (their numerators vanish identically). For a
-    signal supported on |j| <= J every term with |k| > 2J/m has an empty
-    index range, so the default K_max is exact, not a truncation.
-    """
-    if signal.basis is not Basis.TRIG_FULL:
-        raise ValidationError("the Fourier identity indexes TrigFull signals")
-    if m < 2:
-        raise ValidationError("m must be at least 2")
-    J = signal.J
-    _, theta = to_exponential(signal)
-    if K_max is None:
-        K_max = 2 * J // m + 1
-    total = 0.0 + 0.0j
-    for k in range(-K_max, K_max + 1):
-        shift = k * m
-        lo, hi = max(-J, shift - J), min(J, shift + J)
-        if hi < lo:
-            continue
-        js = np.arange(lo, hi + 1)
-        js = js[(js != 0) & (js != shift)]
-        if js.size == 0:
-            continue
-        num = 2.0 - 2.0 * np.cos(2.0 * math.pi * js / m)
-        terms = theta[js + J] * np.conj(theta[js - shift + J]) * num \
-            / (4.0 * math.pi ** 2 * js * (js - shift))
-        total += np.sum(terms)
-    value = m * total
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValidationError("Fourier series lost Hermitian symmetry")
-    return float(value.real)
-
-
-def tail_projection_report(signal: SignalSpec, m: int, i_n: int) -> dict:
-    """Measured constant in the far-tail bound of the projected mass.
-
-    For a signal supported above i_n >= m, the scaled population value
-    m^{-1} S(f, m) is bounded by C m^{-1} i_n^{-1} * (coefficient mass); the
-    report carries both sides and the measured C.
-    """
-    if i_n < 1:
-        raise ValidationError("i_n must be positive")
-    value = chi2_population(signal, m) / m
-    mass = signal.norm_sq
-    envelope = mass / (m * i_n)
-    measured = value / envelope if envelope > 0 else math.inf
-    return {"value": value, "envelope": envelope, "measured_C": measured}
-
-
-def modulus_projection_report(signal: SignalSpec, m: int, k: int) -> dict:
-    """Projection error versus the smoothness-modulus envelope.
-
-    For a signal band-limited to |j| <= k <= m,
-    ||f - Pi f|| <= 4 pi sqrt(k/m) ||f||. Both sides are exact: the left via
-    Pythagoras ||f||^2 - ||Pi f||^2, the right from the stored norm.
-    """
-    if k > m:
-        raise ValidationError("the modulus envelope needs band limit k <= m")
-    err_sq = signal.norm_sq - projection_norm_sq(signal, m)
-    err = math.sqrt(max(err_sq, 0.0))
-    bound = 4.0 * math.pi * math.sqrt(k / m) * signal.norm
-    return {"error": err, "bound": bound, "ok": bool(err <= bound * (1 + 1e-12))}
 
 
 def chi2_predicted_beta(signal: SignalSpec, config: Chi2Config, n: int) -> float:

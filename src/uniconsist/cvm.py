@@ -64,45 +64,12 @@ def cvm_consistency_index(signal: SignalSpec, n: int) -> float:
     return n * cvm_population(signal)
 
 
-def series_shift(signal: SignalSpec, n: int, J_null: int) -> np.ndarray:
-    """Shift vector sqrt(n) c_j / (pi j) of the local limiting series."""
-    if signal.basis is not Basis.COSINE_PI:
-        raise ValidationError("series shift indexes CosinePi signals")
-    c = np.zeros(J_null)
-    take = min(signal.J, J_null)
-    c[:take] = np.asarray(signal.coeffs)[:take]
-    j = np.arange(1, J_null + 1, dtype=float)
-    return math.sqrt(n) * c / (math.pi * j)
-
-
-def truncation_tail_bound(J: int) -> float:
-    """Upper bound on the dropped null-series mean: Sum_{j>J} 1/(pi^2 j^2)."""
-    if J < 1:
-        raise ValidationError("J must be positive")
-    return 1.0 / (math.pi ** 2 * J)
-
-
 def bridge_weights(J_null: int) -> np.ndarray:
     """Brownian-bridge series weights 1/(pi^2 j^2), j = 1..J_null."""
     if J_null > _J_NULL_MAX:
         raise ValidationError(f"J_null must be at most {_J_NULL_MAX}, got {J_null}")
     j = np.arange(1, J_null + 1, dtype=float)
     return 1.0 / (math.pi ** 2 * np.square(j))
-
-
-def cvm_null_sample(J_null: int, rng: np.random.Generator, size: int = 1,
-                    shift: np.ndarray | None = None) -> np.ndarray:
-    """Draws of Sum_{j<=J_null} (xi_j/(pi j) + s_j)^2 (s = 0: null law)."""
-    if J_null < 1:
-        raise ValidationError("J_null must be positive")
-    offsets = 0.0
-    if shift is not None:
-        shift = np.asarray(shift, dtype=float)
-        if shift.shape != (J_null,):
-            raise ValidationError("shift must have length J_null")
-        offsets = math.pi * np.arange(1, J_null + 1, dtype=float) * shift
-    xi = rng.standard_normal((size, J_null)) + offsets
-    return np.square(xi) @ bridge_weights(J_null)
 
 
 def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,

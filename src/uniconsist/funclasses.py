@@ -89,8 +89,8 @@ def tail_bound_check(signal: SignalSpec, s: float, P0: float, r: float,
     """
     if not (0 < r < 1):
         raise ValidationError("rate r must lie in (0, 1)")
-    if C1 <= 0:
-        raise ValidationError("C1 must be positive")
+    if not 0 < C1 < math.inf:
+        raise ValidationError(f"C1 must be positive and finite, got {C1!r}")
     sem = besov_seminorm(signal, s)
     if sem > P0 * (1 + 1e-12):
         raise ValidationError(
@@ -222,8 +222,8 @@ class CompactnessReport:
 def compactness_diagnostic(descriptor, epsilon: float,
                            i_max: int = 64) -> CompactnessReport:
     """First greedy index whose width falls below epsilon, if any."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
     seq = greedy_widths(descriptor, i_max)
     below = np.flatnonzero(seq.widths < epsilon)
     first = int(below[0]) + 1 if below.size else None
@@ -240,8 +240,8 @@ class FiniteBand:
     def __post_init__(self):
         if self.l < 1:
             raise ValidationError("band limit l must be >= 1")
-        if self.P0 <= 0:
-            raise ValidationError("P0 must be positive")
+        if not 0 < self.P0 < math.inf:
+            raise ValidationError(f"P0 must be positive and finite, got {self.P0!r}")
 
 
 def finite_band_membership(signal: SignalSpec, band: FiniteBand) -> bool:

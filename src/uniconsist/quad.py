@@ -39,7 +39,7 @@ from ._ports import ndtr, ndtri
 from .errors import AssumptionError, ValidationError
 from .reports import TestReport
 from .signals import SignalSpec
-from .wchisq import weighted_chisq_quantile, weighted_chisq_sf
+from .wchisq import check_weights, weighted_chisq_quantile, weighted_chisq_sf
 
 _A4_DELTA_GRID = (0.5, 1.0, 2.0, 4.0)
 _A5_C_GRID = (1.5, 2.0, 4.0)
@@ -82,6 +82,18 @@ class QuadraticForm:
     scale: float | np.ndarray
     center: float = 0.0
     unit: float = 1.0
+
+    def __post_init__(self):
+        weights = check_weights(self.weights)
+        scale = np.asarray(self.scale, dtype=float)
+        if scale.shape not in ((), weights.shape) or not np.all(
+                (scale > 0.0) & (scale < math.inf)):
+            raise ValidationError("scale must be positive and finite: "
+                                  "a scalar or one per weight")
+        if not (math.isfinite(self.center) and 0.0 < self.unit < math.inf):
+            raise ValidationError(f"center must be finite and unit positive and "
+                                  f"finite, got {self.center!r}, {self.unit!r}")
+        object.__setattr__(self, "weights", weights)
 
     def statistic(self, y):
         """Sum_j w_j y_j^2 - center, one value per row along the last axis."""
@@ -168,10 +180,10 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
     beta = dimension_exponent(r) * gamma
     if gamma <= 1.0:
         raise AssumptionError("A1", f"weight decay requires gamma > 1, got {gamma}")
-    if c <= 0.0:
-        raise ValidationError("c must be positive")
-    if sigma <= 0.0:
-        raise ValidationError("sigma must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValidationError(f"c must be positive and finite, got {c!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
     n_list = tuple(int(n) for n in n_list)
     if not n_list or any(n < 2 for n in n_list):
         raise ValidationError("n_list must contain integers >= 2")
@@ -300,13 +312,6 @@ def noncentrality(theta, profile: KappaProfile, n: int) -> float:
     energy = np.square(theta[:profile.J])
     w = profile.kappa_sq[n][:energy.size]
     return float(profile.sigma ** (-4) * n ** 2 * (w @ energy))
-
-
-def null_variance(profile: KappaProfile, n: int) -> float:
-    """Exact finite-J null variance of T_n: 2 sigma^4 n^{-2} Sum kappa^4."""
-    profile.require_n(n)
-    return float(2.0 * profile.sigma ** 4 * n ** (-2)
-                 * np.sum(np.square(profile.kappa_sq[n])))
 
 
 def predict_beta(R_n: float, A_n: float, x_alpha: float) -> float:

@@ -180,45 +180,6 @@ def cdf_offset(signal: SignalSpec, x) -> np.ndarray:
     return out
 
 
-def to_exponential(signal: SignalSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Complex exponential coefficients of a TrigFull signal.
-
-    Returns (j_index, theta) with j_index = -J..J and theta[j] the
-    coefficient of exp(2 pi i j t); theta_j = (a_j - i b_j)/sqrt(2),
-    theta_{-j} = conj(theta_j), theta_0 = 0. Coefficient mass is preserved:
-    |theta_j|^2 + |theta_{-j}|^2 = a_j^2 + b_j^2.
-    """
-    if signal.basis is not Basis.TRIG_FULL:
-        raise ValidationError("exponential coefficients require TrigFull basis")
-    J = signal.J
-    j_index = np.arange(-J, J + 1)
-    theta = np.zeros(2 * J + 1, dtype=complex)
-    a = signal.coeffs[:, 0]
-    b = signal.coeffs[:, 1]
-    pos = (a - 1j * b) / SQRT2
-    theta[J + 1:] = pos
-    theta[:J] = np.conj(pos)[::-1]
-    return j_index, theta
-
-
-def from_exponential(j_index: np.ndarray, theta: np.ndarray) -> SignalSpec:
-    """Inverse of :func:`to_exponential`; validates Hermitian symmetry."""
-    j_index = np.asarray(j_index)
-    theta = np.asarray(theta, dtype=complex)
-    J = int(np.max(np.abs(j_index))) if j_index.size else 0
-    full = np.zeros(2 * J + 1, dtype=complex)
-    full[j_index + J] = theta
-    if abs(full[J]) > 1e-14:
-        raise ValidationError("theta_0 must vanish for a mean-zero density perturbation")
-    pos = full[J + 1:]
-    neg = full[:J][::-1]
-    if not np.allclose(neg, np.conj(pos), atol=1e-14, rtol=0.0):
-        raise ValidationError("coefficients are not Hermitian symmetric")
-    a = SQRT2 * np.real(pos)
-    b = -SQRT2 * np.imag(pos)
-    return SignalSpec(Basis.TRIG_FULL, np.column_stack([a, b]))
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Gaussian sequence-model noise: y_j = theta_j + sigma/sqrt(n) xi_j."""

@@ -1,8 +1,10 @@
 """Independent oracles used across the test suite.
 
 Everything here recomputes package quantities by a different route
-(quadrature, brute force, dense grids) so tests compare two derivations
-rather than a function against itself.
+(quadrature, brute force, dense grids, Fourier series) so tests compare two
+derivations rather than a function against itself. The helpers at the end
+(exponential coefficients, projection reports, the bridge-series sampler
+and tail bound, the quad null variance) have no caller in the package.
 """
 
 import math
@@ -10,7 +12,11 @@ import math
 import numpy as np
 from scipy import optimize
 
-from uniconsist.signals import SignalSpec, _evaluate_interior
+from uniconsist.chi2 import cell_integrals, chi2_population
+from uniconsist.cvm import bridge_weights
+from uniconsist.errors import ValidationError
+from uniconsist.quad import KappaProfile
+from uniconsist.signals import SQRT2, Basis, SignalSpec, _evaluate_interior
 
 
 def gauss01(f, pieces: int = 64, nodes: int = 48) -> float:
@@ -214,3 +220,151 @@ def bounded_minima_scipy(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         xs.append(float(res.x))
         fs.append(float(res.fun))
     return np.array(xs), np.array(fs)
+
+
+def to_exponential(signal: SignalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Complex exponential coefficients of a TrigFull signal.
+
+    Returns (j_index, theta) with j_index = -J..J and theta[j] the
+    coefficient of exp(2 pi i j t); theta_j = (a_j - i b_j)/sqrt(2),
+    theta_{-j} = conj(theta_j), theta_0 = 0. Coefficient mass is preserved:
+    |theta_j|^2 + |theta_{-j}|^2 = a_j^2 + b_j^2.
+    """
+    if signal.basis is not Basis.TRIG_FULL:
+        raise ValidationError("exponential coefficients require TrigFull basis")
+    J = signal.J
+    j_index = np.arange(-J, J + 1)
+    theta = np.zeros(2 * J + 1, dtype=complex)
+    a = signal.coeffs[:, 0]
+    b = signal.coeffs[:, 1]
+    pos = (a - 1j * b) / SQRT2
+    theta[J + 1:] = pos
+    theta[:J] = np.conj(pos)[::-1]
+    return j_index, theta
+
+
+def from_exponential(j_index: np.ndarray, theta: np.ndarray) -> SignalSpec:
+    """Inverse of :func:`to_exponential`; validates Hermitian symmetry."""
+    j_index = np.asarray(j_index)
+    theta = np.asarray(theta, dtype=complex)
+    J = int(np.max(np.abs(j_index))) if j_index.size else 0
+    full = np.zeros(2 * J + 1, dtype=complex)
+    full[j_index + J] = theta
+    if abs(full[J]) > 1e-14:
+        raise ValidationError("theta_0 must vanish for a mean-zero density perturbation")
+    pos = full[J + 1:]
+    neg = full[:J][::-1]
+    if not np.allclose(neg, np.conj(pos), atol=1e-14, rtol=0.0):
+        raise ValidationError("coefficients are not Hermitian symmetric")
+    a = SQRT2 * np.real(pos)
+    b = -SQRT2 * np.imag(pos)
+    return SignalSpec(Basis.TRIG_FULL, np.column_stack([a, b]))
+
+
+def projection_l2n(signal: SignalSpec, m: int) -> np.ndarray:
+    """Cell values of the L2 projection onto m-cell constants: m * int_cell f."""
+    return m * cell_integrals(signal, m)
+
+
+def projection_norm_sq(signal: SignalSpec, m: int) -> float:
+    """||Pi f||^2 = m * S(f, m); the statistic identity is T_n(F) = n ||Pi f||^2."""
+    return float(np.sum(np.square(projection_l2n(signal, m))) / m)
+
+
+def chi2_fourier_identity(signal: SignalSpec, m: int,
+                          K_max: int | None = None) -> float:
+    """S(f, m) via the exponential-coefficient double series.
+
+    S = m * Sum_k Sum_{j != 0, j != km} theta_j conj(theta_{j-km})
+        * (2 - 2 cos(2 pi j / m)) / (4 pi^2 j (j - km)),
+
+    with the 0/0 terms dropped (their numerators vanish identically). For a
+    signal supported on |j| <= J every term with |k| > 2J/m has an empty
+    index range, so the default K_max is exact, not a truncation.
+    """
+    if signal.basis is not Basis.TRIG_FULL:
+        raise ValidationError("the Fourier identity indexes TrigFull signals")
+    if m < 2:
+        raise ValidationError("m must be at least 2")
+    J = signal.J
+    _, theta = to_exponential(signal)
+    if K_max is None:
+        K_max = 2 * J // m + 1
+    total = 0.0 + 0.0j
+    for k in range(-K_max, K_max + 1):
+        shift = k * m
+        lo, hi = max(-J, shift - J), min(J, shift + J)
+        if hi < lo:
+            continue
+        js = np.arange(lo, hi + 1)
+        js = js[(js != 0) & (js != shift)]
+        if js.size == 0:
+            continue
+        num = 2.0 - 2.0 * np.cos(2.0 * math.pi * js / m)
+        terms = theta[js + J] * np.conj(theta[js - shift + J]) * num \
+            / (4.0 * math.pi ** 2 * js * (js - shift))
+        total += np.sum(terms)
+    value = m * total
+    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+        raise ValidationError("Fourier series lost Hermitian symmetry")
+    return float(value.real)
+
+
+def tail_projection_report(signal: SignalSpec, m: int, i_n: int) -> dict:
+    """Measured constant in the far-tail bound of the projected mass.
+
+    For a signal supported above i_n >= m, the scaled population value
+    m^{-1} S(f, m) is bounded by C m^{-1} i_n^{-1} * (coefficient mass); the
+    report carries both sides and the measured C.
+    """
+    if i_n < 1:
+        raise ValidationError("i_n must be positive")
+    value = chi2_population(signal, m) / m
+    mass = signal.norm_sq
+    envelope = mass / (m * i_n)
+    measured = value / envelope if envelope > 0 else math.inf
+    return {"value": value, "envelope": envelope, "measured_C": measured}
+
+
+def modulus_projection_report(signal: SignalSpec, m: int, k: int) -> dict:
+    """Projection error versus the smoothness-modulus envelope.
+
+    For a signal band-limited to |j| <= k <= m,
+    ||f - Pi f|| <= 4 pi sqrt(k/m) ||f||. Both sides are exact: the left via
+    Pythagoras ||f||^2 - ||Pi f||^2, the right from the stored norm.
+    """
+    if k > m:
+        raise ValidationError("the modulus envelope needs band limit k <= m")
+    err_sq = signal.norm_sq - projection_norm_sq(signal, m)
+    err = math.sqrt(max(err_sq, 0.0))
+    bound = 4.0 * math.pi * math.sqrt(k / m) * signal.norm
+    return {"error": err, "bound": bound, "ok": bool(err <= bound * (1 + 1e-12))}
+
+
+def truncation_tail_bound(J: int) -> float:
+    """Upper bound on the dropped null-series mean: Sum_{j>J} 1/(pi^2 j^2)."""
+    if J < 1:
+        raise ValidationError("J must be positive")
+    return 1.0 / (math.pi ** 2 * J)
+
+
+def cvm_null_sample(J_null: int, rng: np.random.Generator, size: int = 1,
+                    shift: np.ndarray | None = None) -> np.ndarray:
+    """Draws of Sum_{j<=J_null} (xi_j/(pi j) + s_j)^2 (s = 0: null law)."""
+    if J_null < 1:
+        raise ValidationError("J_null must be positive")
+    offsets = 0.0
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float)
+        if shift.shape != (J_null,):
+            raise ValidationError("shift must have length J_null")
+        offsets = math.pi * np.arange(1, J_null + 1, dtype=float) * shift
+    xi = rng.standard_normal((size, J_null)) + offsets
+    return np.square(xi) @ bridge_weights(J_null)
+
+
+def null_variance(profile: KappaProfile, n: int) -> float:
+    """Exact finite-J null variance of T_n: 2 sigma^4 n^{-2} Sum kappa^4."""
+    profile.require_n(n)
+    return float(2.0 * profile.sigma ** 4 * n ** (-2)
+                 * np.sum(np.square(profile.kappa_sq[n])))

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import (cvm_population_quadrature, kernel_smoothed_field_sq,
-                     seminorm_grid_oracle)
+from oracles import (chi2_fourier_identity, cvm_population_quadrature,
+                     kernel_smoothed_field_sq, seminorm_grid_oracle)
 from uniconsist.alternatives import (combine, decompose, kernel_family,
                                      make_consistent, make_spike_tail,
                                      smoothness_of)
-from uniconsist.chi2 import (Chi2Config, chi2_fourier_identity,
-                             chi2_population, chi2_predicted_beta)
+from uniconsist.chi2 import Chi2Config, chi2_population, chi2_predicted_beta
 from uniconsist.cvm import build_cvm_null_table, cvm_population
 from uniconsist.funclasses import besov_seminorm, tail_bound_check
 from uniconsist.kernel import (KernelObservations, KernelTestConfig,

@@ -17,7 +17,8 @@ from uniconsist.alternatives import (AlternativeSequence, ClassifyThresholds,
                                      spike_tail_schedule)
 from uniconsist.chi2 import Chi2Config
 from uniconsist.errors import DensityError, ValidationError
-from uniconsist.funclasses import besov_seminorm
+from uniconsist.funclasses import (EllipsoidSet, FiniteBand, besov_seminorm,
+                                   compactness_diagnostic, tail_bound_check)
 from uniconsist.kernel import KernelTestConfig, builtin_kernel
 from uniconsist.quad import build_profile, dimension_exponent
 from uniconsist.signals import DENSITY_TOL, Basis, DensitySpec, SignalSpec
@@ -113,6 +114,35 @@ def test_make_inconsistent_validations():
     # constant separations: ratios m_l / k_n fail to increase strictly
     with pytest.raises(ValidationError):
         make_inconsistent(cvm_fam(), [2, 2, 2, 2], N_LIST)
+
+
+_MEMBER = SignalSpec(Basis.COSINE_PI, np.array([0.3, 0.1]))
+
+# One scalar argument of each guard, as a function of the value passed there.
+_SCALAR_GUARDS = {
+    "build_profile.c": lambda x: build_profile(0.3, 2.0, x, 64, [16]),
+    "build_profile.sigma": lambda x: build_profile(0.3, 2.0, 1.0, 64, [16], sigma=x),
+    "make_consistent.c2": lambda x: make_consistent(cvm_fam(), x, "lowest", N_LIST),
+    "make_consistent.norm_const": lambda x: make_consistent(
+        cvm_fam(), 1.0, "lowest", N_LIST, norm_const=x),
+    "make_inconsistent.separation": lambda x: make_inconsistent(
+        cvm_fam(), [2, 3, 5, x], N_LIST),
+    "make_spike_tail.norm_const": lambda x: make_spike_tail(
+        cvm_fam(), [16, 64], [1.0, 2.0], norm_const=x),
+    "make_spike_tail.C_list": lambda x: make_spike_tail(cvm_fam(), [16, 64], [1.0, x]),
+    "tail_bound_check.C1": lambda x: tail_bound_check(_MEMBER, 0.5, 10.0, 0.25, 64, C1=x),
+    "compactness_diagnostic.epsilon": lambda x: compactness_diagnostic(
+        EllipsoidSet(np.array([3.0, 1.0])), x),
+    "FiniteBand.P0": lambda x: FiniteBand(1, x),
+    "decompose.cutoff": lambda x: decompose(_MEMBER, x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("guard", sorted(_SCALAR_GUARDS))
+def test_scalar_guards_refuse_values_that_are_not_finite(guard, value):
+    with pytest.raises(ValidationError):
+        _SCALAR_GUARDS[guard](value)
 
 
 def test_spike_tail_schedule_formula():

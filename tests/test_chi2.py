@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chi2_population_bruteforce, eval_signal, gauss01
+from oracles import (chi2_fourier_identity, chi2_population_bruteforce,
+                     eval_signal, gauss01, modulus_projection_report,
+                     projection_l2n, projection_norm_sq,
+                     tail_projection_report)
 from uniconsist.chi2 import (Chi2Config, cell_counts, cell_integrals,
-                             chi2_fourier_identity, chi2_population,
-                             chi2_predicted_beta, chi2_statistic,
-                             decide_and_predict, modulus_projection_report,
-                             projection_l2n, projection_norm_sq,
-                             tail_projection_report)
+                             chi2_population, chi2_predicted_beta,
+                             chi2_statistic, decide_and_predict)
 from uniconsist.errors import ValidationError
 from uniconsist.signals import Basis, SignalSpec
 
@@ -88,6 +88,22 @@ def test_cells_rule_values_and_guard():
         Chi2Config(alpha=0.05, m=1)
     with pytest.raises(ValidationError):
         Chi2Config(alpha=0.05, m_rule=(0.5, 1.0))
+
+
+@pytest.mark.parametrize("m", [3.5, 4.0, True, "4", np.float64(4.0)])
+def test_config_refuses_a_cell_count_that_is_not_an_integer(m):
+    with pytest.raises(ValidationError, match="m must be an integer"):
+        Chi2Config(alpha=0.05, m=m)
+
+
+def test_config_takes_numpy_integer_cell_counts():
+    assert Chi2Config(alpha=0.05, m=np.int64(4)).cells(16) == 4
+
+
+@pytest.mark.parametrize("const", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_rule_constant_that_is_not_positive_and_finite(const):
+    with pytest.raises(ValidationError, match="m_rule const"):
+        Chi2Config(alpha=0.05, m_rule=(0.375, const))
 
 
 def test_cell_integrals_sum_to_zero():

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import (cvm_population_quadrature, cvm_statistic_quadrature,
+from oracles import (cvm_null_sample, cvm_population_quadrature,
+                     cvm_statistic_quadrature, truncation_tail_bound,
                      two_term_chisq_sf)
 from uniconsist.cvm import (CvmNullTable, bridge_weights, build_cvm_null_table,
-                            cvm_consistency_index, cvm_null_sample,
-                            cvm_population, cvm_statistic, decide,
-                            series_shift, truncation_tail_bound,
-                            weighted_null_quantiles)
+                            cvm_consistency_index, cvm_population,
+                            cvm_statistic, decide, weighted_null_quantiles)
 from uniconsist.errors import ValidationError
 from uniconsist.rng import STREAM_NULL_TABLE, substream
 from uniconsist.signals import Basis, SignalSpec
@@ -106,15 +105,6 @@ def test_consistency_index_bounded_for_far_spikes():
     # index = n * n^{-1/2} / (pi^2 k_n^2) = 1/pi^2 at this calibration
     for v in vals:
         assert v == pytest.approx(1.0 / math.pi ** 2, rel=1e-12)
-
-
-def test_series_shift():
-    sig = SignalSpec(Basis.COSINE_PI, np.array([0.5, -0.3]))
-    s = series_shift(sig, n=100, J_null=4)
-    want = np.array([10 * 0.5 / math.pi, 10 * -0.3 / (2 * math.pi), 0.0, 0.0])
-    assert np.allclose(s, want, atol=1e-14)
-    with pytest.raises(ValidationError):
-        series_shift(SignalSpec(Basis.TRIG_FULL, np.array([[1.0, 0.0]])), 10, 4)
 
 
 def test_truncation_tail_bound():

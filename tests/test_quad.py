@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import two_term_chisq_sf
-from uniconsist.cvm import bridge_weights, cvm_null_sample
+from oracles import cvm_null_sample, null_variance, two_term_chisq_sf
+from uniconsist.cvm import bridge_weights
 from uniconsist.errors import AssumptionError, ValidationError
 from uniconsist.kernel import KernelTestConfig, box_kernel, kernel_form
 from uniconsist.mclab import MCConfig, quad_rejections
 from uniconsist.quad import (FixedKappa, QuadraticForm, QuadTestConfig,
                              build_profile, cumulative_k, decide_and_predict,
                              fixed_kappa_statistic, gaussian_upper_quantile,
-                             noncentrality, null_variance, predict_beta,
-                             quad_statistic, weighted_square_sums)
+                             noncentrality, predict_beta, quad_statistic,
+                             weighted_square_sums)
 from uniconsist.signals import Basis, SignalSpec
 
 
@@ -356,6 +356,26 @@ def test_prediction_refuses_what_the_engine_refuses(theta):
         decide_and_predict(np.zeros(64), cfg, 64, theta=theta)
     with pytest.raises(ValidationError, match="variant 1"):
         quad_rejections(MCConfig(100), cfg, 64, [None, theta])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"weights": [1.0, math.nan]}, {"weights": [1.0, math.inf]},
+    {"weights": [1.0, -0.5]}, {"weights": [0.0, 0.0]}, {"weights": []},
+    {"weights": [[1.0, 0.5]]}, {"scale": 0.0}, {"scale": -1.0},
+    {"scale": math.nan}, {"scale": math.inf}, {"scale": [0.5, 0.0]},
+    {"scale": [0.5, math.nan]}, {"scale": [0.5, 1.0, 2.0]},
+    {"center": math.nan}, {"center": math.inf}, {"unit": 0.0},
+    {"unit": -1.0}, {"unit": math.nan}, {"unit": math.inf}])
+def test_form_refuses_inputs_it_cannot_score(kwargs):
+    args = {"weights": [1.0, 0.5], "scale": 1.0, "center": 0.0, "unit": 1.0}
+    with pytest.raises(ValidationError):
+        QuadraticForm(**{**args, **kwargs})
+
+
+def test_form_takes_weight_lists_and_per_weight_scales():
+    form = QuadraticForm([1.0, 0.5], [0.5, 2.0], center=0.25, unit=2.0)
+    assert form.statistic(np.array([1.0, 2.0])) == 2.75
+    assert QuadraticForm(np.array([1.0, 0.0]), 0.5).weights.dtype == float
 
 
 def test_form_exact_power_matches_two_term_oracle():

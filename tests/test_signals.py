@@ -14,17 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import (bounded_minima_scipy, eval_signal, gauss01,
-                     norm_sq_quadrature)
+from oracles import (bounded_minima_scipy, eval_signal, from_exponential,
+                     gauss01, norm_sq_quadrature, to_exponential)
 from uniconsist import alternatives, signals
 from uniconsist.errors import DensityError, ValidationError
 from uniconsist.signals import (INVCDF_TOL, SQRT2, Basis, DensitySpec,
                                 EmpiricalCdf, NoiseModel, SignalSpec,
                                 cdf_offset, density_minimum, empirical_cdf,
-                                evaluate, from_exponential, invert_cdf,
-                                sample_iid, sample_sequence_model,
-                                signal_from_json, sorted_lookup,
-                                to_exponential)
+                                evaluate, invert_cdf, sample_iid,
+                                sample_sequence_model, signal_from_json,
+                                sorted_lookup)
 from uniconsist.rng import substream
 
 RNG = np.random.default_rng(20260816)
