@@ -226,6 +226,9 @@ def make_inconsistent(family: FamilyRule, growth_schedule, n_list,
     seps = [float(s) for s in growth_schedule]
     if len(seps) != len(n_list):
         raise ValidationError("growth_schedule must align with n_list")
+    if not 0 < norm_const < math.inf:
+        raise ValidationError(
+            f"norm_const must be positive and finite, got {norm_const!r}")
     signals = {}
     ratios = []
     spikes = {}
@@ -256,9 +259,20 @@ def spike_tail_schedule(r: float, s: float, m_list, C_list,
     tau_l = sqrt(C_l) m_l^{-s}; the envelope ||f|| = norm_const * n^{-r}
     then pins n_l = (norm_const / tau_l)^{1/r}, rounded and floored at 2.
     """
+    m_list = [int(m) for m in m_list]
+    C_list = [float(C) for C in C_list]
+    if len(m_list) != len(C_list):
+        raise ValidationError("m_list and C_list must align")
+    for name, value in (("r", r), ("s", s), ("norm_const", norm_const)):
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    if not all(0 < C < math.inf for C in C_list):
+        raise ValidationError(f"C_list must be positive and finite, got {C_list}")
+    if not all(m >= 1 for m in m_list):
+        raise ValidationError(f"m_list must be positive, got {m_list}")
     ns = []
     for m_l, C_l in zip(m_list, C_list):
-        tau = math.sqrt(float(C_l)) * float(m_l) ** (-s)
+        tau = math.sqrt(C_l) * float(m_l) ** (-s)
         ns.append(max(2, int(round((norm_const / tau) ** (1.0 / r)))))
     return ns
 
@@ -275,13 +289,9 @@ def make_spike_tail(family: FamilyRule, m_list, C_list,
     s = smoothness_of(family)
     m_list = [int(m) for m in m_list]
     C_list = [float(C) for C in C_list]
-    if len(m_list) != len(C_list):
-        raise ValidationError("m_list and C_list must align")
-    if not (0 < norm_const < math.inf and all(0 < C < math.inf for C in C_list)):
-        raise ValidationError("norm_const and C_list must be positive and finite")
+    n_list = spike_tail_schedule(family.r, s, m_list, C_list, norm_const)
     if np.any(np.diff(m_list) <= 0) or np.any(np.diff(C_list) <= 0):
         raise ValidationError("m_list and C_list must strictly increase")
-    n_list = spike_tail_schedule(family.r, s, m_list, C_list, norm_const)
     if np.any(np.diff(n_list) <= 0):
         raise ValidationError("derived n_l must strictly increase; adjust the schedule")
     signals = {}

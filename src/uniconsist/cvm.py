@@ -32,8 +32,16 @@ from .wchisq import check_weights
 
 _TABLE_BLOCK = 4096
 
-# Longest bridge series: one _TABLE_BLOCK-row block of null draws holds
-# 4096 * J_null floats (512 MiB at this bound).
+# Row slices of a block hold at most this many values, so their temporaries
+# stay in cache and none is block-sized: the chi2 and cvm engine blocks in
+# mclab (one row when a row is wider) and the null table's blocks here (at
+# least 16 rows, and a block's last slice also takes its remainder).
+SLICE_VALUES = 16384
+
+# Longest bridge series. Its dropped tail is below 1/(pi^2 J_null), ~6e-6 at
+# this bound, and every replicate draws J_null normals; the draws run in row
+# slices of under 2 * max(16 * J_null, SLICE_VALUES) values, so memory does
+# not set the bound.
 _J_NULL_MAX = 2 ** 14
 
 
@@ -78,8 +86,14 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
 
     Every block of 4096 replicates draws from the null-table substream keyed
     by its block index, row-major by (replicate, j), so the table is
-    reproducible independent of scheduling. The blocks share one buffer,
-    squared in place, so no block-sized temporary is allocated.
+    reproducible independent of scheduling. A block is drawn, squared in
+    place and summed in consecutive row slices of one reused buffer, each
+    slice continuing the block's generator. A slice holds a multiple of 16
+    rows (as many as fit in SLICE_VALUES values, at least 16), and a block's
+    last slice takes its whole remainder, so no slice is a single row unless
+    its block is: a one-row matmul goes through BLAS dot, not gemv, and
+    rounds differently. Every row gets the bits that one matmul over its
+    whole block gives it on one BLAS thread.
     """
     weights = check_weights(weights)
     alphas = np.asarray(sorted(float(a) for a in alphas))
@@ -88,15 +102,20 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     if replicates < 100:
         raise ValidationError("at least 100 replicates required")
     draws = np.empty(replicates)
-    block = np.empty((min(_TABLE_BLOCK, replicates), weights.size))
+    step = max(16, SLICE_VALUES // weights.size // 16 * 16)
+    buffer = np.empty((min(2 * step - 1, _TABLE_BLOCK, replicates), weights.size))
     starts = range(0, replicates, _TABLE_BLOCK)
     gens = substreams(seed, STREAM_NULL_TABLE, range(len(starts)))
     for start, gen in zip(starts, gens):
-        rows = min(_TABLE_BLOCK, replicates - start)
-        xi = block[:rows]
-        gen.standard_normal(out=xi)
-        np.square(xi, out=xi)
-        np.matmul(xi, weights, out=draws[start:start + rows])
+        end = min(start + _TABLE_BLOCK, replicates)
+        lo = start
+        while lo < end:
+            hi = lo + step if end - lo >= 2 * step else end
+            xi = buffer[:hi - lo]
+            gen.standard_normal(out=xi)
+            np.square(xi, out=xi)
+            np.matmul(xi, weights, out=draws[lo:hi])
+            lo = hi
     criticals = np.quantile(draws, 1.0 - alphas)
     return alphas, criticals
 

@@ -235,11 +235,14 @@ class KernelTestConfig:
     def __post_init__(self):
         if (self.h is None) == (self.h_rule is None):
             raise ValidationError("give exactly one of h or h_rule")
+        if self.h is not None and not 0.0 < self.h < 1.0:
+            raise ValidationError(f"h must lie in (0, 1), got {self.h!r}")
         if self.h_rule is not None:
             r, const = self.h_rule
             dimension_exponent(r)
-            if not const > 0.0:
-                raise ValidationError(f"h_rule const must be positive, got {const!r}")
+            if not 0.0 < const < math.inf:
+                raise ValidationError(
+                    f"h_rule const must be positive and finite, got {const!r}")
         lo, hi = _SIGMA_BOUNDS
         if not lo <= self.noise_sigma <= hi:
             raise ValidationError(f"noise_sigma must lie in [{lo:g}, {hi:g}], "

@@ -29,7 +29,9 @@ on ``QuadraticForm.fold``, the fold that ``exact_power`` reads). A quad sweep
 n, so replicate i's xi is drawn once for all of them. chi2 and cvm score a
 block in row slices of at most SLICE_VALUES noise values (one row when a row
 is wider), one variant column at a time (``_per_column``); a row's decision
-reads only that row, so the slicing changes no decision.
+reads only that row, so the slicing changes no decision. SLICE_VALUES lives
+in :mod:`~uniconsist.cvm`, whose null table draws its blocks in row slices
+of the same size.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
-from .cvm import CvmNullTable, cvm_statistic
+from .cvm import SLICE_VALUES, CvmNullTable, cvm_statistic
 from .errors import ValidationError
 from .kernel import KernelTestConfig, kernel_coordinates, kernel_form
 from .quad import (FixedKappa, QuadTestConfig, quad_coordinates,
@@ -52,10 +54,6 @@ from .signals import (DensitySpec, SignalSpec, cdf_offset, invert_cdf,
                       sorted_lookup)
 
 BLOCK_ROWS = 512
-# chi2 and cvm score a block in row slices of at most this many noise values,
-# so a slice's cell lookups, inversions and sorted copies stay in cache and
-# no temporary is block-sized.
-SLICE_VALUES = 16384
 _Z95 = 1.959963984540054
 
 

@@ -114,6 +114,25 @@ def test_make_inconsistent_validations():
     # constant separations: ratios m_l / k_n fail to increase strictly
     with pytest.raises(ValidationError):
         make_inconsistent(cvm_fam(), [2, 2, 2, 2], N_LIST)
+    # a zero or negative norm constant would give spikes of amplitude <= 0
+    for norm_const in (0.0, -0.5):
+        with pytest.raises(ValidationError, match="norm_const"):
+            make_inconsistent(cvm_fam(), [2, 3, 5, 8], N_LIST, norm_const=norm_const)
+
+
+@pytest.mark.parametrize("args", [
+    dict(r=0.0), dict(r=-0.25), dict(s=0.0), dict(norm_const=0.0),
+    dict(norm_const=-1.0), dict(C_list=[1.0, 0.0]), dict(C_list=[-1.0, 2.0]),
+    dict(m_list=[0, 64]), dict(C_list=[1.0]),
+], ids=["r-zero", "r-negative", "s-zero", "norm-zero", "norm-negative",
+        "C-zero", "C-negative", "m-zero", "unaligned"])
+def test_spike_tail_schedule_refuses_bad_inputs(args):
+    """Each input is checked before the formula runs: a bad one raises
+    ValidationError, never a bare ValueError or ZeroDivisionError."""
+    call = dict(r=0.25, s=0.25, m_list=[16, 64], C_list=[1.0, 2.0],
+                norm_const=1.0) | args
+    with pytest.raises(ValidationError):
+        spike_tail_schedule(**call)
 
 
 _MEMBER = SignalSpec(Basis.COSINE_PI, np.array([0.3, 0.1]))
@@ -127,9 +146,17 @@ _SCALAR_GUARDS = {
         cvm_fam(), 1.0, "lowest", N_LIST, norm_const=x),
     "make_inconsistent.separation": lambda x: make_inconsistent(
         cvm_fam(), [2, 3, 5, x], N_LIST),
+    "make_inconsistent.norm_const": lambda x: make_inconsistent(
+        cvm_fam(), [2, 3, 5, 8], N_LIST, norm_const=x),
     "make_spike_tail.norm_const": lambda x: make_spike_tail(
         cvm_fam(), [16, 64], [1.0, 2.0], norm_const=x),
     "make_spike_tail.C_list": lambda x: make_spike_tail(cvm_fam(), [16, 64], [1.0, x]),
+    "spike_tail_schedule.r": lambda x: spike_tail_schedule(x, 0.25, [16, 64], [1.0, 2.0]),
+    "spike_tail_schedule.s": lambda x: spike_tail_schedule(0.25, x, [16, 64], [1.0, 2.0]),
+    "spike_tail_schedule.norm_const": lambda x: spike_tail_schedule(
+        0.25, 0.25, [16, 64], [1.0, 2.0], norm_const=x),
+    "spike_tail_schedule.C_list": lambda x: spike_tail_schedule(
+        0.25, 0.25, [16, 64], [x, 2.0]),
     "tail_bound_check.C1": lambda x: tail_bound_check(_MEMBER, 0.5, 10.0, 0.25, 64, C1=x),
     "compactness_diagnostic.epsilon": lambda x: compactness_diagnostic(
         EllipsoidSet(np.array([3.0, 1.0])), x),

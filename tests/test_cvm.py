@@ -1,9 +1,13 @@
 """Cramer-von Mises: exact statistic, population series, null tables."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +18,16 @@ from scipy import stats
 from oracles import (cvm_null_sample, cvm_population_quadrature,
                      cvm_statistic_quadrature, truncation_tail_bound,
                      two_term_chisq_sf)
-from uniconsist.cvm import (CvmNullTable, bridge_weights, build_cvm_null_table,
-                            cvm_consistency_index, cvm_population,
-                            cvm_statistic, decide, weighted_null_quantiles)
+from uniconsist.cvm import (SLICE_VALUES, CvmNullTable, bridge_weights,
+                            build_cvm_null_table, cvm_consistency_index,
+                            cvm_population, cvm_statistic, decide,
+                            weighted_null_quantiles)
 from uniconsist.errors import ValidationError
 from uniconsist.rng import STREAM_NULL_TABLE, substream
 from uniconsist.signals import Basis, SignalSpec
 from uniconsist.wchisq import weighted_chisq_quantile, weighted_chisq_sf
 
+ROOT = Path(__file__).resolve().parents[1]
 RNG = np.random.default_rng(515)
 
 
@@ -135,17 +141,76 @@ def test_weighted_chisq_draw_order_fixed():
     assert np.array_equal(crit, np.quantile(draws, 1.0 - alphas))
 
 
-def test_null_table_reuses_one_block_buffer():
-    """Five blocks of J = 1024 peak below 1.5 blocks of traced memory: one
-    buffer, squared in place, holds every block's draws."""
-    block = 4096 * 1024 * 8
+# (J, replicates) pairs whose last slices a naive slicing gets wrong: a
+# 17-row last block (16 + 1 rows), one short block of 100 or 101 rows of
+# 2**14 values each, and a row so short that a block is one slice.
+_SLICED_TABLES = [(1024, 4113), (16384, 100), (16384, 101), (3, 5000)]
+
+# Each table's draws, block by block: the block's (rows, J) normals squared
+# and summed by one matmul. A threaded BLAS splits a block's rows among its
+# threads, which can move the bits of the rows beside a split, so these run
+# in a fresh interpreter on one BLAS thread.
+_BLOCK_SHAPED = """
+import sys
+import numpy as np
+from uniconsist.cvm import bridge_weights
+from uniconsist.rng import STREAM_NULL_TABLE, substream
+draws = {}
+for J, replicates in %r:
+    w = bridge_weights(J)
+    draws[f"{J}-{replicates}"] = np.concatenate([
+        np.square(substream(6, STREAM_NULL_TABLE, b).standard_normal(
+            (min(4096, replicates - start), J))) @ w
+        for b, start in enumerate(range(0, replicates, 4096))])
+np.savez(sys.argv[1], **draws)
+"""
+
+
+@pytest.fixture(scope="module")
+def block_shaped_draws(tmp_path_factory):
+    path = tmp_path_factory.mktemp("null-table") / "draws.npz"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_SHAPED % (_SLICED_TABLES,), str(path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with np.load(path) as draws:
+        return dict(draws)
+
+
+@pytest.mark.parametrize("J, replicates", _SLICED_TABLES)
+def test_null_table_slices_keep_block_bits(monkeypatch, block_shaped_draws,
+                                          J, replicates):
+    """The table's draws, made in row slices in this process, equal the
+    block-shaped draws bit for bit: every slice continues its block's
+    generator, and none is a single row unless its block is."""
+    seen = []
+    quantile = np.quantile
+    monkeypatch.setattr(np, "quantile",
+                        lambda a, q: seen.append(a.copy()) or quantile(a, q))
+    weighted_null_quantiles(bridge_weights(J), [0.05], replicates, seed=6)
+    want = block_shaped_draws[f"{J}-{replicates}"]
+    assert seen[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("J, replicates", [(1024, 20_000), (16384, 200)],
+                         ids=["J1024", "J16384"])
+def test_null_table_peaks_at_slice_size(J, replicates):
+    """Traced memory stays below the draws, one slice buffer of under
+    2 * max(16 J, SLICE_VALUES) values, and 2 MiB for the quantile's copy
+    and the substreams. A block-sized buffer (32 MiB at J 1024, and 200 rows
+    of 2**14 values, 25 MiB) would exceed it."""
     tracemalloc.start()
     try:
-        weighted_null_quantiles(bridge_weights(1024), [0.05], 20_000, seed=4)
+        weighted_null_quantiles(bridge_weights(J), [0.05], replicates, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block, peak / block
+    bound = 8 * replicates + 16 * max(16 * J, SLICE_VALUES) + 2 ** 21
+    assert peak < bound, (peak, bound)
 
 
 @pytest.mark.parametrize("weights", [[], [[0.1, 0.2]], [0.1, -0.2], [0.0, 0.0, 0.0]],

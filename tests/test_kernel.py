@@ -159,6 +159,20 @@ def test_config_bandwidth_rules():
         KernelTestConfig(kernel=BOX, alpha=0.05, h=1.5).bandwidth()
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.1, 1.0, 1.5])
+def test_config_refuses_bandwidth_outside_unit_interval(h):
+    """An explicit h outside (0, 1) fails when the config is built, not at
+    its first bandwidth call."""
+    with pytest.raises(ValidationError, match="h must lie in"):
+        KernelTestConfig(kernel=BOX, alpha=0.05, h=h)
+
+
+@pytest.mark.parametrize("const", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+def test_config_refuses_rule_const_not_positive_and_finite(const):
+    with pytest.raises(ValidationError, match="h_rule const"):
+        KernelTestConfig(kernel=BOX, alpha=0.05, h_rule=(0.3, const))
+
+
 def test_statistic_zero_observation_centering():
     cfg = KernelTestConfig(kernel=BOX, alpha=0.05, h=0.05)
     n = 500
