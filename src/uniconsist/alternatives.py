@@ -273,7 +273,11 @@ def spike_tail_schedule(r: float, s: float, m_list, C_list,
     ns = []
     for m_l, C_l in zip(m_list, C_list):
         tau = math.sqrt(C_l) * float(m_l) ** (-s)
-        ns.append(max(2, int(round((norm_const / tau) ** (1.0 / r)))))
+        try:
+            n_l = (norm_const / tau) ** (1.0 / r)
+        except OverflowError:
+            raise ValidationError(f"n_l overflows at m_l = {m_l}, r = {r!r}") from None
+        ns.append(max(2, int(round(n_l))))
     return ns
 
 

@@ -32,10 +32,11 @@ from .wchisq import check_weights
 
 _TABLE_BLOCK = 4096
 
-# Row slices of a block hold at most this many values, so their temporaries
-# stay in cache and none is block-sized: the chi2 and cvm engine blocks in
-# mclab (one row when a row is wider) and the null table's blocks here (at
-# least 16 rows, and a block's last slice also takes its remainder).
+# Row slices of a block are sized by this many values, so their temporaries
+# stay in cache and none is block-sized. The chi2 and cvm engine blocks in
+# mclab take at most this many a slice (one row when a row is wider); the
+# null table's blocks here take the multiple of 16 rows that fits (at least
+# 16), and a block's last slice also takes its remainder.
 SLICE_VALUES = 16384
 
 # Longest bridge series. Its dropped tail is below 1/(pi^2 J_null), ~6e-6 at

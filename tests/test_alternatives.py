@@ -123,12 +123,12 @@ def test_make_inconsistent_validations():
 @pytest.mark.parametrize("args", [
     dict(r=0.0), dict(r=-0.25), dict(s=0.0), dict(norm_const=0.0),
     dict(norm_const=-1.0), dict(C_list=[1.0, 0.0]), dict(C_list=[-1.0, 2.0]),
-    dict(m_list=[0, 64]), dict(C_list=[1.0]),
+    dict(m_list=[0, 64]), dict(C_list=[1.0]), dict(r=0.001, m_list=[16, 1024]),
 ], ids=["r-zero", "r-negative", "s-zero", "norm-zero", "norm-negative",
-        "C-zero", "C-negative", "m-zero", "unaligned"])
+        "C-zero", "C-negative", "m-zero", "unaligned", "n-overflow"])
 def test_spike_tail_schedule_refuses_bad_inputs(args):
-    """Each input is checked before the formula runs: a bad one raises
-    ValidationError, never a bare ValueError or ZeroDivisionError."""
+    """A bad input, or an n_l past the float range, raises ValidationError,
+    never a bare ValueError, ZeroDivisionError or OverflowError."""
     call = dict(r=0.25, s=0.25, m_list=[16, 64], C_list=[1.0, 2.0],
                 norm_const=1.0) | args
     with pytest.raises(ValidationError):
