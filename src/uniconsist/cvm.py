@@ -33,10 +33,10 @@ from .wchisq import check_weights
 _TABLE_BLOCK = 4096
 
 # Row slices of a block are sized by this many values, so their temporaries
-# stay in cache and none is block-sized. The chi2 and cvm engine blocks in
-# mclab take at most this many a slice (one row when a row is wider); the
-# null table's blocks here take the multiple of 16 rows that fits (at least
-# 16), and a block's last slice also takes its remainder.
+# stay in cache and none is block-sized. Engine blocks in mclab and the null
+# table's blocks here are drawn and scored in the slices of `row_slices`; the
+# chi2 and cvm engines score those in turn in pieces of at most this many
+# values (one row when a row is wider).
 SLICE_VALUES = 16384
 
 # Longest bridge series. Its dropped tail is below 1/(pi^2 J_null), ~6e-6 at
@@ -44,6 +44,34 @@ SLICE_VALUES = 16384
 # slices of under 2 * max(16 * J_null, SLICE_VALUES) values, so memory does
 # not set the bound.
 _J_NULL_MAX = 2 ** 14
+
+
+def _slice_step(width: int) -> int:
+    return max(16, SLICE_VALUES // width // 16 * 16)
+
+
+def row_slices(rows: int, width: int):
+    """Yield the consecutive ``(lo, hi)`` row slices of a block of ``rows``
+    rows of ``width`` values.
+
+    A slice holds a multiple of 16 rows (as many as fit in SLICE_VALUES
+    values, at least 16), and the block's last slice takes its whole
+    remainder, so it has under twice that many and no slice is a single row
+    unless its block is: a one-row matmul goes through BLAS dot, not gemv,
+    and rounds differently.
+    """
+    step = _slice_step(width)
+    lo = 0
+    while lo < rows:
+        hi = lo + step if rows - lo >= 2 * step else rows
+        yield lo, hi
+        lo = hi
+
+
+def slice_buffer(rows: int, width: int) -> np.ndarray:
+    """One buffer whose leading rows can hold every :func:`row_slices` slice
+    of a block of at most ``rows`` rows of ``width`` values."""
+    return np.empty((min(2 * _slice_step(width) - 1, rows), width))
 
 
 def cvm_statistic(points: np.ndarray):
@@ -88,13 +116,9 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     Every block of 4096 replicates draws from the null-table substream keyed
     by its block index, row-major by (replicate, j), so the table is
     reproducible independent of scheduling. A block is drawn, squared in
-    place and summed in consecutive row slices of one reused buffer, each
-    slice continuing the block's generator. A slice holds a multiple of 16
-    rows (as many as fit in SLICE_VALUES values, at least 16), and a block's
-    last slice takes its whole remainder, so no slice is a single row unless
-    its block is: a one-row matmul goes through BLAS dot, not gemv, and
-    rounds differently. Every row gets the bits that one matmul over its
-    whole block gives it on one BLAS thread.
+    place and summed in the consecutive :func:`row_slices` of one reused
+    buffer, each slice continuing the block's generator. Every row gets the
+    bits that one matmul over its whole block gives it on one BLAS thread.
     """
     weights = check_weights(weights)
     alphas = np.asarray(sorted(float(a) for a in alphas))
@@ -103,20 +127,16 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     if replicates < 100:
         raise ValidationError("at least 100 replicates required")
     draws = np.empty(replicates)
-    step = max(16, SLICE_VALUES // weights.size // 16 * 16)
-    buffer = np.empty((min(2 * step - 1, _TABLE_BLOCK, replicates), weights.size))
+    buffer = slice_buffer(min(_TABLE_BLOCK, replicates), weights.size)
     starts = range(0, replicates, _TABLE_BLOCK)
     gens = substreams(seed, STREAM_NULL_TABLE, range(len(starts)))
     for start, gen in zip(starts, gens):
         end = min(start + _TABLE_BLOCK, replicates)
-        lo = start
-        while lo < end:
-            hi = lo + step if end - lo >= 2 * step else end
+        for lo, hi in row_slices(end - start, weights.size):
             xi = buffer[:hi - lo]
             gen.standard_normal(out=xi)
             np.square(xi, out=xi)
-            np.matmul(xi, weights, out=draws[lo:hi])
-            lo = hi
+            np.matmul(xi, weights, out=draws[start + lo:start + hi])
     criticals = np.quantile(draws, 1.0 - alphas)
     return alphas, criticals
 

@@ -13,25 +13,29 @@ so variant contrasts are common-random-number comparisons.
 
 Loop contract: every family's ``*_rejections`` supplies only its noise draw
 (a method call on the replicate's generator that fills one row in place)
-and its ``reject_block`` callable, which returns a block of noise rows'
+and its ``reject_block`` callable, which returns a slice of noise rows'
 whole (rows x variants) decision matrix. Pairing and determinism come from
-the single block loop ``_rejections``, which fills each block from its
-replicates' substreams, unscaled, and hands it to ``reject_block`` once.
-The block is a view into its worker's reused noise buffer, valid only
-during that call, so ``reject_block`` must keep no reference to it; an
-engine call holds ``threads x BLOCK_ROWS x width`` floats of noise. quad,
-kernel and fixed take their coordinate map and their
+the single block loop ``_rejections``: a block keys its replicates'
+substreams in one pass, and is drawn, unscaled, and handed to
+``reject_block`` in consecutive row slices (:func:`~uniconsist.cvm.row_slices`,
+the null table's rule: 16 to 31 rows at 8192 values a row). A slice is a
+view into its worker's reused noise buffer, valid only during that call, so
+``reject_block`` must keep no reference to it; an engine call holds
+``threads x min(2 step - 1, BLOCK_ROWS) x width`` floats of noise, ``step``
+rows being those that fill SLICE_VALUES values (at least 16). quad, kernel
+and fixed take their coordinate map and their
 :class:`~uniconsist.quad.QuadraticForm` from the family module; ``_rows``
 packs the variants and ``_form_rejections`` scores every variant of one or
-more forms on the same coordinates from one block (``weighted_square_sums``
-on ``QuadraticForm.fold``, the fold that ``exact_power`` reads). A quad sweep
-(:func:`quad_sweep`) is one such call: the profile's J is the same at every
-n, so replicate i's xi is drawn once for all of them. chi2 and cvm score a
-block in row slices of at most SLICE_VALUES noise values (one row when a row
-is wider), one variant column at a time (``_per_column``); a row's decision
-reads only that row, so the slicing changes no decision. SLICE_VALUES lives
-in :mod:`~uniconsist.cvm`, whose null table draws its blocks in row slices
-of the same size.
+more forms on the same coordinates from one slice (``weighted_square_sums``
+on ``QuadraticForm.fold``, the fold that ``exact_power`` reads, prepared
+once a call). A quad sweep (:func:`quad_sweep`) is one such call: the
+profile's J is the same at every n, so replicate i's xi is drawn once for
+all of them. chi2 and cvm score a slice in pieces of at most SLICE_VALUES
+noise values (one row when a row is wider), one variant column at a time
+(``_per_column``); a row's decision reads only that row, so the slicing
+changes no decision. SLICE_VALUES and the slice rule live in
+:mod:`~uniconsist.cvm`, whose null table draws its blocks in the same
+slices.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
-from .cvm import SLICE_VALUES, CvmNullTable, cvm_statistic
+from .cvm import (SLICE_VALUES, CvmNullTable, cvm_statistic, row_slices,
+                  slice_buffer)
 from .errors import ValidationError
 from .kernel import KernelTestConfig, kernel_coordinates, kernel_form
 from .quad import (FixedKappa, QuadTestConfig, quad_coordinates,
@@ -137,37 +142,49 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw,
     """The one block loop behind every family's rejection matrix.
 
     A block covers replicates lo .. hi - 1 and keys their substreams in one
-    pass, ``substreams(seed, stream, range(lo, hi))``; row i is filled in
-    place by ``draw(generator, row)``, a length ``width`` noise row, before
-    the generator is re-keyed for row i + 1. ``reject_block(block)``
-    returns the block's (rows x variants) decisions. The block is a view
-    of the leading rows of its worker's noise buffer, which the worker's
-    next block overwrites: ``reject_block`` may overwrite it too, but must
-    keep no reference to it past the call.
+    pass, ``substreams(seed, stream, range(lo, hi))``; the block is drawn
+    and scored in its consecutive :func:`~uniconsist.cvm.row_slices` (16 to
+    31 rows of 8192 values), consuming that pass slice by slice. Row i is
+    filled in place by ``draw(generator, row)``, a length ``width`` noise
+    row, before the generator is re-keyed for row i + 1, and
+    ``reject_block(rows)`` returns the slice's (rows x variants) decisions.
+    The slice is a view of the leading rows of its worker's noise buffer,
+    which the worker's next slice overwrites: ``reject_block`` may overwrite
+    it too, but must keep no reference to it past the call.
 
-    Each worker allocates its ``(min(BLOCK_ROWS, replicates), width)``
-    buffer once per call, so a call holds ``threads x BLOCK_ROWS x width``
-    floats of noise. Only the allocation is shared: each block keeps its
-    own row count, since BLAS row results can change with a matrix's rows.
+    Threads take whole blocks. Each worker allocates its
+    :func:`~uniconsist.cvm.slice_buffer` once per call, so a call holds
+    ``threads x min(2 step - 1, BLOCK_ROWS) x width`` floats of noise, where
+    ``step`` rows fill SLICE_VALUES values (at least 16): 31 rows a worker
+    at width 8192. Only the allocation is shared: each slice keeps its own
+    row count, since BLAS row results can change with a matrix's rows.
     """
     if width < 1:
         raise ValidationError(f"noise rows need a width of at least 1, got {width}")
     local = threading.local()
 
-    def work(lo: int) -> np.ndarray:
+    def work(lo: int) -> list[np.ndarray]:
         hi = min(lo + BLOCK_ROWS, mc.replicates)
         if not hasattr(local, "buffer"):
-            local.buffer = np.empty((min(BLOCK_ROWS, mc.replicates), width))
-        noise = local.buffer[:hi - lo]
-        for row, gen in zip(noise, substreams(mc.seed, stream, range(lo, hi))):
-            draw(gen, row)
-        return reject_block(noise)
+            local.buffer = slice_buffer(min(BLOCK_ROWS, mc.replicates), width)
+        gens = substreams(mc.seed, stream, range(lo, hi))
+        out = []
+        for a, b in row_slices(hi - lo, width):
+            noise = local.buffer[:b - a]
+            # zip asks for a row before its generator, so a slice takes
+            # exactly its own replicates' generators from the block's pass.
+            for row, gen in zip(noise, gens):
+                draw(gen, row)
+            out.append(reject_block(noise))
+        return out
 
     starts = range(0, mc.replicates, BLOCK_ROWS)
     if mc.threads == 1:
-        return np.concatenate([work(lo) for lo in starts])
-    with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-        return np.concatenate(list(pool.map(work, starts)))
+        blocks = map(work, starts)
+    else:
+        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
+            blocks = list(pool.map(work, starts))
+    return np.concatenate([part for block in blocks for part in block])
 
 
 def _normals(g, row):
@@ -180,7 +197,7 @@ def _uniforms(g, row):
 
 def _per_column(variants, reject):
     """A ``reject_block`` that fills column v with ``reject(rows, variants[v])``
-    on consecutive row slices of the block, each of at most SLICE_VALUES
+    on consecutive pieces of the rows it gets, each of at most SLICE_VALUES
     noise values (one row when a row is wider), every variant in turn."""
     def reject_block(noise):
         out = np.empty((noise.shape[0], len(variants)), dtype=bool)
@@ -236,9 +253,10 @@ def _form_rejections(mc: MCConfig, tests) -> list[np.ndarray]:
     rows, w = _fold(tests)
     bounds = np.cumsum([0] + [r.shape[0] for _, _, r in tests])
     spans = list(zip(bounds[:-1], bounds[1:]))
+    sums_of = weighted_square_sums(rows, w)
 
     def reject_block(noise):
-        sums = weighted_square_sums(noise, rows, w)
+        sums = sums_of(noise)
         out = np.empty(sums.shape, dtype=bool)
         for (form, critical, _), (lo, hi) in zip(tests, spans):
             out[:, lo:hi] = form.unit * (sums[:, lo:hi] - form.center) > critical

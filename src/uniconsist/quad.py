@@ -276,9 +276,10 @@ def quad_statistic(y: np.ndarray, profile: KappaProfile, n: int):
     return profile.form(n).statistic(y)
 
 
-def weighted_square_sums(noise: np.ndarray, rows: np.ndarray,
-                         w: np.ndarray) -> np.ndarray:
-    """Sum_j w_j (rows_v + noise_i)_j^2 for every noise row i and variant row v.
+def weighted_square_sums(rows: np.ndarray, w: np.ndarray):
+    """The scorer of Sum_j w_j (rows_v + noise_i)_j^2 for every noise row i
+    and variant row v: a function of a noise matrix that returns its
+    (i, v) matrix.
 
     ``w`` is one weight vector for every row, or one per row (shape
     ``rows.shape``). Expands the square, so the (i, v) matrix costs one GEMM
@@ -287,19 +288,30 @@ def weighted_square_sums(noise: np.ndarray, rows: np.ndarray,
 
         Sum w xi^2 + 2 xi . (w theta) + Sum w theta^2.
 
-    With one weight vector, a zero variant row gives exactly
-    ``np.square(noise) @ w``. ``noise`` is overwritten with its square.
+    The folded cross weights and the Sum w theta^2 term depend only on the
+    rows and weights, so they are computed once here, however many noise
+    matrices are scored. With one weight vector, a zero variant row gives
+    exactly ``np.square(noise) @ w``. ``noise`` is overwritten with its
+    square.
     """
-    sums = noise @ (rows * w).T
-    sums *= 2.0
-    np.square(noise, out=noise)
+    cross = (rows * w).T
     if w.ndim == 1:
-        sums += (noise @ w)[:, None]
-        sums += np.square(rows) @ w
+        theta_sums = np.square(rows) @ w
     else:
-        sums += noise @ w.T
-        sums += np.einsum("vj,vj->v", np.square(rows), w)
-    return sums
+        theta_sums = np.einsum("vj,vj->v", np.square(rows), w)
+
+    def sums_of(noise: np.ndarray) -> np.ndarray:
+        sums = noise @ cross
+        sums *= 2.0
+        np.square(noise, out=noise)
+        if w.ndim == 1:
+            sums += (noise @ w)[:, None]
+        else:
+            sums += noise @ w.T
+        sums += theta_sums
+        return sums
+
+    return sums_of
 
 
 def noncentrality(theta, profile: KappaProfile, n: int) -> float:

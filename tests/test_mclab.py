@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from uniconsist.suites import CONSISTENCY_DEFAULT
 PROFILE = build_profile(r=0.3, gamma=2.0, c=1.0, J=256, n_list=[64])
 QCFG = QuadTestConfig(profile=PROFILE, alpha=0.05)
 MC = MCConfig(replicates=600, seed=42)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_mcconfig_validations():
@@ -176,9 +180,10 @@ def test_partial_block_thread_invariance(run):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_engine_draws_blocks_into_one_buffer_per_worker(threads):
-    """At 1300 replicates every block ``reject_block`` receives is a
-    leading-row view of its worker's one buffer, and holds exactly its own
-    replicates' draws (no stale rows in the short last block)."""
+    """At 1300 replicates of 8 values (a block is one slice) every block
+    ``reject_block`` receives is a leading-row view of its worker's one
+    buffer, and holds exactly its own replicates' draws (no stale rows in
+    the short last block)."""
     width = 8
     bases, blocks = [], []
     lock = threading.Lock()
@@ -201,6 +206,108 @@ def test_engine_draws_blocks_into_one_buffer_per_worker(threads):
     assert sorted(b.shape[0] for b in blocks) == [276, 512, 512]
     assert all(any(np.array_equal(b, e) for e in expected) for b in blocks)
     assert all(any(np.array_equal(b, e) for b in blocks) for e in expected)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("width", [8192, 8193])
+def test_engine_draws_wide_blocks_in_row_slices_of_one_buffer(width, threads):
+    """At 1300 replicates of 8192 or more values, every ``reject_block`` call
+    gets 16 to 31 leading rows of its worker's one (31, width) buffer; the
+    slices stay inside their blocks and, joined in order, equal each
+    replicate's own substream draw."""
+    calls = []
+    lock = threading.Lock()
+
+    def reject_block(noise):
+        digests = [hashlib.sha1(row.tobytes()).digest() for row in noise]
+        with lock:
+            calls.append((threading.get_ident(), noise.base, noise.shape,
+                          digests))
+        return np.zeros((noise.shape[0], 1), dtype=bool)
+
+    mc = MCConfig(1300, seed=6, threads=threads)
+    rej = mclab._rejections(mc, STREAM_SEQUENCE_MODEL, width, mclab._normals,
+                            reject_block)
+    assert rej.shape == (1300, 1)
+    assert len({id(base) for _, base, _, _ in calls}) <= threads
+    assert all(base.shape == (31, width) for _, base, _, _ in calls)
+    assert all(16 <= shape[0] <= 31 and shape[1] == width
+               for _, _, shape, _ in calls)
+    index = {hashlib.sha1(substream(6, STREAM_SEQUENCE_MODEL, i).standard_normal(
+        width).tobytes()).digest(): i for i in range(1300)}
+    by_thread = {}
+    for thread, _, _, digests in calls:
+        first = index[digests[0]]
+        assert [index[d] for d in digests] == list(range(first, first + len(digests)))
+        assert first // 512 == (first + len(digests) - 1) // 512
+        by_thread.setdefault(thread, []).append((first, len(digests)))
+    spans = sorted(span for seq in by_thread.values() for span in seq)
+    assert [lo for lo, _ in spans] == list(
+        np.cumsum([0] + [size for _, size in spans[:-1]]))
+    assert sum(size for _, size in spans) == 1300
+    for seq in by_thread.values():  # a worker scores each block's slices in order
+        for (lo, size), (nxt, _) in zip(seq, seq[1:]):
+            assert nxt == lo + size or nxt % 512 == 0
+
+
+# Engine sums of one variant row scored a whole block at a time, as one
+# weighted_square_sums call per block, on one BLAS thread.
+_BLOCK_SUMS = """
+import sys
+import numpy as np
+from uniconsist.quad import QuadraticForm, weighted_square_sums
+from uniconsist.rng import STREAM_SEQUENCE_MODEL, substream
+sums = {}
+for width, replicates in %r:
+    j = np.arange(1, width + 1, dtype=float)
+    form = QuadraticForm(1.0 / j ** 2, 0.5)
+    sums_of = weighted_square_sums(*form.fold(np.full((1, width), 0.05)))
+    sums[f"{width}-{replicates}"] = np.concatenate([sums_of(np.array([
+        substream(9, STREAM_SEQUENCE_MODEL, i).standard_normal(width)
+        for i in range(lo, min(lo + 512, replicates))]))
+        for lo in range(0, replicates, 512)])
+np.savez(sys.argv[1], **sums)
+"""
+_ONE_VECTOR_SHAPES = [(8192, 1300), (8193, 1300), (2048, 1300), (100, 1300),
+                      (1024, 1025), (1024, 1041), (8192, 1041)]
+
+
+@pytest.fixture(scope="module")
+def block_shaped_sums(tmp_path_factory):
+    path = tmp_path_factory.mktemp("engine") / "sums.npz"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_SUMS % (_ONE_VECTOR_SHAPES,), str(path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with np.load(path) as sums:
+        return dict(sums)
+
+
+@pytest.mark.parametrize("width, replicates", _ONE_VECTOR_SHAPES)
+def test_one_vector_slices_keep_block_bits(monkeypatch, block_shaped_sums,
+                                           width, replicates):
+    """With one variant row (BLAS gemv, as in a single-n quad, kernel or
+    fixed run) the engine's sums, scored in row slices in this process,
+    equal the block-shaped sums bit for bit. A one-row last block (1025
+    replicates) stays one row, and a 17-row one (1041) is one slice, not
+    16 rows and a one-row BLAS dot."""
+    seen = []
+
+    def recording(rows, w):
+        sums_of = weighted_square_sums(rows, w)
+        return lambda noise: seen.append(sums_of(noise)) or seen[-1]
+
+    monkeypatch.setattr(mclab, "weighted_square_sums", recording)
+    j = np.arange(1, width + 1, dtype=float)
+    form = QuadraticForm(1.0 / j ** 2, 0.5)
+    mclab._form_rejections(MCConfig(replicates, seed=9),
+                           [(form, 0.0, np.full((1, width), 0.05))])
+    want = block_shaped_sums[f"{width}-{replicates}"]
+    assert np.concatenate(seen).tobytes() == want.tobytes()
 
 
 def test_engine_workers_keep_their_buffers_under_thread_switching():
@@ -289,6 +396,31 @@ def test_gemm_engines_thread_invariance_many_variants():
         assert 0 < rej1.sum() < rej1.size
 
 
+def test_three_variant_quad_run_at_8192_coordinates_matches_decisions():
+    """A 3-variant quad run at J 8192 (16-row slices, cross terms in one
+    GEMM a slice) with a short last block (1300 replicates: 512, 512, 276)
+    equals decide_and_predict on every replicate's own draw, except at exact
+    near-ties with the critical value."""
+    n, J = 512, 8192
+    profile = build_profile(0.3, 2.0, 1.0, J, [n])
+    test = QuadTestConfig(profile, 0.05)
+    thetas = np.zeros((3, J))
+    thetas[0, 0] = 0.3
+    thetas[1, 3] = 0.25
+    thetas[2, :64] = 0.03
+    mc = MCConfig(1300, seed=5, threads=2)
+    rej = quad_rejections(mc, test, n, list(thetas))
+    assert rej.shape == (1300, 3)
+    assert np.all((0 < rej.sum(axis=0)) & (rej.sum(axis=0) < 1300))
+    scale = profile.sigma / math.sqrt(n)
+    for i in range(1300):
+        xi = substream(5, STREAM_SEQUENCE_MODEL, i).standard_normal(J)
+        for v, theta in enumerate(thetas):
+            rep = decide_and_predict(theta + scale * xi, test, n)
+            assert (rej[i, v] == rep.reject
+                    or abs(rep.standardized - test.x_alpha) <= 1e-9), (i, v)
+
+
 def test_quad_pairing_shares_noise():
     """Columns differ only through theta: the null column rejects whenever
     a dominating signal column would accept less often."""
@@ -348,22 +480,50 @@ def test_kernel_rejections_every_cell_matches_statistic():
     assert 0 < rej[:, 0].sum() < rej[:, 1].sum() and rej[:, 2].sum() < 600
 
 
+def _slice_sized(width: int, V: int) -> int:
+    """Bytes of two 31-row slice buffers and four (V, width) variant
+    matrices: the rows, their folded cross weights and their temporaries.
+    One 512-row noise block is larger for any V below 112."""
+    return 8 * width * (2 * 31 + 4 * V)
+
+
 def test_kernel_block_allocates_no_per_variant_copies():
-    """One 512-row block at V = 3 peaks below 1.5 noise blocks of traced memory."""
+    """One 512-row block at V = 3 and 4097 values a row peaks at slice size
+    in traced memory (1.0 MiB a slice buffer; the 512-row block would be
+    16.8 MiB)."""
     J = 2048
     cfg = KernelTestConfig(kernel=box_kernel(), alpha=0.05, h=1.0 / 1024)
     sig = np.zeros((J, 2))
     sig[J - 1] = [0.1, 0.1]
     variants = [None, SignalSpec(Basis.TRIG_FULL, sig),
                 SignalSpec(Basis.TRIG_FULL, sig[::-1].copy())]
-    block_bytes = 512 * (1 + 2 * J) * 8
     tracemalloc.start()
     try:
         kernel_rejections(MCConfig(512, seed=3, threads=1), cfg, 4096, variants, J)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block_bytes, peak / block_bytes
+    bound = _slice_sized(1 + 2 * J, len(variants))
+    assert peak < bound, (peak, bound)
+
+
+def test_quad_sweep_block_peaks_at_slice_size():
+    """A quad sweep at J 8192 over three n (six variant columns, 1300
+    replicates) peaks at slice size in traced memory (2.0 MiB a slice
+    buffer; one 512-row block would be 32 MiB)."""
+    J, ns = 8192, [512, 1024, 2048]
+    test = QuadTestConfig(build_profile(0.3, 2.0, 1.0, J, ns), 0.05)
+    theta = np.zeros(J)
+    theta[:32] = 0.05
+    tracemalloc.start()
+    try:
+        quad_sweep(MCConfig(1300, seed=3, threads=1), test,
+                   {n: [None, theta] for n in ns})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = _slice_sized(J, 2 * len(ns))
+    assert peak < bound, (peak, bound)
 
 
 def test_cvm_block_scores_on_one_sorted_copy():
@@ -898,7 +1058,7 @@ def test_folded_scorer_matches_direct_statistic(case):
     tests, rows_n, seed = case
     xi = np.random.default_rng(seed).standard_normal(
         (rows_n, tests[0][0].weights.size))
-    got = weighted_square_sums(xi.copy(), *mclab._fold(tests))
+    got = weighted_square_sums(*mclab._fold(tests))(xi.copy())
     col = 0
     for form, _, rows in tests:
         for row in rows:

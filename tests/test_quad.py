@@ -170,7 +170,7 @@ def test_weighted_square_sums_match_direct_squares(J, rows_n, V, theta_scale,
         w[gen.integers(0, J + 1):] = 0.0           # zero tail, possibly all
     direct = np.stack([np.square(row + noise) @ w for row in rows], axis=1)
     scale = (np.square(noise) @ w)[:, None] + np.square(rows) @ w
-    got = weighted_square_sums(noise.copy(), rows, w)
+    got = weighted_square_sums(rows, w)(noise.copy())
     assert got.shape == (rows_n, V)
     bound = 8.0 * (J + 2) * np.finfo(float).eps * scale
     assert np.all(np.abs(got - direct) <= bound)
@@ -182,7 +182,7 @@ def test_weighted_square_sums_consume_noise():
     noise = np.array([[1.0, -2.0], [0.5, 3.0]])
     w = np.array([1.0, 0.25])
     rows = np.array([[0.0, 0.0], [1.0, -1.0]])
-    got = weighted_square_sums(noise, rows, w)
+    got = weighted_square_sums(rows, w)(noise)
     assert np.array_equal(noise, [[1.0, 4.0], [0.25, 9.0]])
     assert got.tolist() == [[2.0, 6.25], [2.5, 3.25]]
 
