@@ -489,8 +489,8 @@ def _slice_sized(width: int, V: int) -> int:
 
 def test_kernel_block_allocates_no_per_variant_copies():
     """One 512-row block at V = 3 and 4097 values a row peaks at slice size
-    in traced memory (1.0 MiB a slice buffer; the 512-row block would be
-    16.8 MiB)."""
+    in traced memory (0.97 MiB a slice buffer; the 512-row block would be
+    16 MiB)."""
     J = 2048
     cfg = KernelTestConfig(kernel=box_kernel(), alpha=0.05, h=1.0 / 1024)
     sig = np.zeros((J, 2))
@@ -509,7 +509,7 @@ def test_kernel_block_allocates_no_per_variant_copies():
 
 def test_quad_sweep_block_peaks_at_slice_size():
     """A quad sweep at J 8192 over three n (six variant columns, 1300
-    replicates) peaks at slice size in traced memory (2.0 MiB a slice
+    replicates) peaks at slice size in traced memory (1.9 MiB a slice
     buffer; one 512-row block would be 32 MiB)."""
     J, ns = 8192, [512, 1024, 2048]
     test = QuadTestConfig(build_profile(0.3, 2.0, 1.0, J, ns), 0.05)
