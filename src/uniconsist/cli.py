@@ -9,7 +9,8 @@ have its default's JSON type, so a missing, mistyped or unrepresentable
 field is reported with the file and the key.
 
 UNICONSIST_SEED in the environment overrides the seed of any suite config;
---threads caps worker threads without changing any output byte.
+--threads (suite, nulltable) sets the worker threads, by default the CPUs
+the process may use, without changing any output byte.
 """
 
 from __future__ import annotations
@@ -110,18 +111,27 @@ def _env_seed() -> int | None:
                               f"integer in [0, 2**64)") from None
 
 
+def _threads(args) -> int:
+    """--threads, by default the CPUs this process may use: no output byte
+    depends on it."""
+    if args.threads is None:
+        return len(os.sched_getaffinity(0))
+    if args.threads < 1:
+        raise ValidationError("--threads must be at least 1")
+    return args.threads
+
+
 def cmd_suite(args) -> int:
     # The suite name, --threads and UNICONSIST_SEED do not come from the
     # config: check them before config errors get the config path.
     default_config(args.name)
-    if args.threads < 1:
-        raise ValidationError("--threads must be at least 1")
+    threads = _threads(args)
     config = _load_json(args.config) if args.config else {}
     seed = _env_seed()
     if seed is not None:
         config = {**config, "seed": seed}
     with _prefix(args.config):
-        result = run_suite(args.name, config, threads=args.threads)
+        result = run_suite(args.name, config, threads=threads)
     for path in write_result(result, args.out):
         print(path)
     print(f"suite {result.name}: {'PASS' if result.passed else 'FAIL'}")
@@ -201,11 +211,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_nulltable(args) -> int:
+    threads = _threads(args)
     seed = args.seed
     if seed is None:
         seed = _env_seed() or 0
     table = build_cvm_null_table(args.alpha, args.replicates, seed,
-                                 J_null=args.j_null)
+                                 J_null=args.j_null, threads=threads)
     if args.out:
         Path(args.out).write_text(table.to_json(), encoding="utf-8")
         print(args.out)
@@ -232,12 +243,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Signal-detection test laboratory: suites, statistics, "
                     "classification, null tables, widths.")
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=None,
+                         help="worker threads (default: the CPUs this "
+                              "process may use); output bytes do not depend "
+                              "on it")
 
-    p = sub.add_parser("suite", help="run a registered experiment suite")
+    p = sub.add_parser("suite", parents=[threads],
+                       help="run a registered experiment suite")
     p.add_argument("name", help=f"one of {sorted(SUITES)}")
     p.add_argument("--config", help="JSON config merged over the defaults")
     p.add_argument("--out", required=True, help="output directory for artifacts")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("statistic", help="evaluate one test on one data file")
@@ -253,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C1", type=_finite, default=4.0)
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("nulltable", help="generate a null critical-value table")
+    p = sub.add_parser("nulltable", parents=[threads],
+                       help="generate a null critical-value table")
     p.add_argument("family", choices=["cvm"])
     p.add_argument("--alpha", type=_finite, nargs="+", required=True)
     p.add_argument("--replicates", type=int, required=True)

@@ -13,12 +13,21 @@ enters the series as Sum_j (xi_j/(pi j) + sqrt(n) c_j/(pi j))^2.
 The series' exact law is in :mod:`~uniconsist.wchisq`; the ``nulltable``
 tables are still self-generated Monte Carlo quantiles of the truncated
 series, whose dropped tail obeys Sum_{j>J} 1/(pi^2 j^2) <= 1/(pi^2 J).
+
+:func:`run_blocks` is the block runner of both Monte Carlo loops, the
+table's here and the engine's ``mclab._rejections``: it maps keyed blocks
+over a pool of worker threads, hands each worker one reused
+:func:`slice_buffer`, and returns the results in block order. A block keys
+its own generators, so no worker shares one with another, and no result
+depends on the thread count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +83,62 @@ def slice_buffer(rows: int, width: int) -> np.ndarray:
     return np.empty((min(2 * _slice_step(width) - 1, rows), width))
 
 
+def check_threads(threads) -> int:
+    """``threads`` as an int; anything but an integer of at least 1 raises."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
+        raise ValidationError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise ValidationError("threads must be at least 1")
+    return int(threads)
+
+
+def run_blocks(work, blocks, threads: int, rows: int, width: int) -> list:
+    """``[work(block, buffer) for block in blocks]`` on ``threads`` workers.
+
+    Each worker allocates one :func:`slice_buffer` for blocks of at most
+    ``rows`` rows of ``width`` values and passes it to every block it runs;
+    ``work`` must keep no reference to it past the call. Results come back
+    in block order. ``work`` keys its block's generators itself, so a
+    result depends on its block alone, never on the worker or the schedule.
+    One thread runs the blocks in the calling thread.
+    """
+    local = threading.local()
+
+    def run(block):
+        if not hasattr(local, "buffer"):
+            local.buffer = slice_buffer(rows, width)
+        return work(block, local.buffer)
+
+    if threads == 1:
+        return list(map(run, blocks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, blocks))
+
+
+def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, q)`` for 1-D ``values`` and q in (0, 1], by the
+    same float operations; ``values`` is partitioned in place.
+
+    It restates numpy's default ``linear`` rule: the virtual index
+    ``(n - 1) q``, its floor and the next index (both the last value when
+    the index reaches n - 1), and ``_lerp``'s two-sided interpolation,
+    ``b - (b - a)(1 - t)`` from t = 0.5 up. ``np.quantile`` partitions at
+    ``np.unique`` of the indices, and its first call imports ``numpy.ma``.
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    previous = np.floor(virtual)
+    following = previous + 1
+    last = virtual >= n - 1
+    previous[last] = following[last] = -1
+    t = virtual - previous
+    lo, hi = previous.astype(np.intp), following.astype(np.intp)
+    values.partition(sorted({*(lo % n).tolist(), *(hi % n).tolist()}))
+    a, b = values[lo], values[hi]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def cvm_statistic(points: np.ndarray):
     """Exact value of n T^2(Fhat - F0) from the order statistics, one value
     per sample along the last axis. The caller's array is not written."""
@@ -110,15 +175,18 @@ def bridge_weights(J_null: int) -> np.ndarray:
 
 
 def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
-                            seed: int) -> tuple[np.ndarray, np.ndarray]:
+                            seed: int, threads: int = 1
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """Upper alpha-quantiles of Sum w_j xi_j^2 by block-keyed Monte Carlo.
 
-    Every block of 4096 replicates draws from the null-table substream keyed
-    by its block index, row-major by (replicate, j), so the table is
-    reproducible independent of scheduling. A block is drawn, squared in
-    place and summed in the consecutive :func:`row_slices` of one reused
-    buffer, each slice continuing the block's generator. Every row gets the
-    bits that one matmul over its whole block gives it on one BLAS thread.
+    Every block of 4096 replicates draws from its own generator, keyed by
+    its block index on the null-table stream, row-major by (replicate, j),
+    so the table is reproducible independent of scheduling. The blocks run
+    on ``threads`` workers (:func:`run_blocks`). A block is drawn, squared
+    in place and summed in the consecutive :func:`row_slices` of its
+    worker's reused buffer, each slice continuing the block's generator.
+    Every row gets the bits that one matmul over its whole block gives it
+    on one BLAS thread.
     """
     weights = check_weights(weights)
     alphas = np.asarray(sorted(float(a) for a in alphas))
@@ -126,19 +194,21 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
         raise ValidationError("alphas must lie in (0, 1)")
     if replicates < 100:
         raise ValidationError("at least 100 replicates required")
+    threads = check_threads(threads)
     draws = np.empty(replicates)
-    buffer = slice_buffer(min(_TABLE_BLOCK, replicates), weights.size)
-    starts = range(0, replicates, _TABLE_BLOCK)
-    gens = substreams(seed, STREAM_NULL_TABLE, range(len(starts)))
-    for start, gen in zip(starts, gens):
+
+    def block(start: int, buffer: np.ndarray) -> None:
+        (gen,) = substreams(seed, STREAM_NULL_TABLE, [start // _TABLE_BLOCK])
         end = min(start + _TABLE_BLOCK, replicates)
         for lo, hi in row_slices(end - start, weights.size):
             xi = buffer[:hi - lo]
             gen.standard_normal(out=xi)
             np.square(xi, out=xi)
             np.matmul(xi, weights, out=draws[start + lo:start + hi])
-    criticals = np.quantile(draws, 1.0 - alphas)
-    return alphas, criticals
+
+    run_blocks(block, range(0, replicates, _TABLE_BLOCK), threads,
+               min(_TABLE_BLOCK, replicates), weights.size)
+    return alphas, _quantiles(draws, 1.0 - alphas)
 
 
 @dataclass(frozen=True)
@@ -189,8 +259,9 @@ class CvmNullTable:
 
 
 def build_cvm_null_table(alphas, replicates: int, seed: int,
-                         J_null: int = 1024) -> CvmNullTable:
-    a, c = weighted_null_quantiles(bridge_weights(J_null), alphas, replicates, seed)
+                         J_null: int = 1024, threads: int = 1) -> CvmNullTable:
+    a, c = weighted_null_quantiles(bridge_weights(J_null), alphas, replicates,
+                                   seed, threads=threads)
     return CvmNullTable(alphas=tuple(float(x) for x in a),
                         criticals=tuple(float(x) for x in c),
                         J_null=J_null, replicates=replicates, seed=seed)

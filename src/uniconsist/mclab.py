@@ -15,10 +15,13 @@ Loop contract: every family's ``*_rejections`` supplies only its noise draw
 (a method call on the replicate's generator that fills one row in place)
 and its ``reject_block`` callable, which returns a slice of noise rows'
 whole (rows x variants) decision matrix. Pairing and determinism come from
-the single block loop ``_rejections``: a block keys its replicates'
-substreams in one pass, and is drawn, unscaled, and handed to
-``reject_block`` in consecutive row slices (:func:`~uniconsist.cvm.row_slices`,
-the null table's rule: 16 to 31 rows at 8192 values a row). A slice is a
+the single block loop ``_rejections``, which runs its blocks on the block
+runner it shares with the null table (:func:`~uniconsist.cvm.run_blocks`:
+a thread pool, one reused noise buffer a worker, results in block order).
+A block keys its replicates' substreams in one pass, and is drawn,
+unscaled, and handed to ``reject_block`` in consecutive row slices
+(:func:`~uniconsist.cvm.row_slices`, the null table's rule: 16 to 31 rows
+at 8192 values a row). A slice is a
 view into its worker's reused noise buffer, valid only during that call, so
 ``reject_block`` must keep no reference to it; an engine call holds
 ``threads x min(2 step - 1, BLOCK_ROWS) x width`` floats of noise, ``step``
@@ -33,23 +36,21 @@ profile's J is the same at every n, so replicate i's xi is drawn once for
 all of them. chi2 and cvm score a slice in pieces of at most SLICE_VALUES
 noise values (one row when a row is wider), one variant column at a time
 (``_per_column``); a row's decision reads only that row, so the slicing
-changes no decision. SLICE_VALUES and the slice rule live in
-:mod:`~uniconsist.cvm`, whose null table draws its blocks in the same
-slices.
+changes no decision. SLICE_VALUES, the slice rule and the block runner
+live in :mod:`~uniconsist.cvm`, whose null table draws its blocks in the
+same slices on the same runner.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
-from .cvm import (SLICE_VALUES, CvmNullTable, cvm_statistic, row_slices,
-                  slice_buffer)
+from .cvm import (SLICE_VALUES, CvmNullTable, check_threads, cvm_statistic,
+                  row_slices, run_blocks)
 from .errors import ValidationError
 from .kernel import KernelTestConfig, kernel_coordinates, kernel_form
 from .quad import (FixedKappa, QuadTestConfig, quad_coordinates,
@@ -69,14 +70,12 @@ class MCConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("replicates", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.replicates < 100:
+        value = self.replicates
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"replicates must be an integer, got {value!r}")
+        if value < 100:
             raise ValidationError("replicates must be at least 100")
-        if self.threads < 1:
-            raise ValidationError("threads must be at least 1")
+        check_threads(self.threads)
         check_seed(self.seed)
 
 
@@ -152,7 +151,8 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw,
     which the worker's next slice overwrites: ``reject_block`` may overwrite
     it too, but must keep no reference to it past the call.
 
-    Threads take whole blocks. Each worker allocates its
+    Threads take whole blocks, on the table's block runner
+    (:func:`~uniconsist.cvm.run_blocks`): each worker allocates its
     :func:`~uniconsist.cvm.slice_buffer` once per call, so a call holds
     ``threads x min(2 step - 1, BLOCK_ROWS) x width`` floats of noise, where
     ``step`` rows fill SLICE_VALUES values (at least 16): 31 rows a worker
@@ -161,16 +161,13 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw,
     """
     if width < 1:
         raise ValidationError(f"noise rows need a width of at least 1, got {width}")
-    local = threading.local()
 
-    def work(lo: int) -> list[np.ndarray]:
+    def work(lo: int, buffer: np.ndarray) -> list[np.ndarray]:
         hi = min(lo + BLOCK_ROWS, mc.replicates)
-        if not hasattr(local, "buffer"):
-            local.buffer = slice_buffer(min(BLOCK_ROWS, mc.replicates), width)
         gens = substreams(mc.seed, stream, range(lo, hi))
         out = []
         for a, b in row_slices(hi - lo, width):
-            noise = local.buffer[:b - a]
+            noise = buffer[:b - a]
             # zip asks for a row before its generator, so a slice takes
             # exactly its own replicates' generators from the block's pass.
             for row, gen in zip(noise, gens):
@@ -178,12 +175,8 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw,
             out.append(reject_block(noise))
         return out
 
-    starts = range(0, mc.replicates, BLOCK_ROWS)
-    if mc.threads == 1:
-        blocks = map(work, starts)
-    else:
-        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            blocks = list(pool.map(work, starts))
+    blocks = run_blocks(work, range(0, mc.replicates, BLOCK_ROWS), mc.threads,
+                        min(BLOCK_ROWS, mc.replicates), width)
     return np.concatenate([part for block in blocks for part in block])
 
 

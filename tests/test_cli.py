@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from uniconsist import cli
 from uniconsist.chi2 import chi2_statistic
 from uniconsist.cli import main
 from uniconsist.cvm import (_J_NULL_MAX, CvmNullTable, build_cvm_null_table,
@@ -100,6 +101,41 @@ def test_suite_command_line_error_skips_config_path(tmp_path, capsys, name,
     assert code == 2
     assert f"error: {message}" in err and cfg not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_nulltable_threads_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    code = main(["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
+                 "--j-null", "16", "--threads", "0", "--out", str(out)])
+    assert code == 2
+    assert "error: --threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["suite", "nulltable"])
+def test_threads_default_to_the_usable_cpus(tmp_path, monkeypatch, command):
+    """Without --threads, suite and nulltable run on as many workers as the
+    process may use CPUs; an explicit --threads still sets the count."""
+    seen = []
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.delenv("UNICONSIST_SEED", raising=False)
+    if command == "suite":
+        run_suite = cli.run_suite
+        monkeypatch.setattr(cli, "run_suite", lambda *a, threads: seen.append(
+            threads) or run_suite(*a, threads=threads))
+        argv = ["suite", "consistency", "--config",
+                _write(tmp_path, "c.json", SMOKE_CONSISTENCY),
+                "--out", str(tmp_path / "o")]
+    else:
+        build = cli.build_cvm_null_table
+        monkeypatch.setattr(cli, "build_cvm_null_table",
+                            lambda *a, **k: seen.append(k["threads"])
+                            or build(*a, **k))
+        argv = ["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
+                "--j-null", "16", "--out", str(tmp_path / "table.json")]
+    assert main(argv) == 0
+    assert main(argv + ["--threads", "2"]) == 0
+    assert seen == [3, 2]
 
 
 def test_suite_unknown_top_level_key_exits_2(tmp_path, capsys):

@@ -18,6 +18,7 @@ from scipy import stats
 from oracles import (cvm_null_sample, cvm_population_quadrature,
                      cvm_statistic_quadrature, truncation_tail_bound,
                      two_term_chisq_sf)
+from uniconsist import cvm
 from uniconsist.cvm import (SLICE_VALUES, CvmNullTable, bridge_weights,
                             build_cvm_null_table, cvm_consistency_index,
                             cvm_population, cvm_statistic, decide,
@@ -181,19 +182,93 @@ def block_shaped_draws(tmp_path_factory):
         return dict(draws)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("J, replicates", _SLICED_TABLES)
 def test_null_table_slices_keep_block_bits(monkeypatch, block_shaped_draws,
-                                          J, replicates):
-    """The table's draws, made in row slices in this process, equal the
-    block-shaped draws bit for bit: every slice continues its block's
-    generator, and none is a single row unless its block is."""
+                                          J, replicates, threads):
+    """The table's draws, made in row slices in this process on 1, 2 or 3
+    workers, equal the block-shaped draws bit for bit: every slice continues
+    its block's generator, and none is a single row unless its block is.
+    The table's JSON is the one those draws give, at every thread count."""
     seen = []
-    quantile = np.quantile
-    monkeypatch.setattr(np, "quantile",
-                        lambda a, q: seen.append(a.copy()) or quantile(a, q))
-    weighted_null_quantiles(bridge_weights(J), [0.05], replicates, seed=6)
+    quantiles = cvm._quantiles
+    monkeypatch.setattr(cvm, "_quantiles",
+                        lambda a, q: seen.append(a.copy()) or quantiles(a, q))
+    table = build_cvm_null_table([0.05, 0.1], replicates, seed=6, J_null=J,
+                                 threads=threads)
     want = block_shaped_draws[f"{J}-{replicates}"]
     assert seen[0].tobytes() == want.tobytes()
+    criticals = np.quantile(want, [0.95, 0.9])
+    assert table.to_json() == CvmNullTable(
+        (0.05, 0.1), tuple(criticals.tolist()), J, replicates, 6).to_json()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_null_table_reuses_one_block_buffer(monkeypatch, threads):
+    """Five blocks (the last of 17 rows) are drawn into at most one slice
+    buffer a worker, each (511, 64): 511 rows hold every slice of a block."""
+    made = []
+    slice_buffer = cvm.slice_buffer
+    monkeypatch.setattr(cvm, "slice_buffer",
+                        lambda rows, width: made.append(
+                            slice_buffer(rows, width)) or made[-1])
+    weighted_null_quantiles(bridge_weights(64), [0.05], 4 * 4096 + 17, seed=3,
+                            threads=threads)
+    assert 1 <= len(made) <= threads
+    assert all(buffer.shape == (511, 64) for buffer in made)
+
+
+@pytest.mark.parametrize("threads", [True, 2.5, 0, -1])
+def test_null_table_refuses_bad_thread_counts(threads):
+    with pytest.raises(ValidationError, match="threads must be"):
+        build_cvm_null_table([0.05], 200, seed=0, J_null=16, threads=threads)
+
+
+_SIZES = [*range(1, 300), 1000, 4097, 200_000]
+_ALPHAS = [1e-20, 2.0 ** -53, 1e-3, 0.01, 0.025, 0.05, 0.1, 1.0 / 3.0, 0.5,
+           0.75, 0.9, 0.99, 1.0 - 2.0 ** -53]
+
+
+def test_quantiles_match_numpy_bit_for_bit():
+    """The table's quantile restates np.quantile's linear rule: equal bits
+    at every size and alpha, on distinct values and on ties, with the
+    q = 1 - alpha of the table (q rounds to 1 at alpha 1e-20)."""
+    rng = np.random.default_rng(27)
+    q = 1.0 - np.array(_ALPHAS)
+    for n in _SIZES:
+        for values in (rng.standard_normal(n), rng.integers(0, 4, n) * 0.5):
+            want = np.quantile(values, q)
+            got = cvm._quantiles(values.copy(), q)
+            assert got.tobytes() == want.tobytes(), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=400),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                max_size=5))
+def test_quantiles_match_numpy_on_any_sample(values, q):
+    values, q = np.array(values), np.array(q)
+    assert (cvm._quantiles(values.copy(), q).tobytes()
+            == np.quantile(values, q).tobytes())
+
+
+def test_null_table_leaves_numpy_ma_unloaded(tmp_path):
+    """Building a table through the CLI, in a fresh interpreter, imports no
+    numpy.ma module (np.quantile's np.unique would)."""
+    script = ("import sys; from uniconsist import cli; "
+              "assert cli.main(sys.argv[1:]) == 0; "
+              "print([m for m in sys.modules if m.split('.')[:2] == "
+              "['numpy', 'ma']])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "nulltable", "cvm", "--alpha", "0.05",
+         "--replicates", "5000", "--j-null", "16", "--threads", "2",
+         "--out", str(tmp_path / "table.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("J, replicates", [(1024, 20_000), (16384, 200)],

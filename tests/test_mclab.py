@@ -310,6 +310,56 @@ def test_one_vector_slices_keep_block_bits(monkeypatch, block_shaped_sums,
     assert np.concatenate(seen).tobytes() == want.tobytes()
 
 
+# Engine sums of one variant row, scored in the engine's row slices, at the
+# block shapes whose whole-block gemv once moved between 1 and 2 BLAS
+# threads. Each block is one engine call of that many replicates.
+_SLICE_SUMS = """
+import sys
+import numpy as np
+from uniconsist import mclab
+from uniconsist.quad import QuadraticForm, weighted_square_sums
+seen = []
+def recording(rows, w):
+    sums_of = weighted_square_sums(rows, w)
+    return lambda noise: seen.append(sums_of(noise)) or seen[-1]
+mclab.weighted_square_sums = recording
+sums = {}
+for width in %r:
+    j = np.arange(1, width + 1, dtype=float)
+    form = QuadraticForm(1.0 / j ** 2, 0.5)
+    for rows in %r:
+        seen.clear()
+        mclab._form_rejections(mclab.MCConfig(rows, seed=9),
+                               [(form, 0.0, np.full((1, width), 0.05))])
+        sums[f"{width}-{rows}"] = np.concatenate(seen)
+np.savez(sys.argv[1], **sums)
+"""
+
+
+def test_one_vector_slice_sums_ignore_blas_threads(tmp_path):
+    """One-vector engine sums (BLAS gemv on row slices) have the same bits
+    at 1 and 2 BLAS threads, in fresh interpreters, at every block shape
+    whose whole-block gemv moved between them."""
+    widths = [2048, 4097, 8192, 8193]
+    rows = [100, 101, 102, 260, 262, 268, 276, 500, 508, 510]
+    runs = []
+    for blas in ("1", "2"):
+        path = tmp_path / f"sums-{blas}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, MKL_NUM_THREADS=blas,
+                   OMP_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-c", _SLICE_SUMS % (widths, rows), str(path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        with np.load(path) as sums:
+            runs.append(dict(sums))
+    assert sorted(runs[0]) == sorted(runs[1]) and len(runs[0]) == 40
+    for key, sums in runs[0].items():
+        assert sums.tobytes() == runs[1][key].tobytes(), key
+
+
 def test_engine_workers_keep_their_buffers_under_thread_switching():
     """Four workers (more than the cores) with a tiny switch interval: a
     block still holds its own draws after its worker yields mid-call."""
