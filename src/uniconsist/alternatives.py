@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_positive
 from .funclasses import besov_seminorm
 from .quad import KappaProfile, dimension_exponent
 from .reports import json_require, json_value
@@ -180,13 +180,13 @@ def make_consistent(family: FamilyRule, c2: float, mass_profile: str, n_list,
     """
     if mass_profile not in MASS_PROFILES:
         raise ValidationError(f"mass_profile must be one of {MASS_PROFILES}")
-    if not (0 < c2 < math.inf and 0 < norm_const < math.inf):
-        raise ValidationError("c2 and norm_const must be positive and finite")
-    if c1 is not None and c1 > norm_const ** 2 * (1 + 1e-12):
+    check_positive(c2, "c2")
+    check_positive(norm_const, "norm_const")
+    if c1 is not None and check_positive(c1, "c1") > norm_const ** 2 * (1 + 1e-12):
         raise ValidationError(
             f"infeasible envelope: head constant c1 = {c1} exceeds "
             f"norm_const^2 = {norm_const ** 2}")
-    n_list = tuple(sorted(int(n) for n in n_list))
+    n_list = tuple(sorted(check_count(n, "n_list entry", 1) for n in n_list))
     signals = {}
     for n in n_list:
         k_n = family.k_of(n)
@@ -222,13 +222,11 @@ def make_inconsistent(family: FamilyRule, growth_schedule, n_list,
     ratios m_l / k_n must strictly increase, otherwise the schedule does not
     diverge relative to k_n and the construction is rejected.
     """
-    n_list = tuple(sorted(int(n) for n in n_list))
+    n_list = tuple(sorted(check_count(n, "n_list entry", 1) for n in n_list))
     seps = [float(s) for s in growth_schedule]
     if len(seps) != len(n_list):
         raise ValidationError("growth_schedule must align with n_list")
-    if not 0 < norm_const < math.inf:
-        raise ValidationError(
-            f"norm_const must be positive and finite, got {norm_const!r}")
+    check_positive(norm_const, "norm_const")
     signals = {}
     ratios = []
     spikes = {}
@@ -251,6 +249,15 @@ def make_inconsistent(family: FamilyRule, growth_schedule, n_list,
         metadata={"separation": seps, "spikes": [spikes[n] for n in n_list]})
 
 
+def _spikes(m_list, C_list) -> tuple[list[int], list[float]]:
+    """Spike positions (counts) and seminorm constants (positive), checked."""
+    m_list = [check_count(m, "m_list entry", 1) for m in m_list]
+    C_list = [check_positive(C, "C_list entry") for C in C_list]
+    if len(m_list) != len(C_list):
+        raise ValidationError("m_list and C_list must align")
+    return m_list, C_list
+
+
 def spike_tail_schedule(r: float, s: float, m_list, C_list,
                         norm_const: float = 1.0) -> list[int]:
     """Sample sizes n_l solving the norm envelope for spike-tail entries.
@@ -259,17 +266,9 @@ def spike_tail_schedule(r: float, s: float, m_list, C_list,
     tau_l = sqrt(C_l) m_l^{-s}; the envelope ||f|| = norm_const * n^{-r}
     then pins n_l = (norm_const / tau_l)^{1/r}, rounded and floored at 2.
     """
-    m_list = [int(m) for m in m_list]
-    C_list = [float(C) for C in C_list]
-    if len(m_list) != len(C_list):
-        raise ValidationError("m_list and C_list must align")
+    m_list, C_list = _spikes(m_list, C_list)
     for name, value in (("r", r), ("s", s), ("norm_const", norm_const)):
-        if not 0 < value < math.inf:
-            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    if not all(0 < C < math.inf for C in C_list):
-        raise ValidationError(f"C_list must be positive and finite, got {C_list}")
-    if not all(m >= 1 for m in m_list):
-        raise ValidationError(f"m_list must be positive, got {m_list}")
+        check_positive(value, name)
     ns = []
     for m_l, C_l in zip(m_list, C_list):
         tau = math.sqrt(C_l) * float(m_l) ** (-s)
@@ -291,8 +290,7 @@ def make_spike_tail(family: FamilyRule, m_list, C_list,
     forces m_l / k_{n_l} -> infinity.
     """
     s = smoothness_of(family)
-    m_list = [int(m) for m in m_list]
-    C_list = [float(C) for C in C_list]
+    m_list, C_list = _spikes(m_list, C_list)
     n_list = spike_tail_schedule(family.r, s, m_list, C_list, norm_const)
     if np.any(np.diff(m_list) <= 0) or np.any(np.diff(C_list) <= 0):
         raise ValidationError("m_list and C_list must strictly increase")
@@ -340,8 +338,7 @@ def decompose(signal: SignalSpec, cutoff: float) -> tuple[SignalSpec, SignalSpec
     head + tail reproduces the signal coefficient-wise, and
     ||head||^2 + ||tail||^2 = ||signal||^2 holds exactly (disjoint supports).
     """
-    if not 0 < cutoff < math.inf:
-        raise ValidationError(f"cutoff must be positive and finite, got {cutoff!r}")
+    check_positive(cutoff, "cutoff")
     head = np.array(signal.coeffs)
     tail = np.array(signal.coeffs)
     j = np.arange(1, signal.J + 1)
@@ -361,9 +358,8 @@ class ClassifyThresholds:
     C1: float = 4.0
 
     def __post_init__(self):
-        values = (self.c1, self.c2, self.eps, self.C1)
-        if not all(0.0 < v < math.inf for v in values):
-            raise ValidationError("thresholds must be positive and finite")
+        for name in ("c1", "c2", "eps", "C1"):
+            check_positive(getattr(self, name), name)
         if self.c1 <= self.eps:
             raise ValidationError("need c1 > eps so the verdict classes are disjoint")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._ports import ndtr
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_positive
 from .quad import dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
 from .signals import (SignalSpec, cdf_offset, check_sample_shape,
@@ -41,21 +41,17 @@ class Chi2Config:
     def __post_init__(self):
         if (self.m is None) == (self.m_rule is None):
             raise ValidationError("give exactly one of m or m_rule")
-        if self.m is not None and (isinstance(self.m, bool)
-                                   or not isinstance(self.m, (int, np.integer))
-                                   or self.m < 2):
-            raise ValidationError(f"m must be an integer of at least 2, got {self.m!r}")
+        if self.m is not None:
+            check_count(self.m, "m", 2)
         if self.m_rule is not None:
             r, const = self.m_rule
             dimension_exponent(r)
-            if not 0.0 < const < math.inf:
-                raise ValidationError(
-                    f"m_rule const must be positive and finite, got {const!r}")
+            check_positive(const, "m_rule const")
         object.__setattr__(self, "x_alpha", gaussian_upper_quantile(self.alpha))
 
     def cells(self, n: int | None = None) -> int:
-        if n is not None and n < 2:
-            raise ValidationError(f"at least 2 points required, got {n}")
+        if n is not None:
+            check_count(n, "n, the number of points,", 2)
         if self.m is not None:
             m = self.m
         else:
@@ -72,8 +68,7 @@ class Chi2Config:
 def _cells(points: np.ndarray, m: int) -> np.ndarray:
     """Cell index floor(x m) in 0..m-1 of each point; boundary points go right."""
     points = np.asarray(points, dtype=float)
-    if m < 2:
-        raise ValidationError("m must be at least 2")
+    check_count(m, "m", 2)
     if points.size == 0:
         raise ValidationError("empty sample")
     return np.clip(np.floor(points * m).astype(np.int64), 0, m - 1)
@@ -122,8 +117,7 @@ def cell_integrals(signal: SignalSpec, m: int) -> np.ndarray:
 
 def chi2_population(signal: SignalSpec, m: int) -> float:
     """S(f, m) = Sum_l (int_cell f)^2; T_n(F) = n * m * S(f, m)."""
-    if m < 2:
-        raise ValidationError("m must be at least 2")
+    check_count(m, "m", 2)
     return float(np.sum(np.square(cell_integrals(signal, m))))
 
 

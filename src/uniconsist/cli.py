@@ -27,7 +27,7 @@ from .alternatives import ClassifyThresholds, classify, sequence_from_json
 from .chi2 import Chi2Config
 from .chi2 import decide_and_predict as chi2_decide
 from .cvm import CvmNullTable, build_cvm_null_table, decide as cvm_decide
-from .errors import ThresholdError, UniconsistError, ValidationError
+from .errors import ThresholdError, UniconsistError, ValidationError, check_count
 from .funclasses import compactness_diagnostic, set_from_json
 from .kernel import KernelObservations, KernelTestConfig, builtin_kernel
 from .kernel import decide_and_predict as kernel_decide
@@ -80,9 +80,11 @@ def _signal(obj: dict, key: str):
 
 def _profile_from(obj: dict):
     spec = json_value(obj, "profile", dict)
+    n_list = json_require(spec, "n_list")
+    if not (isinstance(n_list, list) and all(type(n) is int for n in n_list)):
+        raise ValidationError("'n_list' must be an array of integers")
     return build_profile(json_value(spec, "r"), json_value(spec, "gamma"),
-                         json_value(spec, "c"), json_value(spec, "J", int),
-                         json_array(spec, "n_list"))
+                         json_value(spec, "c"), json_value(spec, "J", int), n_list)
 
 
 def _finite(text: str) -> float:
@@ -116,9 +118,7 @@ def _threads(args) -> int:
     depends on it."""
     if args.threads is None:
         return len(os.sched_getaffinity(0))
-    if args.threads < 1:
-        raise ValidationError("--threads must be at least 1")
-    return args.threads
+    return check_count(args.threads, "--threads", 1)
 
 
 def cmd_suite(args) -> int:

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .reports import TestReport, json_array, json_value
-from .rng import STREAM_NULL_TABLE, substreams
+from .rng import STREAM_NULL_TABLE, check_seed, substreams
 from .signals import (Basis, SignalSpec, check_sample_shape,
                       check_unit_interval)
 from .wchisq import check_weights
@@ -81,15 +81,6 @@ def slice_buffer(rows: int, width: int) -> np.ndarray:
     """One buffer whose leading rows can hold every :func:`row_slices` slice
     of a block of at most ``rows`` rows of ``width`` values."""
     return np.empty((min(2 * _slice_step(width) - 1, rows), width))
-
-
-def check_threads(threads) -> int:
-    """``threads`` as an int; anything but an integer of at least 1 raises."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-        raise ValidationError(f"threads must be an integer, got {threads!r}")
-    if threads < 1:
-        raise ValidationError("threads must be at least 1")
-    return int(threads)
 
 
 def run_blocks(work, blocks, threads: int, rows: int, width: int) -> list:
@@ -168,8 +159,7 @@ def cvm_consistency_index(signal: SignalSpec, n: int) -> float:
 
 def bridge_weights(J_null: int) -> np.ndarray:
     """Brownian-bridge series weights 1/(pi^2 j^2), j = 1..J_null."""
-    if J_null > _J_NULL_MAX:
-        raise ValidationError(f"J_null must be at most {_J_NULL_MAX}, got {J_null}")
+    J_null = check_count(J_null, "J_null", 1, _J_NULL_MAX)
     j = np.arange(1, J_null + 1, dtype=float)
     return 1.0 / (math.pi ** 2 * np.square(j))
 
@@ -192,9 +182,8 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     alphas = np.asarray(sorted(float(a) for a in alphas))
     if alphas.size == 0 or not np.all((alphas > 0) & (alphas < 1)):
         raise ValidationError("alphas must lie in (0, 1)")
-    if replicates < 100:
-        raise ValidationError("at least 100 replicates required")
-    threads = check_threads(threads)
+    replicates = check_count(replicates, "replicates", 100)
+    threads = check_count(threads, "threads", 1)
     draws = np.empty(replicates)
 
     def block(start: int, buffer: np.ndarray) -> None:
@@ -233,6 +222,12 @@ class CvmNullTable:
             raise ValidationError("criticals must be finite")
         if np.any(np.diff(criticals) > 0.0):
             raise ValidationError("criticals must decrease as alpha grows")
+        # Stored as ints, so that to_json writes a table built from numpy ints.
+        object.__setattr__(self, "J_null",
+                           check_count(self.J_null, "J_null", 1, _J_NULL_MAX))
+        object.__setattr__(self, "replicates",
+                           check_count(self.replicates, "replicates", 100))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def critical(self, alpha: float) -> float:
         for a, c in zip(self.alphas, self.criticals):

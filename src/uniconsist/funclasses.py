@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_positive
 from .reports import json_array, json_value
 from .signals import SignalSpec
 
 
 def _weighted_tails(signal: SignalSpec, s: float) -> np.ndarray:
     """m^{2s} Sum_{j>=m} theta_j^2 for m = 1 .. J, for finite s > 0."""
-    if not 0.0 < s < math.inf:
-        raise ValidationError(f"smoothness s must be finite and positive, got {s!r}")
+    check_positive(s, "smoothness s")
     energy = signal.index_energy()
     tails = np.cumsum(energy[::-1])[::-1]
     m = np.arange(1, energy.size + 1, dtype=float)
@@ -62,8 +61,8 @@ class BesovBody:
     P0: float
 
     def __post_init__(self):
-        if not (0.0 < self.s < math.inf and 0.0 < self.P0 < math.inf):
-            raise ValidationError("s and P0 must be finite and positive")
+        check_positive(self.s, "s")
+        check_positive(self.P0, "P0")
 
     def member(self, signal: SignalSpec) -> bool:
         return besov_seminorm(signal, self.s) <= self.P0
@@ -89,8 +88,9 @@ def tail_bound_check(signal: SignalSpec, s: float, P0: float, r: float,
     """
     if not (0 < r < 1):
         raise ValidationError("rate r must lie in (0, 1)")
-    if not 0 < C1 < math.inf:
-        raise ValidationError(f"C1 must be positive and finite, got {C1!r}")
+    check_positive(C1, "C1")
+    check_positive(P0, "P0")
+    check_count(n, "n", 1)
     sem = besov_seminorm(signal, s)
     if sem > P0 * (1 + 1e-12):
         raise ValidationError(
@@ -114,8 +114,8 @@ class EllipsoidSet:
         axes = np.asarray(self.axes, dtype=float)
         if axes.ndim != 1 or axes.size == 0:
             raise ValidationError("axes must be a nonempty 1-D sequence")
-        if not np.all(axes > 0):
-            raise ValidationError("all semi-axes must be positive")
+        if not np.all((axes > 0) & (axes < math.inf)):
+            raise ValidationError("all semi-axes must be positive and finite")
         axes = axes.copy()
         axes.flags.writeable = False
         object.__setattr__(self, "axes", axes)
@@ -173,8 +173,7 @@ def greedy_widths(descriptor, i_max: int) -> WidthSequence:
     the distance to a subspace is attained at a vertex, so each step scans
     all points and picks the largest orthogonal residual.
     """
-    if i_max < 1:
-        raise ValidationError("i_max must be at least 1")
+    check_count(i_max, "i_max", 1)
     if isinstance(descriptor, EllipsoidSet):
         order = np.argsort(-descriptor.axes, kind="stable")
         dim = descriptor.axes.size
@@ -222,8 +221,7 @@ class CompactnessReport:
 def compactness_diagnostic(descriptor, epsilon: float,
                            i_max: int = 64) -> CompactnessReport:
     """First greedy index whose width falls below epsilon, if any."""
-    if not 0 < epsilon < math.inf:
-        raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
+    check_positive(epsilon, "epsilon")
     seq = greedy_widths(descriptor, i_max)
     below = np.flatnonzero(seq.widths < epsilon)
     first = int(below[0]) + 1 if below.size else None
@@ -238,10 +236,8 @@ class FiniteBand:
     P0: float
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValidationError("band limit l must be >= 1")
-        if not 0 < self.P0 < math.inf:
-            raise ValidationError(f"P0 must be positive and finite, got {self.P0!r}")
+        check_count(self.l, "band limit l", 1)
+        check_positive(self.P0, "P0")
 
 
 def finite_band_membership(signal: SignalSpec, band: FiniteBand) -> bool:

@@ -30,7 +30,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from ._ports import brentq, ndtr
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_positive
 from .quad import QuadraticForm, dimension_exponent, gaussian_upper_quantile
 from .reports import TestReport
 from .signals import Basis, NoiseModel, SignalSpec
@@ -179,7 +179,7 @@ def inconsistency_bandwidths(kernel: Kernel, m_list) -> list[float]:
     b < 1/sqrt(2); the smoothed energy of the spike is then uniformly small.
     """
     b = half_level_radius(kernel)
-    return [1.0 / (2.0 * b * int(m)) for m in m_list]
+    return [1.0 / (2.0 * b * check_count(m, "m_list entry", 1)) for m in m_list]
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,7 @@ class KernelTestConfig:
         if self.h_rule is not None:
             r, const = self.h_rule
             dimension_exponent(r)
-            if not 0.0 < const < math.inf:
-                raise ValidationError(
-                    f"h_rule const must be positive and finite, got {const!r}")
+            check_positive(const, "h_rule const")
         lo, hi = _SIGMA_BOUNDS
         if not lo <= self.noise_sigma <= hi:
             raise ValidationError(f"noise_sigma must lie in [{lo:g}, {hi:g}], "
@@ -282,8 +280,8 @@ def kernel_unit(config: KernelTestConfig, n: int) -> float:
 
 def kernel_form(config: KernelTestConfig, n: int, J: int) -> QuadraticForm:
     """T_n on the coordinates (y_0, a_1, b_1, ..., a_J, b_J)."""
-    if n < 1 or J < 1:
-        raise ValidationError(f"need n >= 1 and J >= 1, got n = {n}, J = {J}")
+    check_count(n, "n", 1)
+    check_count(J, "J", 1)
     h = config.bandwidth(n)
     if J * h < 1.0:
         warnings.warn(

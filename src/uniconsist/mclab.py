@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi2 import Chi2Config, cell_statistic, chi2_standardize, chi2_statistic
-from .cvm import (SLICE_VALUES, CvmNullTable, check_threads, cvm_statistic,
-                  row_slices, run_blocks)
-from .errors import ValidationError
+from .cvm import (SLICE_VALUES, CvmNullTable, cvm_statistic, row_slices,
+                  run_blocks)
+from .errors import ValidationError, check_count
 from .kernel import KernelTestConfig, kernel_coordinates, kernel_form
 from .quad import (FixedKappa, QuadTestConfig, quad_coordinates,
                    weighted_square_sums)
@@ -70,19 +70,14 @@ class MCConfig:
     threads: int = 1
 
     def __post_init__(self):
-        value = self.replicates
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"replicates must be an integer, got {value!r}")
-        if value < 100:
-            raise ValidationError("replicates must be at least 100")
-        check_threads(self.threads)
+        check_count(self.replicates, "replicates", 100)
+        check_count(self.threads, "threads", 1)
         check_seed(self.seed)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% score interval; always contains the point estimate."""
-    if trials <= 0:
-        raise ValidationError("trials must be positive")
+    check_count(trials, "trials", 1)
     p = successes / trials
     z = _Z95
     denom = 1.0 + z * z / trials
@@ -159,8 +154,7 @@ def _rejections(mc: MCConfig, stream: int, width: int, draw,
     at width 8192. Only the allocation is shared: each slice keeps its own
     row count, since BLAS row results can change with a matrix's rows.
     """
-    if width < 1:
-        raise ValidationError(f"noise rows need a width of at least 1, got {width}")
+    check_count(width, "noise width", 1)
 
     def work(lo: int, buffer: np.ndarray) -> list[np.ndarray]:
         hi = min(lo + BLOCK_ROWS, mc.replicates)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._ports import ndtr, ndtri
-from .errors import AssumptionError, ValidationError
+from .errors import AssumptionError, ValidationError, check_count, check_positive
 from .reports import TestReport
 from .signals import SignalSpec
 from .wchisq import check_weights, weighted_chisq_quantile, weighted_chisq_sf
@@ -180,16 +180,12 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
     beta = dimension_exponent(r) * gamma
     if gamma <= 1.0:
         raise AssumptionError("A1", f"weight decay requires gamma > 1, got {gamma}")
-    if not 0.0 < c < math.inf:
-        raise ValidationError(f"c must be positive and finite, got {c!r}")
-    if not 0.0 < sigma < math.inf:
-        raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
-    n_list = tuple(int(n) for n in n_list)
-    if not n_list or any(n < 2 for n in n_list):
-        raise ValidationError("n_list must contain integers >= 2")
-    J = int(J)
-    if not 2 <= J <= _J_MAX:
-        raise ValidationError(f"J must lie in [2, {_J_MAX}], got {J}")
+    check_positive(c, "c")
+    check_positive(sigma, "sigma")
+    n_list = tuple(check_count(n, "n_list entry", 2) for n in n_list)
+    if not n_list:
+        raise ValidationError("n_list must not be empty")
+    J = check_count(J, "J", 2, _J_MAX)
 
     lam = 2.0 - 2.0 * r - beta
     # j^gamma and n^beta are the largest powers in the weights.
@@ -205,9 +201,8 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
     for n in n_list:
         w = n ** (-lam) / (np.power(j, gamma) + c * n ** beta)
         if band_limit is not None:
-            l_n = int(band_limit(n)) if callable(band_limit) else int(band_limit)
-            if not 1 <= l_n <= J:
-                raise ValidationError(f"band limit {l_n} outside 1..J for n={n}")
+            l_n = check_count(band_limit(n) if callable(band_limit) else band_limit,
+                              f"band limit at n={n}", 1, J)
             w = w.copy()
             w[l_n:] = 0.0
         if np.any(np.diff(w) > 0.0):
@@ -220,7 +215,7 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
         rho[n] = rho_n
         A[n] = float(sigma ** (-4) * n ** 2 * np.sum(np.square(w)))
         if band_limit is not None:
-            k[n] = int(band_limit(n)) if callable(band_limit) else int(band_limit)
+            k[n] = l_n
             kn_sq[n] = float(w[0])
         else:
             k[n] = cumulative_k(w, rho_n)

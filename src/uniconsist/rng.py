@@ -29,7 +29,7 @@ import numpy as np
 # in the package's import rather than in the first draw.
 from numpy.random import Generator, Philox
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 # Stream ids. Keep stable: changing them changes all simulated output.
 STREAM_SEQUENCE_MODEL = 0   # Gaussian sequence-model noise
@@ -51,9 +51,11 @@ _MASK32 = 0xFFFFFFFF
 
 def check_seed(seed) -> int:
     """``seed`` as an int; anything but an integer in [0, 2**64) raises."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
+    try:
+        return check_count(seed, "seed", 0, 2**64 - 1)
+    except ValidationError:
+        raise ValidationError(
+            f"seed must be an integer in [0, 2**64), got {seed!r}") from None
 
 
 def _words(value: int) -> list[int]:
@@ -100,8 +102,7 @@ def philox_keys(seed: int, stream: int, ids) -> np.ndarray:
     """
     words = _words(check_seed(seed))
     words += [0] * (_POOL_SIZE - len(words))
-    if not (isinstance(stream, (int, np.integer)) and stream >= 0):
-        raise ValidationError(f"stream must be a nonnegative integer, got {stream!r}")
+    stream = check_count(stream, "stream", 0)
     ids = list(ids)
     if not all(isinstance(i, (int, np.integer)) and 0 <= i < 2**64 for i in ids):
         raise ValidationError("replicate ids must be integers in [0, 2**64)")
@@ -116,7 +117,7 @@ def philox_keys(seed: int, stream: int, ids) -> np.ndarray:
             if src != dst:
                 h, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
                 pool[dst] = _mix(pool[dst], h)
-    for w in _words(int(stream)):
+    for w in _words(stream):
         pool, hash_const = _absorb(pool, hash_const, w)
 
     ids = np.array(ids, dtype=np.uint64)
@@ -157,5 +158,6 @@ def substreams(seed: int, stream: int, ids):
 
 def substream(seed: int, stream: int, replicate: int) -> Generator:
     """Return the independent generator keyed by (seed, stream, replicate)."""
+    replicate = check_count(replicate, "replicate", 0, 2**64 - 1)
     key = philox_keys(seed, stream, [replicate])[0]
     return Generator(Philox(key=key))

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DensityError, ValidationError
+from .errors import DensityError, ValidationError, check_count, check_positive
 from .reports import json_array, json_value
 
 SQRT2 = math.sqrt(2.0)
@@ -188,10 +188,8 @@ class NoiseModel:
     n: int
 
     def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValidationError("sigma must be positive and finite")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValidationError("n must be a positive integer")
+        check_positive(self.sigma, "sigma")
+        check_count(self.n, "n", 1)
 
     @property
     def noise_scale(self) -> float:
@@ -367,10 +365,7 @@ def sample_iid(density: DensitySpec, size: int,
     Consumes exactly ``size`` uniforms from ``rng``; see ``invert_cdf`` for
     the inversion guarantee. ``size`` is a nonnegative integer (not a bool).
     """
-    if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
-            or size < 0):
-        raise ValidationError(f"size must be a nonnegative integer, got {size!r}")
-    return invert_cdf(density, rng.random(size))
+    return invert_cdf(density, rng.random(check_count(size, "size", 0)))
 
 
 def sorted_lookup(table, side: str = "left"):

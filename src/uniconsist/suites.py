@@ -38,7 +38,7 @@ from .alternatives import (AlternativeSequence, ClassifyThresholds,
                            make_spike_tail, quad_family, spike_tail_schedule)
 from .chi2 import Chi2Config, chi2_population, chi2_predicted_beta
 from .cvm import _J_NULL_MAX, bridge_weights, cvm_consistency_index
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .funclasses import EllipsoidSet, compactness_diagnostic
 from .kernel import (KernelTestConfig, builtin_kernel, half_level_radius,
                      inconsistency_bandwidths, kernel_unit, t1n)
@@ -475,9 +475,7 @@ COMPACTNESS_DEFAULT = {
 
 def _fixed_critical(cfg: dict) -> tuple[FixedKappa, float]:
     """Bridge-weight fixed test on L coordinates and its exact critical value."""
-    if not 1 <= cfg["L"] <= _J_NULL_MAX:
-        raise ValidationError(f"L must be in [1, {_J_NULL_MAX}], got {cfg['L']}")
-    fk = FixedKappa(bridge_weights(cfg["L"]))
+    fk = FixedKappa(bridge_weights(check_count(cfg["L"], "L", 1, _J_NULL_MAX)))
     return fk, fk.form().exact_critical(cfg["alpha"])
 
 
@@ -485,7 +483,7 @@ def _suite_compactness(cfg: dict, mc: MCConfig):
     alpha = cfg["alpha"]
     L = cfg["L"]
     fk, critical = _fixed_critical(cfg)
-    indices = [int(i) for i in cfg["spike_indices"]]
+    indices = [check_count(i, "spike index", 1, L) for i in cfg["spike_indices"]]
     c = cfg["spike_norm"]
     etas = [None]
     for i in indices:

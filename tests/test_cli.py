@@ -419,7 +419,7 @@ _FLAG = {"statistic": "--data", "widths": "--set", "classify": "--sequence"}
     (["statistic", "quad"], {**_QUAD, "profile": {**_PROFILE, "gamma": 1e308}},
      "gamma = 1e+308"),
     (["statistic", "quad"], {**_QUAD, "profile": {**_PROFILE, "J": 2**70}},
-     "J must lie in"),
+     "J must be in [2, "),
     (["statistic", "kernel"], {**_KERNEL, "sigma": 1e308}, "noise_sigma"),
     (["statistic", "quad"], {**_QUAD, "alpha": 10**400}, "'alpha'"),
     (["statistic", "chi2"], json.dumps(_CHI2)[:-1] + ', "signal": 1' + "0" * 5000
@@ -428,6 +428,14 @@ _FLAG = {"statistic": "--data", "widths": "--set", "classify": "--sequence"}
      "points outside [0,1]: [1.5]"),
     (["statistic", "cvm"], {**_CVM, "points": [0.2, 0.5, 1.5, -0.7]},
      "points outside [0,1]: [1.5, -0.7]"),
+    (["statistic", "quad"], {**_QUAD, "profile": {**_PROFILE, "n_list": [64.5]}},
+     "'n_list'"),
+    (["classify"], {**_SEQ, "profile": {**_PROFILE, "n_list": [64.5]}},
+     "'n_list'"),
+    (["statistic", "cvm"], {**_CVM, "table": {**_TABLE, "J_null": 0}},
+     "J_null must be in"),
+    (["statistic", "cvm"], {**_CVM, "table": {**_TABLE, "replicates": 3}},
+     "replicates must be at least 100"),
 ], ids=["kernel-name-list", "kernel-h-string", "chi2-no-points",
         "chi2-one-point", "chi2-one-point-m-rule", "chi2-points-string",
         "chi2-signal-coeffs-string", "quad-y-string", "quad-r-string",
@@ -439,7 +447,8 @@ _FLAG = {"statistic": "--data", "widths": "--set", "classify": "--sequence"}
         "cvm-table-alpha-strings", "quad-gamma-overflow", "quad-j-too-large",
         "kernel-sigma-overflow", "quad-alpha-beyond-float",
         "chi2-signal-int-past-digit-limit", "chi2-point-above-one",
-        "cvm-points-outside"])
+        "cvm-points-outside", "quad-n-list-fraction", "classify-n-list-fraction",
+        "cvm-table-j-null-zero", "cvm-table-few-replicates"])
 def test_malformed_data_field_exits_2(tmp_path, capsys, command, data, key):
     path = _write(tmp_path, "bad.json", data)
     code = main(command + [_FLAG[command[0]], path])
@@ -514,7 +523,7 @@ def test_nulltable_without_series_terms_exits_2(capsys):
                  "--j-null", "0"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "weights must be a nonempty 1-D array" in err
+    assert f"J_null must be in [1, {_J_NULL_MAX}], got 0" in err
 
 
 @pytest.mark.parametrize("j_null", [2**70, _J_NULL_MAX + 1],
@@ -524,7 +533,7 @@ def test_nulltable_series_too_long_exits_2(capsys, j_null):
                  "--j-null", str(j_null)])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"J_null must be at most {_J_NULL_MAX}" in err and "Traceback" not in err
+    assert f"J_null must be in [1, {_J_NULL_MAX}]" in err and "Traceback" not in err
 
 
 def test_widths_ellipsoid(tmp_path, capsys):

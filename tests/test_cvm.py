@@ -1,5 +1,6 @@
 """Cramer-von Mises: exact statistic, population series, null tables."""
 
+import json
 import math
 import os
 import re
@@ -19,10 +20,10 @@ from oracles import (cvm_null_sample, cvm_population_quadrature,
                      cvm_statistic_quadrature, truncation_tail_bound,
                      two_term_chisq_sf)
 from uniconsist import cvm
-from uniconsist.cvm import (SLICE_VALUES, CvmNullTable, bridge_weights,
-                            build_cvm_null_table, cvm_consistency_index,
-                            cvm_population, cvm_statistic, decide,
-                            weighted_null_quantiles)
+from uniconsist.cvm import (_J_NULL_MAX, SLICE_VALUES, CvmNullTable,
+                            bridge_weights, build_cvm_null_table,
+                            cvm_consistency_index, cvm_population,
+                            cvm_statistic, decide, weighted_null_quantiles)
 from uniconsist.errors import ValidationError
 from uniconsist.rng import STREAM_NULL_TABLE, substream
 from uniconsist.signals import Basis, SignalSpec
@@ -359,6 +360,30 @@ def test_table_round_trip_and_validation():
         CvmNullTable.from_json("{}")
     with pytest.raises(ValidationError):
         CvmNullTable.from_json("not json")
+
+
+@pytest.mark.parametrize("J_null, replicates, seed", [
+    (1, 100, 0), (_J_NULL_MAX, 100, 2 ** 64 - 1), (64, 4097, 5),
+    (np.int64(16), np.int32(150), np.uint64(7))])
+def test_every_built_table_round_trips(J_null, replicates, seed):
+    """Whatever integer types build it, a table reads back equal from its
+    own JSON."""
+    table = build_cvm_null_table([0.01, 0.05], replicates, seed, J_null=J_null)
+    assert CvmNullTable.from_json(table.to_json()) == table
+
+
+@pytest.mark.parametrize("key, value", [
+    ("J_null", 0), ("J_null", -5), ("J_null", _J_NULL_MAX + 1), ("J_null", 2.5),
+    ("J_null", True), ("replicates", 99), ("replicates", 200.0),
+    ("replicates", True), ("seed", -1), ("seed", 2 ** 64), ("seed", 1.5),
+    ("seed", True)])
+def test_table_reader_refuses_what_the_constructor_refuses(key, value):
+    fields = {"J_null": 16, "replicates": 200, "seed": 3, key: value}
+    with pytest.raises(ValidationError, match=key):
+        CvmNullTable((0.05,), (0.46,), **fields)
+    text = json.dumps({"alpha": [0.05], "critical": [0.46], **fields})
+    with pytest.raises(ValidationError, match=key):
+        CvmNullTable.from_json(text)
 
 
 def test_decide_report():

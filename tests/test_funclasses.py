@@ -69,9 +69,9 @@ def test_smoothness_checks_refuse_non_finite_or_nonpositive(bad):
         besov_seminorm(sig([1.0]), bad)
     with pytest.raises(ValidationError, match="smoothness s"):
         besov_argmax(sig([1.0]), bad)
-    with pytest.raises(ValidationError, match="s and P0"):
+    with pytest.raises(ValidationError, match="s must be positive and finite"):
         BesovBody(bad, 1.0)
-    with pytest.raises(ValidationError, match="s and P0"):
+    with pytest.raises(ValidationError, match="P0 must be positive and finite"):
         BesovBody(0.5, bad)
 
 
@@ -213,6 +213,9 @@ def test_widths_validation():
         greedy_widths(object(), i_max=2)
     with pytest.raises(ValidationError):
         EllipsoidSet(np.array([1.0, -1.0]))
+    for axis in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            greedy_widths(EllipsoidSet(np.array([axis, 1.0])), 2)
     with pytest.raises(ValidationError):
         PointCloudSet(np.zeros((0, 2)))
 

@@ -119,6 +119,20 @@ def test_assumption_report_structure():
     assert banded.kappa_n_sq[64] == banded.kappa_sq[64][0]
 
 
+def test_band_limit_is_called_once_per_n():
+    calls = []
+
+    def band_limit(n):
+        calls.append(n)
+        return 8 + len(calls)
+
+    prof = build_profile(r=0.3, gamma=2.0, c=1.0, J=64, n_list=[16, 32, 64],
+                         band_limit=band_limit)
+    assert calls == [16, 32, 64]
+    assert prof.k == {16: 9, 32: 10, 64: 11}
+    assert [int(np.count_nonzero(prof.kappa_sq[n])) for n in calls] == [9, 10, 11]
+
+
 def test_banded_limit_out_of_range():
     with pytest.raises(ValidationError):
         build_profile(r=0.3, gamma=2.0, c=1.0, J=64, n_list=[16],
