@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError, check_count, check_positive
 from .funclasses import besov_seminorm
-from .quad import KappaProfile, dimension_exponent
+from .quad import KappaProfile, dimension_exponent, distinct_n
 from .reports import json_require, json_value
 from .rng import STREAM_FACTORY, substream
 from .signals import (DENSITY_TOL, Basis, SignalSpec, density_minimum,
@@ -97,6 +97,7 @@ class AlternativeSequence:
     def __post_init__(self):
         if len(self.n_list) == 0:
             raise ValidationError("empty n_list")
+        distinct_n(self.n_list)
         if set(self.n_list) != set(self.signals):
             raise ValidationError("signals must cover n_list exactly")
         for n in self.n_list:
@@ -142,7 +143,7 @@ def sequence_from_json(obj: dict, profile: KappaProfile | None = None
         raise ValidationError("'signals' must be a non-empty list of "
                               "[n, signal] pairs with integer n >= 1")
     signals = {n: signal_from_json(sig) for n, sig in pairs}
-    n_list = tuple(sorted(signals))
+    n_list = distinct_n(sorted(n for n, _ in pairs))
     norms = np.array([signals[n].norm * float(n) ** family.r for n in n_list])
     obj = {"norm_lo": norms.min(), "norm_hi": norms.max(), "kind": "unknown",
            "metadata": {}, **obj}
@@ -170,22 +171,17 @@ def _make_signal(basis: Basis, support: np.ndarray,
 
 
 def make_consistent(family: FamilyRule, c2: float, mass_profile: str, n_list,
-                    norm_const: float = 1.0, c1: float | None = None,
-                    seed: int = 0) -> AlternativeSequence:
+                    norm_const: float = 1.0, seed: int = 0
+                    ) -> AlternativeSequence:
     """Head-concentrated sequence: all mass strictly below c2 * k_n.
 
     Norms are exactly norm_const * n^{-r}, so the head mass equals
-    norm_const^2 * n^{-2r}; a requested head constant c1 > norm_const^2 is
-    infeasible and rejected.
+    norm_const^2 * n^{-2r}, recorded as the head constant ``c1``.
     """
     if mass_profile not in MASS_PROFILES:
         raise ValidationError(f"mass_profile must be one of {MASS_PROFILES}")
     check_positive(c2, "c2")
     check_positive(norm_const, "norm_const")
-    if c1 is not None and check_positive(c1, "c1") > norm_const ** 2 * (1 + 1e-12):
-        raise ValidationError(
-            f"infeasible envelope: head constant c1 = {c1} exceeds "
-            f"norm_const^2 = {norm_const ** 2}")
     n_list = tuple(sorted(check_count(n, "n_list entry", 1) for n in n_list))
     signals = {}
     for n in n_list:
@@ -211,7 +207,7 @@ def make_consistent(family: FamilyRule, c2: float, mass_profile: str, n_list,
         family=family, n_list=n_list, signals=signals,
         norm_lo=norm_const, norm_hi=norm_const, kind="consistent",
         metadata={"c2": c2, "mass_profile": mass_profile,
-                  "c1": norm_const ** 2 if c1 is None else c1, "seed": seed})
+                  "c1": norm_const ** 2, "seed": seed})
 
 
 def make_inconsistent(family: FamilyRule, growth_schedule, n_list,

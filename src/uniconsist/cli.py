@@ -263,10 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a serialized sequence")
     p.add_argument("--sequence", required=True, help="JSON sequence file")
-    p.add_argument("--c1", type=_finite, default=0.5)
-    p.add_argument("--c2", type=_finite, default=2.0)
-    p.add_argument("--eps", type=_finite, default=0.05)
-    p.add_argument("--C1", type=_finite, default=4.0)
+    for name in ("c1", "c2", "eps", "C1"):
+        p.add_argument(f"--{name}", type=_finite,
+                       default=getattr(ClassifyThresholds, name))
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("nulltable", parents=[threads],

@@ -22,8 +22,7 @@ Weight profiles follow the scaled family
     beta = (2 - 4r) gamma,  lam = 2 - 2r - beta,
 
 whose effective dimension k_n (smallest index where the cumulative weight
-passes half of rho_n) grows like n^{2-4r}. A banded variant zeroes the
-weights above a cut l_n and takes k_n := l_n. The fixed-weight statistic
+passes half of rho_n) grows like n^{2-4r}. The fixed-weight statistic
 T(z) = Sum_j kappa_j^2 z_j^2 (``FixedKappa.form``: no n-scaling or centring,
 summable decreasing weights) covers the boundary rate r = 1/2.
 """
@@ -136,7 +135,6 @@ class KappaProfile:
     J: int
     n_list: tuple[int, ...]
     sigma: float
-    mode: str
     kappa_sq: dict[int, np.ndarray]
     rho: dict[int, float]
     A: dict[int, float]
@@ -170,19 +168,25 @@ def cumulative_k(kappa_sq: np.ndarray, rho: float) -> int:
     return int(np.searchsorted(prefix, rho / 2.0, side="right"))
 
 
-def build_profile(r: float, gamma: float, c: float, J: int, n_list,
-                  sigma: float = 1.0, band_limit=None) -> KappaProfile:
-    """Construct and validate a scaled weight profile.
+def distinct_n(n_list) -> tuple:
+    """``n_list`` as a tuple, refused if it repeats a sample size."""
+    n_list = tuple(n_list)
+    for i, n in enumerate(n_list):
+        if n in n_list[:i]:
+            raise ValidationError(f"n_list repeats n = {n}")
+    return n_list
 
-    ``band_limit``: optional map n -> l_n activating the banded variant
-    (weights zero above l_n, k_n := l_n, kappa_n^2 := kappa_n1^2).
-    """
+
+def build_profile(r: float, gamma: float, c: float, J: int, n_list,
+                  sigma: float = 1.0) -> KappaProfile:
+    """Construct and validate a scaled weight profile."""
     beta = dimension_exponent(r) * gamma
-    if gamma <= 1.0:
-        raise AssumptionError("A1", f"weight decay requires gamma > 1, got {gamma}")
+    if not 1.0 < gamma < math.inf:
+        raise AssumptionError("A1", f"weight decay requires a finite gamma > 1, "
+                                    f"got {gamma}")
     check_positive(c, "c")
     check_positive(sigma, "sigma")
-    n_list = tuple(check_count(n, "n_list entry", 2) for n in n_list)
+    n_list = distinct_n(check_count(n, "n_list entry", 2) for n in n_list)
     if not n_list:
         raise ValidationError("n_list must not be empty")
     J = check_count(J, "J", 2, _J_MAX)
@@ -197,14 +201,8 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
     j = np.arange(1, J + 1, dtype=float)
     kappa_sq, rho, A, k, kn_sq = {}, {}, {}, {}, {}
     tail_rel = {}
-    mode = "scaled" if band_limit is None else "banded"
     for n in n_list:
         w = n ** (-lam) / (np.power(j, gamma) + c * n ** beta)
-        if band_limit is not None:
-            l_n = check_count(band_limit(n) if callable(band_limit) else band_limit,
-                              f"band limit at n={n}", 1, J)
-            w = w.copy()
-            w[l_n:] = 0.0
         if np.any(np.diff(w) > 0.0):
             raise AssumptionError("A1", f"weights not nonincreasing at n={n}")
         w.flags.writeable = False
@@ -214,19 +212,14 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
         kappa_sq[n] = w
         rho[n] = rho_n
         A[n] = float(sigma ** (-4) * n ** 2 * np.sum(np.square(w)))
-        if band_limit is not None:
-            k[n] = l_n
-            kn_sq[n] = float(w[0])
-        else:
-            k[n] = cumulative_k(w, rho_n)
-            kn_sq[n] = float(w[k[n] - 1])
+        k[n] = cumulative_k(w, rho_n)
+        kn_sq[n] = float(w[k[n] - 1])
         # Crude integral bound on the dropped tail Sum_{j>J} kappa_nj^2.
         tail = n ** (-lam) * J ** (1.0 - gamma) / (gamma - 1.0)
-        tail_rel[n] = float(tail / rho_n) if band_limit is None else 0.0
+        tail_rel[n] = float(tail / rho_n)
 
     a_vals = np.array([A[n] for n in n_list])
     rho_scaled = np.array([rho[n] * n ** (2.0 * r) for n in n_list])
-    label = "A6" if band_limit is not None else "A4"
     decay, flat_first, flat_band = {}, [], {}
     for n in n_list:
         w = kappa_sq[n]
@@ -243,13 +236,13 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
     assumptions = {
         "A2": {"min_A": float(a_vals.min()), "max_A": float(a_vals.max())},
         "A3": {"c1": float(rho_scaled.min()), "c2": float(rho_scaled.max())},
-        label: {"decay_constant": {d: max(v) for d, v in decay.items()}},
+        "A4": {"decay_constant": {d: max(v) for d, v in decay.items()}},
         "A5": {"first_over_kn": {"min": min(flat_first), "max": max(flat_first)},
                "band_ratio_min": {cc: min(v) for cc, v in flat_band.items()}},
         "tail_rel": tail_rel,
     }
     return KappaProfile(r=r, gamma=gamma, c=c, J=J, n_list=n_list, sigma=sigma,
-                        mode=mode, kappa_sq=kappa_sq, rho=rho, A=A, k=k,
+                        kappa_sq=kappa_sq, rho=rho, A=A, k=k,
                         kappa_n_sq=kn_sq, assumptions=assumptions)
 
 

@@ -40,7 +40,7 @@ DENSITY_GRID = 4096
 
 # Inverse-CDF sampling refines at most this many points at a time, which caps
 # its temporaries on long inputs. The engine's row slices are shorter (at most
-# mclab.SLICE_VALUES points, or one row), so there it never cuts.
+# cvm.SLICE_VALUES points, or one row), so there it never cuts.
 INVCDF_CHUNK = 65536
 
 # Inverse-CDF brackets are the cells of a uniform grid of this many cells.

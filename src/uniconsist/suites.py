@@ -26,7 +26,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -157,14 +157,19 @@ def _paired_gap(rej: np.ndarray):
     return estimate_columns(rej), abs(pe["difference"]), pe["std_error"]
 
 
+# Sections several suites share. merge_config deep-copies the defaults, so
+# no suite's config can change another's.
+_QUAD_PROFILE = {"r": 0.3, "gamma": 2.0, "c": 1.0, "J": 8192,
+                 "n_list": [512, 1024, 2048, 4096]}
+_QUAD_HEAD = {"c2": 1.0, "mass_profile": "spread", "norm_const": 1.62}
+_CLASSIFY = asdict(ClassifyThresholds())
+
 CONSISTENCY_DEFAULT = {
     "seed": 11,
     "alpha": 0.05,
     "replicates": 2000,
-    "quad": {"r": 0.3, "gamma": 2.0, "c": 1.0, "J": 8192,
-             "n_list": [512, 1024, 2048, 4096],
-             "c2": 1.0, "mass_profile": "spread", "norm_const": 1.62},
-    "classify": {"c1": 0.5, "c2": 2.0, "eps": 0.05, "C1": 4.0},
+    "quad": {**_QUAD_PROFILE, **_QUAD_HEAD},
+    "classify": _CLASSIFY,
     "thresholds": {"beta_margin": 0.1, "power_band": 0.05},
 }
 
@@ -210,13 +215,12 @@ INCONSISTENCY_DEFAULT = {
     "seed": 13,
     "alpha": 0.05,
     "replicates": 2000,
-    "quad": {"r": 0.3, "gamma": 2.0, "c": 1.0, "J": 8192,
-             "n_list": [512, 1024, 2048, 4096],
+    "quad": {**_QUAD_PROFILE,
              "schedule": [2.0, 3.0, 5.0, 8.0], "norm_const": 1.8},
     "cvm": {"r": 0.25, "n_list": [256, 1024, 4096, 16384],
             "schedule": [2.0, 3.0, 5.0, 8.0], "norm_const": 1.0,
             "c_eps": 1.0, "eps_g1": 0.05},
-    "classify": {"c1": 0.5, "c2": 2.0, "eps": 0.05, "C1": 4.0},
+    "classify": _CLASSIFY,
     "thresholds": {"power_excess": 0.05},
 }
 
@@ -279,9 +283,7 @@ INTERACTION_DEFAULT = {
     "alpha": 0.05,
     "replicates": 4000,
     "families": ["quad", "chi2"],
-    "quad": {"r": 0.3, "gamma": 2.0, "c": 1.0, "J": 8192,
-             "n_list": [512, 1024, 2048, 4096],
-             "head": {"c2": 1.0, "mass_profile": "spread", "norm_const": 1.62},
+    "quad": {**_QUAD_PROFILE, "head": _QUAD_HEAD,
              "spike": {"schedule": [2.0, 3.0, 5.0, 8.0],
                        "norm_const": 1.4142135623730951}},
     "chi2": {"r": 0.375, "m_const": 1.0, "n_list": [1024, 2048, 4096],
@@ -374,12 +376,10 @@ PURITY_DEFAULT = {
     "seed": 19,
     "alpha": 0.05,
     "replicates": 3000,
-    "quad": {"r": 0.3, "gamma": 2.0, "c": 1.0, "J": 8192,
-             "n_list": [512, 1024, 2048, 4096],
-             "head": {"c2": 1.0, "mass_profile": "spread", "norm_const": 1.62}},
+    "quad": {**_QUAD_PROFILE, "head": _QUAD_HEAD},
     "tail": {"position_factor": 4.0, "delta_target": 0.08},
     "pure_tail": {"mass_eps": 0.04},
-    "classify": {"c1": 0.5, "c2": 2.0, "eps": 0.05, "C1": 4.0},
+    "classify": _CLASSIFY,
     "thresholds": {"gap": 0.06, "delta_max": 0.1},
 }
 

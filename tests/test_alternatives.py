@@ -84,9 +84,6 @@ def test_make_consistent_validations():
         make_consistent(cvm_fam(), 1.0, "banded", N_LIST)
     with pytest.raises(ValidationError):
         make_consistent(cvm_fam(), -1.0, "lowest", N_LIST)
-    # infeasible head constant: c1 > norm_const^2
-    with pytest.raises(ValidationError):
-        make_consistent(cvm_fam(), 1.0, "lowest", N_LIST, norm_const=1.0, c1=1.5)
     # empty band: c2 k_n <= 1 at the smallest n
     with pytest.raises(ValidationError):
         make_consistent(cvm_fam(), 0.2, "spread", (16, 64, 256))
@@ -118,6 +115,32 @@ def test_make_inconsistent_validations():
     for norm_const in (0.0, -0.5):
         with pytest.raises(ValidationError, match="norm_const"):
             make_inconsistent(cvm_fam(), [2, 3, 5, 8], N_LIST, norm_const=norm_const)
+
+
+def _repeated_sequence():
+    sig = make_consistent(cvm_fam(), 1.0, "lowest", [64]).signals[64]
+    return AlternativeSequence(family=cvm_fam(), n_list=(64, 64),
+                               signals={64: sig}, norm_lo=1.0, norm_hi=1.0,
+                               kind="consistent")
+
+
+def _repeated_pair():
+    obj = make_consistent(cvm_fam(), 1.0, "lowest", [64, 128]).to_json_dict()
+    del obj["norm_lo"], obj["norm_hi"]  # no envelope to catch it
+    obj["signals"].append([64, obj["signals"][1][1]])
+    return sequence_from_json(obj)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_inconsistent(cvm_fam(), [2.0, 3.0], [64, 64]),
+    lambda: make_consistent(cvm_fam(), 1.0, "lowest", [64, 64, 128]),
+    _repeated_sequence, _repeated_pair,
+], ids=["make_inconsistent", "make_consistent", "AlternativeSequence",
+        "sequence_from_json"])
+def test_repeated_n_refused(build):
+    # a second entry at the same n would silently replace the first signal
+    with pytest.raises(ValidationError, match="n_list repeats n = 64"):
+        build()
 
 
 @pytest.mark.parametrize("args", [

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 from functools import reduce
 
 import numpy as np
@@ -14,7 +15,8 @@ from uniconsist.chi2 import chi2_statistic
 from uniconsist.cli import main
 from uniconsist.cvm import (_J_NULL_MAX, CvmNullTable, build_cvm_null_table,
                             cvm_statistic)
-from uniconsist.alternatives import cvm_family, make_consistent, quad_family
+from uniconsist.alternatives import (ClassifyThresholds, classify, cvm_family,
+                                     make_consistent, quad_family)
 from uniconsist.quad import build_profile
 
 SMOKE_CONSISTENCY = {"replicates": 400}
@@ -224,6 +226,7 @@ def test_bad_env_seed_exits_2(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("name, config", [
     ("interaction", {"families": ["foo"]}),
     ("consistency", {"quad": {"mass_profile": "bogus"}}),
+    ("consistency", {"quad": {"n_list": [512, 512, 2048, 4096]}}),
 ])
 def test_suite_internal_error_names_config_file(tmp_path, capsys, name, config):
     # rejected inside the suite, not by the config merge
@@ -472,6 +475,16 @@ def test_classify_cvm_sequence(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "purely-consistent-witness"
+
+
+def test_classify_without_flags_uses_the_default_thresholds(tmp_path, capsys):
+    seq = make_consistent(cvm_family(0.25), 1.0, "spread", [256, 1024, 4096])
+    code = main(["classify", "--sequence",
+                 _write(tmp_path, "seq.json", seq.to_json_dict())])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["evidence"]["thresholds"] == asdict(ClassifyThresholds())
+    assert out == json.loads(json.dumps(classify(seq).to_json_dict()))
 
 
 def test_classify_quad_sequence_needs_embedded_profile(tmp_path, capsys):

@@ -107,9 +107,6 @@ _REFUSED = {
     "build_profile.c": (lambda: build_profile(0.3, 2.0, math.nan, 100, [64]), "c"),
     "build_profile.sigma": (lambda: build_profile(0.3, 2.0, 1.0, 100, [64],
                                                   sigma=math.inf), "sigma"),
-    "build_profile.band_limit": (lambda: build_profile(0.3, 2.0, 1.0, 100, [64],
-                                                       band_limit=8.5),
-                                 "band limit at n=64"),
     "kernel_form.n": (lambda: kernel_form(_KCFG, 2.5, 16), "n"),
     "kernel_form.J": (lambda: kernel_form(_KCFG, 64, 16.5), "J"),
     "KernelTestConfig.h_rule": (lambda: KernelTestConfig(
@@ -122,8 +119,6 @@ _REFUSED = {
         cvm_family(0.25), math.inf, "lowest", [64]), "c2"),
     "make_consistent.norm_const": (lambda: make_consistent(
         cvm_family(0.25), 2.0, "lowest", [64], norm_const=0.0), "norm_const"),
-    "make_consistent.c1": (lambda: make_consistent(
-        cvm_family(0.25), 2.0, "lowest", [64], c1=math.nan), "c1"),
     "make_inconsistent.n_list": (lambda: make_inconsistent(
         cvm_family(0.25), [2.0], [True]), "n_list entry"),
     "make_inconsistent.norm_const": (lambda: make_inconsistent(

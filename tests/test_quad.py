@@ -49,6 +49,8 @@ def test_build_profile_validations():
         build_profile(r=0.25, gamma=2.0, c=1.0, J=64, n_list=[])
     with pytest.raises(ValidationError):
         build_profile(r=0.25, gamma=2.0, c=1.0, J=64, n_list=[1])
+    with pytest.raises(ValidationError, match="n_list repeats n = 16"):
+        build_profile(r=0.25, gamma=2.0, c=1.0, J=64, n_list=[16, 16])
     with pytest.raises(ValidationError):
         build_profile(r=0.25, gamma=2.0, c=1.0, J=1, n_list=[16])
     with pytest.raises(ValidationError):
@@ -110,36 +112,14 @@ def test_assumption_report_structure():
     assert 0 < rep["A3"]["c1"] <= rep["A3"]["c2"]
     assert all(v >= 0 for v in rep["A4"]["decay_constant"].values())
     assert rep["A5"]["first_over_kn"]["max"] >= 1.0
-    banded = build_profile(r=0.3, gamma=2.0, c=1.0, J=256, n_list=[64],
-                           band_limit=lambda n: 16)
-    assert "A6" in banded.assumptions
-    assert banded.mode == "banded"
-    assert banded.k[64] == 16
-    assert banded.kappa_sq[64][16:].max() == 0.0
-    assert banded.kappa_n_sq[64] == banded.kappa_sq[64][0]
 
 
-def test_band_limit_is_called_once_per_n():
-    calls = []
-
-    def band_limit(n):
-        calls.append(n)
-        return 8 + len(calls)
-
-    prof = build_profile(r=0.3, gamma=2.0, c=1.0, J=64, n_list=[16, 32, 64],
-                         band_limit=band_limit)
-    assert calls == [16, 32, 64]
-    assert prof.k == {16: 9, 32: 10, 64: 11}
-    assert [int(np.count_nonzero(prof.kappa_sq[n])) for n in calls] == [9, 10, 11]
-
-
-def test_banded_limit_out_of_range():
-    with pytest.raises(ValidationError):
-        build_profile(r=0.3, gamma=2.0, c=1.0, J=64, n_list=[16],
-                      band_limit=lambda n: 0)
-    with pytest.raises(ValidationError):
-        build_profile(r=0.3, gamma=2.0, c=1.0, J=64, n_list=[16],
-                      band_limit=lambda n: 65)
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_non_finite_gamma_fails_a1(gamma):
+    # refused as weight decay (A1), before the overflow guard could name it
+    with pytest.raises(AssumptionError, match="A1: .*finite gamma > 1") as err:
+        build_profile(0.3, gamma, 1.0, 64, [16])
+    assert err.value.assumption == "A1"
 
 
 def test_quad_statistic_zero_observation():

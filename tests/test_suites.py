@@ -75,6 +75,85 @@ def test_default_config_copies():
         default_config("nope")
 
 
+# Every default, written out: the suites share their quad profile, head and
+# classify sections, and none of them may drift.
+_QUAD = {"r": 0.3, "gamma": 2.0, "c": 1.0, "J": 8192,
+         "n_list": [512, 1024, 2048, 4096]}
+_CLASSIFY = {"c1": 0.5, "c2": 2.0, "eps": 0.05, "C1": 4.0}
+DEFAULTS = {
+    "consistency": {
+        "seed": 11, "alpha": 0.05, "replicates": 2000,
+        "quad": {**_QUAD, "c2": 1.0, "mass_profile": "spread",
+                 "norm_const": 1.62},
+        "classify": _CLASSIFY,
+        "thresholds": {"beta_margin": 0.1, "power_band": 0.05}},
+    "inconsistency": {
+        "seed": 13, "alpha": 0.05, "replicates": 2000,
+        "quad": {**_QUAD, "schedule": [2.0, 3.0, 5.0, 8.0], "norm_const": 1.8},
+        "cvm": {"r": 0.25, "n_list": [256, 1024, 4096, 16384],
+                "schedule": [2.0, 3.0, 5.0, 8.0], "norm_const": 1.0,
+                "c_eps": 1.0, "eps_g1": 0.05},
+        "classify": _CLASSIFY,
+        "thresholds": {"power_excess": 0.05}},
+    "interaction": {
+        "seed": 17, "alpha": 0.05, "replicates": 4000,
+        "families": ["quad", "chi2"],
+        "quad": {**_QUAD,
+                 "head": {"c2": 1.0, "mass_profile": "spread",
+                          "norm_const": 1.62},
+                 "spike": {"schedule": [2.0, 3.0, 5.0, 8.0],
+                           "norm_const": 1.4142135623730951}},
+        "chi2": {"r": 0.375, "m_const": 1.0, "n_list": [1024, 2048, 4096],
+                 "head": {"c2": 1.0, "mass_profile": "lowest",
+                          "norm_const": 1.53},
+                 "spike": {"schedule": [1.25, 2.25, 4.25], "norm_const": 4.05}},
+        "thresholds": {"gap_largest": 0.06}},
+    "purity": {
+        "seed": 19, "alpha": 0.05, "replicates": 3000,
+        "quad": {**_QUAD, "head": {"c2": 1.0, "mass_profile": "spread",
+                                   "norm_const": 1.62}},
+        "tail": {"position_factor": 4.0, "delta_target": 0.08},
+        "pure_tail": {"mass_eps": 0.04},
+        "classify": _CLASSIFY,
+        "thresholds": {"gap": 0.06, "delta_max": 0.1}},
+    "compactness": {
+        "seed": 23, "alpha": 0.05, "replicates": 10000, "L": 1024,
+        "spike_indices": [1, 2, 4, 8, 16, 32], "spike_norm": 2.5,
+        "table_replicates": 200000,
+        "widths": {"dim": 8, "epsilon": 0.01, "i_max": 12,
+                   "expected_first_index": 7},
+        "thresholds": {"final_excess": 0.05, "width_tol": 1e-9}},
+    "unbiasedness": {
+        "seed": 29, "alpha": 0.05, "replicates": 10000, "L": 1024,
+        "n_shifts": 20, "shift_scale": 1.0, "shift_support": 64,
+        "table_replicates": 200000},
+    "maxiset-counterexample": {
+        "seed": 31, "alpha": 0.05, "replicates": 4000,
+        "quad": {"r": 0.25, "gamma": 2.0, "c": 1.0},
+        "m_list": [16, 64, 256, 1024], "C_list": [1.0, 1.5, 2.25, 3.375],
+        "norm_const": 1.0, "kernel": {"name": "box"},
+        "thresholds": {"final_excess": 0.05}},
+}
+
+
+def _clear(obj):
+    """Empty every dict and list of a config, the innermost first."""
+    for value in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(value, (dict, list)):
+            _clear(value)
+    obj.clear()
+
+
+@pytest.mark.parametrize("name", DEFAULTS)
+def test_default_config_values(name):
+    cfg = default_config(name)
+    # == alone would pass 2 for 2.0; merge_config keys its checks on the type
+    assert repr(cfg) == repr(DEFAULTS[name])
+    # the sections shared in the source are each suite's own copy
+    _clear(cfg)
+    assert all(default_config(other) == DEFAULTS[other] for other in DEFAULTS)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValidationError):
         run_suite("no-such-suite")
