@@ -35,10 +35,9 @@ from .quad import (FixedKappa, KappaProfile, QuadTestConfig, build_profile,
                    fixed_kappa_statistic, gaussian_upper_quantile,
                    noncentrality, predict_beta, quad_statistic)
 from .rng import substream
-from .signals import (Basis, DensitySpec, EmpiricalCdf, NoiseModel,
-                      SignalSpec, density_minimum, empirical_cdf, evaluate,
-                      invert_cdf, sample_iid, sample_sequence_model,
-                      signal_from_json)
+from .signals import (Basis, DensitySpec, NoiseModel, SignalSpec,
+                      density_minimum, evaluate, invert_cdf, sample_iid,
+                      sample_sequence_model, signal_from_json)
 from .suites import SuiteResult, default_config, run_suite, write_result
 
 __version__ = "0.1.0"

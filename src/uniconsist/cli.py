@@ -2,11 +2,12 @@
 
 Subcommands: suite, statistic, classify, nulltable, widths. Exit codes:
 0 success, 2 validation problems, 3 when a suite ran but failed its
-thresholds. Malformed JSON is reported with a file:line anchor. Every field
-of a statistic data file, cvm null table, widths set or classify sequence is
-read through the typed readers of ``reports``, and a suite config value must
-have its default's JSON type, so a missing, mistyped or unrepresentable
-field is reported with the file and the key.
+thresholds. Malformed JSON is reported with a file:line anchor, and an
+input that cannot be read or an --out that cannot be written with its path.
+Every field of a statistic data file, cvm null table, widths set or
+classify sequence is read through the typed readers of ``reports``, and a
+suite config value must have its default's JSON type, so a missing,
+mistyped or unrepresentable field is reported with the file and the key.
 
 UNICONSIST_SEED in the environment overrides the seed of any suite config;
 --threads (suite, nulltable) sets the worker threads, by default the CPUs
@@ -39,11 +40,20 @@ from .signals import signal_from_json
 from .suites import SUITES, default_config, run_suite, write_result
 
 
-def _load_json(path: str) -> dict:
+@contextmanager
+def _file_errors(path: str):
+    """Report an OSError on reading or writing ``path`` (or a file in it) as
+    a validation error naming the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        yield
     except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValidationError(f"{exc.filename or path}: "
+                              f"{exc.strerror or exc}") from exc
+
+
+def _load_json(path: str) -> dict:
+    with _file_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -132,7 +142,9 @@ def cmd_suite(args) -> int:
         config = {**config, "seed": seed}
     with _prefix(args.config):
         result = run_suite(args.name, config, threads=threads)
-    for path in write_result(result, args.out):
+    with _file_errors(args.out):
+        paths = write_result(result, args.out)
+    for path in paths:
         print(path)
     print(f"suite {result.name}: {'PASS' if result.passed else 'FAIL'}")
     if not result.passed:
@@ -218,7 +230,8 @@ def cmd_nulltable(args) -> int:
     table = build_cvm_null_table(args.alpha, args.replicates, seed,
                                  J_null=args.j_null, threads=threads)
     if args.out:
-        Path(args.out).write_text(table.to_json(), encoding="utf-8")
+        with _file_errors(args.out):
+            Path(args.out).write_text(table.to_json(), encoding="utf-8")
         print(args.out)
     else:
         sys.stdout.write(table.to_json())

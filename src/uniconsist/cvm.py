@@ -182,6 +182,9 @@ def weighted_null_quantiles(weights: np.ndarray, alphas, replicates: int,
     alphas = np.asarray(sorted(float(a) for a in alphas))
     if alphas.size == 0 or not np.all((alphas > 0) & (alphas < 1)):
         raise ValidationError("alphas must lie in (0, 1)")
+    repeated = alphas[1:][alphas[1:] == alphas[:-1]]
+    if repeated.size:
+        raise ValidationError(f"alphas repeat alpha = {repeated[0]}")
     replicates = check_count(replicates, "replicates", 100)
     threads = check_count(threads, "threads", 1)
     draws = np.empty(replicates)

@@ -40,9 +40,6 @@ from .reports import TestReport
 from .signals import SignalSpec
 from .wchisq import check_weights, weighted_chisq_quantile, weighted_chisq_sf
 
-_A4_DELTA_GRID = (0.5, 1.0, 2.0, 4.0)
-_A5_C_GRID = (1.5, 2.0, 4.0)
-
 # Largest truncation a profile accepts: it stores J weights per n (128 MiB
 # each at this bound).
 _J_MAX = 2 ** 24
@@ -123,10 +120,8 @@ class KappaProfile:
 
     ``kappa_sq[n]`` is the length-J weight vector; ``rho``, ``A``, ``k`` and
     ``kappa_n_sq`` hold rho_n, A_n, the cumulative-definition k_n and the
-    weight at k_n. ``assumptions`` carries the measured structural margins
-    (bounds on A_n and rho_n n^{2r}, weight-decay ratios past k_n, flatness
-    ratios within a constant multiple of k_n, and the relative truncation
-    tail); monotone decay of the weights is enforced, the rest are reported.
+    weight at k_n. :func:`build_profile` enforces A1 (a finite gamma > 1 and
+    nonincreasing weights) and reports no other condition.
     """
 
     r: float
@@ -140,7 +135,6 @@ class KappaProfile:
     A: dict[int, float]
     k: dict[int, int]
     kappa_n_sq: dict[int, float]
-    assumptions: dict
 
     @property
     def beta_exponent(self) -> float:
@@ -200,7 +194,6 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
             f"{max(n_list)}: j^gamma or n^beta exceeds the float range")
     j = np.arange(1, J + 1, dtype=float)
     kappa_sq, rho, A, k, kn_sq = {}, {}, {}, {}, {}
-    tail_rel = {}
     for n in n_list:
         w = n ** (-lam) / (np.power(j, gamma) + c * n ** beta)
         if np.any(np.diff(w) > 0.0):
@@ -214,36 +207,8 @@ def build_profile(r: float, gamma: float, c: float, J: int, n_list,
         A[n] = float(sigma ** (-4) * n ** 2 * np.sum(np.square(w)))
         k[n] = cumulative_k(w, rho_n)
         kn_sq[n] = float(w[k[n] - 1])
-        # Crude integral bound on the dropped tail Sum_{j>J} kappa_nj^2.
-        tail = n ** (-lam) * J ** (1.0 - gamma) / (gamma - 1.0)
-        tail_rel[n] = float(tail / rho_n)
-
-    a_vals = np.array([A[n] for n in n_list])
-    rho_scaled = np.array([rho[n] * n ** (2.0 * r) for n in n_list])
-    decay, flat_first, flat_band = {}, [], {}
-    for n in n_list:
-        w = kappa_sq[n]
-        kn = k[n]
-        flat_first.append(float(w[0] / kn_sq[n]))
-        for d in _A4_DELTA_GRID:
-            idx = int((1.0 + d) * kn)
-            val = float(w[idx - 1] / kn_sq[n]) if idx <= J else 0.0
-            decay.setdefault(d, []).append(val * (1.0 + d) ** gamma)
-        for cc in _A5_C_GRID:
-            idx = int(cc * kn)
-            val = float(w[idx - 1] / kn_sq[n]) if idx <= J else 0.0
-            flat_band.setdefault(cc, []).append(val)
-    assumptions = {
-        "A2": {"min_A": float(a_vals.min()), "max_A": float(a_vals.max())},
-        "A3": {"c1": float(rho_scaled.min()), "c2": float(rho_scaled.max())},
-        "A4": {"decay_constant": {d: max(v) for d, v in decay.items()}},
-        "A5": {"first_over_kn": {"min": min(flat_first), "max": max(flat_first)},
-               "band_ratio_min": {cc: min(v) for cc, v in flat_band.items()}},
-        "tail_rel": tail_rel,
-    }
     return KappaProfile(r=r, gamma=gamma, c=c, J=J, n_list=n_list, sigma=sigma,
-                        kappa_sq=kappa_sq, rho=rho, A=A, k=k,
-                        kappa_n_sq=kn_sq, assumptions=assumptions)
+                        kappa_sq=kappa_sq, rho=rho, A=A, k=k, kappa_n_sq=kn_sq)
 
 
 @dataclass(frozen=True)

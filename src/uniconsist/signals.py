@@ -471,30 +471,3 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
             raise ValidationError("inverse-CDF sampling failed to reach tolerance")
     np.clip(x, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=x)
     return x.reshape(u.shape)
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical distribution function of points in (0,1)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValidationError("empirical CDF of an empty sample")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return int(self.points.size)
-
-    def __call__(self, x) -> np.ndarray | float:
-        x_arr = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.points, x_arr, side="right") / self.n
-        return float(out) if x_arr.ndim == 0 else out
-
-
-def empirical_cdf(points) -> EmpiricalCdf:
-    return EmpiricalCdf(np.asarray(points, dtype=float))

@@ -531,6 +531,26 @@ def test_nulltable_to_file_and_stdout(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == stdout_table
 
 
+@pytest.mark.parametrize("case", ["existing file", "missing directory",
+                                  "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, case):
+    """An --out that cannot be written exits 2 naming it, not a traceback."""
+    if case == "existing file":
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        argv = ["suite", "compactness", "--config",
+                _write(tmp_path, "cfg.json", {"replicates": 100}),
+                "--threads", "1"]
+    else:
+        out = tmp_path / "missing" / "t.json" if case == "missing directory" else tmp_path
+        argv = ["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
+                "--j-null", "16"]
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+
+
 def test_nulltable_without_series_terms_exits_2(capsys):
     code = main(["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
                  "--j-null", "0"])

@@ -143,6 +143,15 @@ def test_weighted_chisq_draw_order_fixed():
     assert np.array_equal(crit, np.quantile(draws, 1.0 - alphas))
 
 
+def test_repeated_alpha_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a null table block was keyed")
+
+    monkeypatch.setattr(cvm, "substreams", no_draws)
+    with pytest.raises(ValidationError, match="alphas repeat alpha = 0.05$"):
+        weighted_null_quantiles(bridge_weights(16), [0.05, 0.1, 0.05], 200, seed=1)
+
+
 # (J, replicates) pairs whose last slices a naive slicing gets wrong: a
 # 17-row last block (16 + 1 rows), one short block of 100 or 101 rows of
 # 2**14 values each, and a row so short that a block is one slice.

@@ -104,16 +104,6 @@ def test_A_n_limit_pi_over_four():
     assert errs[-1] < 0.01
 
 
-def test_assumption_report_structure():
-    prof = small_profile()
-    rep = prof.assumptions
-    assert set(rep) == {"A2", "A3", "A4", "A5", "tail_rel"}
-    assert 0 < rep["A2"]["min_A"] <= rep["A2"]["max_A"]
-    assert 0 < rep["A3"]["c1"] <= rep["A3"]["c2"]
-    assert all(v >= 0 for v in rep["A4"]["decay_constant"].values())
-    assert rep["A5"]["first_over_kn"]["max"] >= 1.0
-
-
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
 def test_non_finite_gamma_fails_a1(gamma):
     # refused as weight decay (A1), before the overflow guard could name it

@@ -19,11 +19,10 @@ from oracles import (bounded_minima_scipy, eval_signal, from_exponential,
 from uniconsist import alternatives, signals
 from uniconsist.errors import DensityError, ValidationError
 from uniconsist.signals import (INVCDF_TOL, SQRT2, Basis, DensitySpec,
-                                EmpiricalCdf, NoiseModel, SignalSpec,
-                                cdf_offset, density_minimum, empirical_cdf,
-                                evaluate, invert_cdf, sample_iid,
-                                sample_sequence_model, signal_from_json,
-                                sorted_lookup)
+                                NoiseModel, SignalSpec, cdf_offset,
+                                density_minimum, evaluate, invert_cdf,
+                                sample_iid, sample_sequence_model,
+                                signal_from_json, sorted_lookup)
 from uniconsist.rng import substream
 
 RNG = np.random.default_rng(20260816)
@@ -267,17 +266,6 @@ def test_sample_iid_distribution_ks():
     x = sample_iid(dens, 3000, np.random.default_rng(42))
     stat = stats.kstest(x, lambda v: dens.cdf(v))
     assert stat.pvalue > 0.01, stat
-
-
-def test_empirical_cdf_right_continuous():
-    F = empirical_cdf([0.2, 0.5, 0.5, 0.9])
-    assert F(0.19) == 0.0
-    assert F(0.2) == 0.25
-    assert F(0.5) == 0.75
-    assert F(0.9) == 1.0
-    assert F.n == 4
-    with pytest.raises(ValidationError):
-        EmpiricalCdf(np.array([]))
 
 
 def test_signal_json_round_trip():
