@@ -17,6 +17,7 @@ the process may use, without changing any output byte.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -49,6 +50,26 @@ def _file_errors(path: str):
     except OSError as exc:
         raise ValidationError(f"{exc.filename or path}: "
                               f"{exc.strerror or exc}") from exc
+
+
+def _check_out(path: str, directory: bool) -> None:
+    """Refuse, before any work and creating nothing, an --out that the write
+    after the run would refuse: a file where the suite's directory, or a
+    directory to be made for it, goes; a directory as the table file; a
+    table file whose directory is missing or not a directory."""
+    target = path if directory else os.path.dirname(path) or os.curdir
+    there = target
+    while not os.path.lexists(there):
+        there = os.path.dirname(there) or os.curdir
+    if not directory and os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(there):
+        code = errno.EEXIST if there == path else errno.ENOTDIR
+    elif there != target and not directory:
+        code = errno.ENOENT
+    else:
+        return
+    raise ValidationError(f"{path}: {os.strerror(code)}")
 
 
 def _load_json(path: str) -> dict:
@@ -140,6 +161,7 @@ def cmd_suite(args) -> int:
     seed = _env_seed()
     if seed is not None:
         config = {**config, "seed": seed}
+    _check_out(args.out, directory=True)
     with _prefix(args.config):
         result = run_suite(args.name, config, threads=threads)
     with _file_errors(args.out):
@@ -227,6 +249,8 @@ def cmd_nulltable(args) -> int:
     seed = args.seed
     if seed is None:
         seed = _env_seed() or 0
+    if args.out:
+        _check_out(args.out, directory=False)
     table = build_cvm_null_table(args.alpha, args.replicates, seed,
                                  J_null=args.j_null, threads=threads)
     if args.out:

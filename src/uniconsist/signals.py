@@ -43,6 +43,10 @@ DENSITY_GRID = 4096
 # cvm.SLICE_VALUES points, or one row), so there it never cuts.
 INVCDF_CHUNK = 65536
 
+# An inverse-CDF round drops its done points from the working arrays only
+# when more than 1/this of them are done; fewer wait in place.
+_INVCDF_COMPACT = 16
+
 # Inverse-CDF brackets are the cells of a uniform grid of this many cells.
 INVCDF_GRID = 2048
 
@@ -417,11 +421,15 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
     check_unit_interval(flat, "u")
     x = np.empty_like(flat)
     # Bracket on a monotone CDF grid, then refine with safeguarded Newton on
-    # the points still above tolerance; a point's x is written once, at its
-    # first iterate within tolerance, and the point then leaves the working
-    # arrays, so F and the density are evaluated only on points still going.
-    # Every point starts at its cell's midpoint, so the first round reads
-    # F and the density there from per-cell tables.
+    # the points still above tolerance. Every point starts at its cell's
+    # midpoint, so the first round reads F and the density there from
+    # per-cell tables. A point whose iterate is within tolerance is done:
+    # its bracket collapses onto x, where Newton never moves and the
+    # midpoint of [x, x] is x, so every later round keeps x exactly. Once
+    # a round finds more than 1/_INVCDF_COMPACT of the working points done,
+    # those points' x is written out and they leave the working arrays, so
+    # F and the density are evaluated again only on the few done points
+    # that wait for such a round.
     gx, mid, mid_F, mid_dens, bracket = density.inversion_tables()
     for start in range(0, flat.size, INVCDF_CHUNK):
         ua = flat[start:start + INVCDF_CHUNK]
@@ -429,33 +437,43 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
         cell = bracket(ua)
         np.clip(cell, 1, gx.size - 1, out=cell)
         cell -= 1
-        lo, hi, xa = gx[cell], gx[1:][cell], mid[cell]
-        active = np.arange(ua.size)
+        lo, xa, r, dens = (t.take(cell) for t in (gx, mid, mid_F, mid_dens))
+        cell += 1
+        hi = gx.take(cell)
+        # The x index of each working point; None while that is its position.
+        active = None
         for round_ in range(200):
             if round_:
                 r = cdf_offset(signal, xa)
                 r += xa
-            else:
-                r = mid_F[cell]
             r -= ua
             done = np.abs(r) <= INVCDF_TOL
-            if done.any():
-                xc[active[done]] = xa[done]
-                if done.all():
-                    break
-                keep = np.logical_not(done, out=done)
-                active, ua, xa, r, lo, hi = (
-                    a[keep] for a in (active, ua, xa, r, lo, hi))
+            hits = np.flatnonzero(done)
+            if hits.size == xa.size:
+                xc[slice(None) if active is None else active] = xa
+                break
+            if hits.size * _INVCDF_COMPACT > xa.size:
+                xc[hits if active is None else active.take(hits)] = xa.take(hits)
+                keep = np.flatnonzero(np.logical_not(done, out=done))
+                active = keep if active is None else active.take(keep)
+                ua, xa, r, lo, hi = (a.take(keep) for a in (ua, xa, r, lo, hi))
                 if not round_:
-                    cell = cell[keep]
-            gt = r > 0.0
-            np.copyto(hi, xa, where=gt)
-            np.copyto(lo, xa, where=np.logical_not(gt, out=gt))
+                    dens = dens.take(keep)
+            elif hits.size:
+                lo[hits] = hi[hits] = xa.take(hits)
+            # hi takes x where F(x) > u, lo where not: a select on the bits.
+            gt = np.negative(r > 0.0, dtype=np.int64)
+            xb, lob, hib = xa.view(np.int64), lo.view(np.int64), hi.view(np.int64)
+            step = np.bitwise_xor(hib, xb)
+            step &= gt
+            hib ^= step
+            step = np.bitwise_xor(lob, xb, out=step)
+            np.invert(gt, out=gt)
+            step &= gt
+            lob ^= step
             if round_:
                 dens = _evaluate_interior(signal, xa)
                 dens += 1.0
-            else:
-                dens = mid_dens[cell]
             # Newton (xa - r / dens, in r's place) only inside the closed
             # bracket and only if it moves x; else the bracket's midpoint.
             with np.errstate(divide="ignore", invalid="ignore"):

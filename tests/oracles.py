@@ -5,6 +5,8 @@ Everything here recomputes package quantities by a different route
 derivations rather than a function against itself. The helpers at the end
 (exponential coefficients, projection reports, the bridge-series sampler
 and tail bound, the quad null variance) have no caller in the package.
+``invert_cdf_masked`` is the earlier bookkeeping of ``invert_cdf``'s rounds
+(masked bracket copies, boolean compaction), kept to pin the float path.
 """
 
 import math
@@ -16,7 +18,9 @@ from uniconsist.chi2 import cell_integrals, chi2_population
 from uniconsist.cvm import bridge_weights
 from uniconsist.errors import ValidationError
 from uniconsist.quad import KappaProfile
-from uniconsist.signals import SQRT2, Basis, SignalSpec, _evaluate_interior
+from uniconsist import signals
+from uniconsist.signals import (SQRT2, Basis, DensitySpec, SignalSpec,
+                                _evaluate_interior)
 
 
 def gauss01(f, pieces: int = 64, nodes: int = 48) -> float:
@@ -368,3 +372,61 @@ def null_variance(profile: KappaProfile, n: int) -> float:
     profile.require_n(n)
     return float(2.0 * profile.sigma ** 4 * n ** (-2)
                  * np.sum(np.square(profile.kappa_sq[n])))
+
+
+def invert_cdf_masked(density: DensitySpec, u: np.ndarray) -> np.ndarray:
+    """``invert_cdf`` with its earlier round bookkeeping: brackets updated by
+    masked copies, and every round's done points written and dropped from
+    the working arrays by boolean masks. Each point takes the same float
+    operations as in ``invert_cdf``, so the two agree byte for byte."""
+    signal = density.signal
+    flat = np.asarray(u, dtype=float).ravel()
+    x = np.empty_like(flat)
+    gx, mid, mid_F, mid_dens, bracket = density.inversion_tables()
+    chunk = signals.INVCDF_CHUNK
+    for start in range(0, flat.size, chunk):
+        ua = flat[start:start + chunk]
+        xc = x[start:start + chunk]
+        cell = bracket(ua)
+        np.clip(cell, 1, gx.size - 1, out=cell)
+        cell -= 1
+        lo, hi, xa = gx[cell], gx[1:][cell], mid[cell]
+        active = np.arange(ua.size)
+        for round_ in range(200):
+            if round_:
+                r = signals.cdf_offset(signal, xa)
+                r += xa
+            else:
+                r = mid_F[cell]
+            r -= ua
+            done = np.abs(r) <= signals.INVCDF_TOL
+            if done.any():
+                xc[active[done]] = xa[done]
+                if done.all():
+                    break
+                keep = np.logical_not(done, out=done)
+                active, ua, xa, r, lo, hi = (
+                    a[keep] for a in (active, ua, xa, r, lo, hi))
+                if not round_:
+                    cell = cell[keep]
+            gt = r > 0.0
+            np.copyto(hi, xa, where=gt)
+            np.copyto(lo, xa, where=np.logical_not(gt, out=gt))
+            if round_:
+                dens = signals._evaluate_interior(signal, xa)
+                dens += 1.0
+            else:
+                dens = mid_dens[cell]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xn = np.subtract(xa, np.divide(r, dens, out=r), out=r)
+            ok = dens > 1e-8
+            ok &= xn >= lo
+            ok &= xn <= hi
+            ok &= xn != xa
+            xa = np.add(lo, hi, out=xa)
+            xa *= 0.5
+            np.copyto(xa, xn, where=ok)
+        else:
+            raise ValidationError("inverse-CDF sampling failed to reach tolerance")
+    np.clip(x, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=x)
+    return x.reshape(np.shape(u))

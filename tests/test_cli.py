@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from uniconsist import cli
+from uniconsist import cli, cvm, mclab
 from uniconsist.chi2 import chi2_statistic
 from uniconsist.cli import main
 from uniconsist.cvm import (_J_NULL_MAX, CvmNullTable, build_cvm_null_table,
@@ -531,24 +531,57 @@ def test_nulltable_to_file_and_stdout(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == stdout_table
 
 
-@pytest.mark.parametrize("case", ["existing file", "missing directory",
-                                  "directory"])
-def test_unwritable_out_exits_2(tmp_path, capsys, case):
-    """An --out that cannot be written exits 2 naming it, not a traceback."""
-    if case == "existing file":
-        out = tmp_path / "taken"
-        out.write_text("", encoding="utf-8")
-        argv = ["suite", "compactness", "--config",
-                _write(tmp_path, "cfg.json", {"replicates": 100}),
-                "--threads", "1"]
+_OUT_REFUSED = {"existing file": "File exists",
+                "file on the way": "Not a directory",
+                "missing directory": "No such file or directory",
+                "directory": "Is a directory"}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_REFUSED))
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, case):
+    """An --out that cannot be written exits 2 naming it, not a traceback,
+    before any Monte Carlo work (the block runner fails if it is called)
+    and creating nothing."""
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the Monte Carlo run started")
+
+    monkeypatch.setattr(cvm, "run_blocks", no_engine)
+    monkeypatch.setattr(mclab, "run_blocks", no_engine)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    config = _write(tmp_path, "cfg.json", {"replicates": 100})
+    if case in ("existing file", "file on the way"):
+        out = taken if case == "existing file" else taken / "artifacts"
+        argv = ["suite", "compactness", "--config", config, "--threads", "1"]
     else:
         out = tmp_path / "missing" / "t.json" if case == "missing directory" else tmp_path
         argv = ["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
                 "--j-null", "16"]
+    before = sorted(tmp_path.rglob("*"))
     code = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    assert err == f"error: {out}: {_OUT_REFUSED[case]}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_taken_during_the_run_exits_2(tmp_path, capsys, monkeypatch):
+    """The write keeps its own check: an --out that a file takes while the
+    suite runs exits 2 naming it."""
+    out = tmp_path / "artifacts"
+
+    def run_then_take(*args, **kwargs):
+        result = run_suite(*args, **kwargs)
+        out.write_text("", encoding="utf-8")
+        return result
+
+    run_suite = cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", run_then_take)
+    code = main(["suite", "compactness", "--config",
+                 _write(tmp_path, "cfg.json", {"replicates": 100}),
+                 "--threads", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {out}: File exists\n"
 
 
 def test_nulltable_without_series_terms_exits_2(capsys):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import (bounded_minima_scipy, eval_signal, from_exponential,
-                     gauss01, norm_sq_quadrature, to_exponential)
+                     gauss01, invert_cdf_masked, norm_sq_quadrature,
+                     to_exponential)
 from uniconsist import alternatives, signals
 from uniconsist.errors import DensityError, ValidationError
 from uniconsist.signals import (INVCDF_TOL, SQRT2, Basis, DensitySpec,
@@ -462,6 +463,52 @@ def test_invert_cdf_bytes_pinned(name):
                         substream(17, 1, 0).random(30000)])
     x = invert_cdf(dens, u)
     assert hashlib.sha256(x.tobytes()).hexdigest() == PINNED_INVERSIONS[name]
+
+
+@settings(max_examples=30, deadline=None)
+@given(inversion_densities(), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 600), st.integers(1, 64))
+def test_invert_cdf_matches_masked_oracle(dens, seed, at_mid, chunk):
+    """invert_cdf gives the bytes of the masked-copy loop (oracle) on the
+    endpoints, on F at cell midpoints (done in the first round, from the
+    tables) and on random uniforms, in any mix, at the default chunk size
+    and at one that splits the input many times."""
+    rng = np.random.default_rng(seed)
+    mid_F = dens.inversion_tables()[2]
+    u = np.concatenate([[0.0, 1.0, 0.5, 1.0 - 2.0 ** -53, 5e-324],
+                        mid_F[rng.integers(0, mid_F.size, at_mid)],
+                        rng.random(600)])
+    u = rng.permutation(u)
+    want = invert_cdf_masked(dens, u)
+    assert invert_cdf(dens, u).tobytes() == want.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signals, "INVCDF_CHUNK", chunk)
+        assert invert_cdf(dens, u).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("at_mid, first_F", [(40, 1040), (960, 80)])
+def test_invert_cdf_done_points_wait_or_leave(monkeypatch, at_mid, first_F):
+    """Points done in the first round (u = F at a cell midpoint) stay in the
+    working arrays, their bracket collapsed onto x, while they are at most
+    1/_INVCDF_COMPACT of them: the first F evaluation then takes every
+    point. More of them are written out and dropped: it takes only the
+    rest. Either way the bytes are the masked-copy loop's."""
+    dens = DensitySpec(_pinned_densities()["cvm-spike"])
+    mid_F = dens.inversion_tables()[2]
+    rng = np.random.default_rng(at_mid)
+    u = rng.permutation(np.concatenate([
+        mid_F[rng.choice(mid_F.size, at_mid, replace=False)],
+        rng.random(1040 - at_mid)]))
+    want = invert_cdf_masked(dens, u)
+    sizes = []
+
+    def counting(signal, x, fn=signals.cdf_offset):
+        sizes.append(np.size(x))
+        return fn(signal, x)
+
+    monkeypatch.setattr(signals, "cdf_offset", counting)
+    assert invert_cdf(dens, u).tobytes() == want.tobytes()
+    assert sizes[0] == first_F
 
 
 @st.composite
