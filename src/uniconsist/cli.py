@@ -3,7 +3,8 @@
 Subcommands: suite, statistic, classify, nulltable, widths. Exit codes:
 0 success, 2 validation problems, 3 when a suite ran but failed its
 thresholds. Malformed JSON is reported with a file:line anchor, and an
-input that cannot be read or an --out that cannot be written with its path.
+input that cannot be read or an --out that cannot be written with its path;
+an --out that the file system already rules out is refused before any work.
 Every field of a statistic data file, cvm null table, widths set or
 classify sequence is read through the typed readers of ``reports``, and a
 suite config value must have its default's JSON type, so a missing,

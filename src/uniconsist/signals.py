@@ -440,8 +440,7 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
         lo, xa, r, dens = (t.take(cell) for t in (gx, mid, mid_F, mid_dens))
         cell += 1
         hi = gx.take(cell)
-        # The x index of each working point; None while that is its position.
-        active = None
+        active = np.arange(ua.size)
         for round_ in range(200):
             if round_:
                 r = cdf_offset(signal, xa)
@@ -450,13 +449,13 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
             done = np.abs(r) <= INVCDF_TOL
             hits = np.flatnonzero(done)
             if hits.size == xa.size:
-                xc[slice(None) if active is None else active] = xa
+                xc[active] = xa
                 break
             if hits.size * _INVCDF_COMPACT > xa.size:
-                xc[hits if active is None else active.take(hits)] = xa.take(hits)
+                xc[active.take(hits)] = xa.take(hits)
                 keep = np.flatnonzero(np.logical_not(done, out=done))
-                active = keep if active is None else active.take(keep)
-                ua, xa, r, lo, hi = (a.take(keep) for a in (ua, xa, r, lo, hi))
+                active, ua, xa, r, lo, hi = (
+                    a.take(keep) for a in (active, ua, xa, r, lo, hi))
                 if not round_:
                     dens = dens.take(keep)
             elif hits.size:
