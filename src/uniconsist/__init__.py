@@ -8,13 +8,12 @@ and canned experiment suites.
 
 from .alternatives import (AlternativeSequence, Classification,
                            ClassifyThresholds, classify, combine, cvm_family,
-                           chi2_family, decompose, densitize, fixed_family,
-                           g1_report, kernel_family, make_consistent,
-                           make_inconsistent, make_spike_tail, quad_family,
-                           sequence_from_json, smoothness_of,
-                           spike_tail_schedule)
-from .chi2 import (Chi2Config, cell_counts, chi2_population,
-                   chi2_predicted_beta, chi2_statistic)
+                           chi2_family, decompose, fixed_family, g1_report,
+                           kernel_family, make_consistent, make_inconsistent,
+                           make_spike_tail, quad_family, sequence_from_json,
+                           smoothness_of, spike_tail_schedule)
+from .chi2 import (Chi2Config, chi2_population, chi2_predicted_beta,
+                   chi2_statistic)
 from .cvm import (CvmNullTable, build_cvm_null_table, bridge_weights,
                   cvm_consistency_index, cvm_population, cvm_statistic)
 from .errors import (AssumptionError, DensityError, ThresholdError,
@@ -33,7 +32,7 @@ from .mclab import (MCConfig, MCEstimate, estimate_power, estimate_size,
                     paired_excess, wilson_interval)
 from .quad import (FixedKappa, KappaProfile, QuadTestConfig, build_profile,
                    fixed_kappa_statistic, gaussian_upper_quantile,
-                   noncentrality, predict_beta, quad_statistic)
+                   noncentrality, predict_beta)
 from .rng import substream
 from .signals import (Basis, DensitySpec, NoiseModel, SignalSpec,
                       density_minimum, evaluate, invert_cdf, sample_iid,

@@ -27,8 +27,7 @@ from .funclasses import besov_seminorm
 from .quad import KappaProfile, dimension_exponent, distinct_n
 from .reports import json_require, json_value
 from .rng import STREAM_FACTORY, substream
-from .signals import (DENSITY_TOL, Basis, SignalSpec, density_minimum,
-                      signal_from_json)
+from .signals import Basis, SignalSpec, signal_from_json
 
 MASS_PROFILES = ("lowest", "spread", "random")
 
@@ -440,32 +439,3 @@ def g1_report(seq: AlternativeSequence, c_eps: float, eps: float) -> dict:
                      "ok": bool(value < eps)})
     return {"c_eps": c_eps, "eps": eps, "rows": rows,
             "ok": all(row["ok"] for row in rows)}
-
-
-@dataclass(frozen=True)
-class DensitizeReport:
-    seq: AlternativeSequence
-    rows: dict
-    ok: bool
-
-
-def densitize(seq: AlternativeSequence) -> DensitizeReport:
-    """Nonnegativity verdicts for 1 + f_n and its head/tail split at 2 k_n.
-
-    Only the i.i.d.-sampling families carry density semantics.
-    """
-    if seq.family.name not in ("chi2", "cvm"):
-        raise ValidationError("densitize applies to the chi2 and cvm families")
-    rows = {}
-    all_ok = True
-    for n in seq.n_list:
-        sig = seq.signals[n]
-        head, tail = decompose(sig, 2.0 * seq.family.k_of(n))
-        entry = {}
-        for label, part in (("full", sig), ("head", head), ("tail", tail)):
-            mn, arg = density_minimum(part)
-            ok = bool(mn >= DENSITY_TOL)
-            entry[label] = {"min": mn, "argmin": arg, "ok": ok}
-            all_ok = all_ok and ok
-        rows[int(n)] = entry
-    return DensitizeReport(seq=seq, rows=rows, ok=all_ok)

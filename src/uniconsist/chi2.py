@@ -74,24 +74,14 @@ def _cells(points: np.ndarray, m: int) -> np.ndarray:
     return np.clip(np.floor(points * m).astype(np.int64), 0, m - 1)
 
 
-def _occupancy(cells: np.ndarray, m: int) -> np.ndarray:
-    lead = cells.shape[:-1]
-    samples = math.prod(lead)
-    offsets = (np.arange(samples) * m).reshape(lead + (1,))
-    return np.bincount((cells + offsets).ravel(),
-                       minlength=samples * m).reshape(lead + (m,))
-
-
-def cell_counts(points: np.ndarray, m: int) -> np.ndarray:
-    """Occupancy counts of the m equal cells per sample along the last axis;
-    boundary points go right."""
-    return _occupancy(_cells(points, m), m)
-
-
 def cell_statistic(cells: np.ndarray, m: int):
     """T_n = n m Sum_l (p_hat_l - 1/m)^2 from each point's cell index in
     0..m-1, one value per sample along the last axis."""
-    counts = _occupancy(cells, m)
+    lead = cells.shape[:-1]
+    samples = math.prod(lead)
+    offsets = (np.arange(samples) * m).reshape(lead + (1,))
+    counts = np.bincount((cells + offsets).ravel(),
+                         minlength=samples * m).reshape(lead + (m,))
     n = cells.shape[-1]
     stat = n * m * np.sum(np.square(counts / n - 1.0 / m), axis=-1)
     return stat if stat.ndim else float(stat)

@@ -146,10 +146,12 @@ def _env_seed() -> int | None:
 
 
 def _threads(args) -> int:
-    """--threads, by default the CPUs this process may use: no output byte
-    depends on it."""
+    """--threads, by default the CPUs this process may use (all of them where
+    the platform cannot tell): no output byte depends on it."""
     if args.threads is None:
-        return len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     return check_count(args.threads, "--threads", 1)
 
 

@@ -136,14 +136,6 @@ class KappaProfile:
     k: dict[int, int]
     kappa_n_sq: dict[int, float]
 
-    @property
-    def beta_exponent(self) -> float:
-        return dimension_exponent(self.r) * self.gamma
-
-    @property
-    def lambda_exponent(self) -> float:
-        return 2.0 - 2.0 * self.r - self.beta_exponent
-
     def require_n(self, n: int):
         if n not in self.kappa_sq:
             raise ValidationError(f"n = {n} not in profile n_list {self.n_list}")
@@ -222,11 +214,6 @@ class QuadTestConfig:
         if abs((1.0 - ndtr(x)) - self.alpha) > 1e-8:
             raise ValidationError("critical point fails the quantile identity")
         object.__setattr__(self, "x_alpha", x)
-
-
-def quad_statistic(y: np.ndarray, profile: KappaProfile, n: int):
-    """Raw centered statistic T_n(y), one value per row along the last axis."""
-    return profile.form(n).statistic(y)
 
 
 def weighted_square_sums(rows: np.ndarray, w: np.ndarray):

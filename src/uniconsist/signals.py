@@ -47,7 +47,8 @@ INVCDF_CHUNK = 65536
 # when more than 1/this of them are done; fewer wait in place.
 _INVCDF_COMPACT = 16
 
-# Inverse-CDF brackets are the cells of a uniform grid of this many cells.
+# Inverse-CDF brackets are the cells of a uniform grid of this many cells, a
+# power of two, so each cell's edges and midpoint are exact in binary.
 INVCDF_GRID = 2048
 
 
@@ -341,11 +342,12 @@ class DensitySpec:
         return x + cdf_offset(self.signal, x)
 
     def inversion_tables(self) -> tuple:
-        """``(gx, mid, mid_F, mid_dens, bracket)`` of :func:`invert_cdf`: the
-        INVCDF_GRID + 1 grid points on [0, 1], the cells' midpoints, F and
-        1 + f there, and ``bracket(u)``, the grid index where u sorts into
-        F on the grid (:func:`sorted_lookup`). Built on the first call, once
-        per density (under a lock, so concurrent first inversions share it).
+        """``(mid_F, mid_dens, bracket)`` of :func:`invert_cdf`: F and 1 + f
+        at the midpoints of the INVCDF_GRID equal cells of [0, 1], and
+        ``bracket(u)``, the index where u sorts into F on the cells' edges
+        i / INVCDF_GRID (:func:`sorted_lookup`). Built on the first call,
+        once per density (under a lock, so concurrent first inversions
+        share it).
         """
         if self._tables is None:
             with _TABLES_LOCK:
@@ -355,10 +357,10 @@ class DensitySpec:
                     mid = 0.5 * (gx[:-1] + gx[1:])
                     mid_F = mid + cdf_offset(self.signal, mid)
                     mid_dens = 1.0 + _evaluate_interior(self.signal, mid)
-                    for table in (gx, mid, mid_F, mid_dens):
+                    for table in (mid_F, mid_dens):
                         table.flags.writeable = False
                     object.__setattr__(self, "_tables", (
-                        gx, mid, mid_F, mid_dens, sorted_lookup(gF, "left")))
+                        mid_F, mid_dens, sorted_lookup(gF, "left")))
         return self._tables
 
 
@@ -412,8 +414,9 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
 
     Each uniform is inverted by bracketed Newton/bisection until the
     residual |F(x) - u| is at most INVCDF_TOL (guaranteed; raises otherwise).
-    The inversion is elementwise, so the chunking changes no bit. The grid
-    and cell tables are the density's own (:meth:`DensitySpec.inversion_tables`).
+    The inversion is elementwise, so the chunking changes no bit. The cell
+    tables and the bracket lookup are the density's own
+    (:meth:`DensitySpec.inversion_tables`).
     """
     signal = density.signal
     u = np.asarray(u, dtype=float)
@@ -423,23 +426,25 @@ def invert_cdf(density: DensitySpec, u: np.ndarray) -> np.ndarray:
     # Bracket on a monotone CDF grid, then refine with safeguarded Newton on
     # the points still above tolerance. Every point starts at its cell's
     # midpoint, so the first round reads F and the density there from
-    # per-cell tables. A point whose iterate is within tolerance is done:
-    # its bracket collapses onto x, where Newton never moves and the
-    # midpoint of [x, x] is x, so every later round keeps x exactly. Once
-    # a round finds more than 1/_INVCDF_COMPACT of the working points done,
-    # those points' x is written out and they leave the working arrays, so
-    # F and the density are evaluated again only on the few done points
-    # that wait for such a round.
-    gx, mid, mid_F, mid_dens, bracket = density.inversion_tables()
+    # per-cell tables; the cell's edges and midpoint are computed, exactly
+    # (INVCDF_GRID is a power of two). A point whose iterate is within
+    # tolerance is done: its bracket collapses onto x, where Newton never
+    # moves and the midpoint of [x, x] is x, so every later round keeps x
+    # exactly. Once a round finds more than 1/_INVCDF_COMPACT of the working
+    # points done, those points' x is written out and they leave the working
+    # arrays, so F and the density are evaluated again only on the few done
+    # points that wait for such a round.
+    mid_F, mid_dens, bracket = density.inversion_tables()
     for start in range(0, flat.size, INVCDF_CHUNK):
         ua = flat[start:start + INVCDF_CHUNK]
         xc = x[start:start + INVCDF_CHUNK]
         cell = bracket(ua)
-        np.clip(cell, 1, gx.size - 1, out=cell)
+        np.clip(cell, 1, INVCDF_GRID, out=cell)
         cell -= 1
-        lo, xa, r, dens = (t.take(cell) for t in (gx, mid, mid_F, mid_dens))
-        cell += 1
-        hi = gx.take(cell)
+        r, dens = mid_F.take(cell), mid_dens.take(cell)
+        lo = cell / INVCDF_GRID
+        hi = lo + 1.0 / INVCDF_GRID
+        xa = lo + 0.5 / INVCDF_GRID
         active = np.arange(ua.size)
         for round_ in range(200):
             if round_:

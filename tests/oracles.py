@@ -378,11 +378,15 @@ def invert_cdf_masked(density: DensitySpec, u: np.ndarray) -> np.ndarray:
     """``invert_cdf`` with its earlier round bookkeeping: brackets updated by
     masked copies, and every round's done points written and dropped from
     the working arrays by boolean masks. Each point takes the same float
-    operations as in ``invert_cdf``, so the two agree byte for byte."""
+    operations as in ``invert_cdf``, so the two agree byte for byte. The
+    grid points and cell midpoints are its own (``np.linspace``), not the
+    ``i / INVCDF_GRID`` arithmetic ``invert_cdf`` starts its brackets from."""
     signal = density.signal
     flat = np.asarray(u, dtype=float).ravel()
     x = np.empty_like(flat)
-    gx, mid, mid_F, mid_dens, bracket = density.inversion_tables()
+    mid_F, mid_dens, bracket = density.inversion_tables()
+    gx = np.linspace(0.0, 1.0, signals.INVCDF_GRID + 1)
+    mid = 0.5 * (gx[:-1] + gx[1:])
     chunk = signals.INVCDF_CHUNK
     for start in range(0, flat.size, chunk):
         ua = flat[start:start + chunk]

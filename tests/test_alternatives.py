@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 
 from uniconsist.alternatives import (AlternativeSequence, ClassifyThresholds,
                                      chi2_family, classify, combine, cvm_family,
-                                     decompose, densitize, fixed_family,
-                                     g1_report, kernel_family,
-                                     make_consistent, make_inconsistent,
-                                     make_spike_tail, quad_family,
-                                     sequence_from_json, smoothness_of,
-                                     spike_tail_schedule)
+                                     decompose, fixed_family, g1_report,
+                                     kernel_family, make_consistent,
+                                     make_inconsistent, make_spike_tail,
+                                     quad_family, sequence_from_json,
+                                     smoothness_of, spike_tail_schedule)
 from uniconsist.chi2 import Chi2Config
 from uniconsist.errors import DensityError, ValidationError
 from uniconsist.funclasses import (EllipsoidSet, FiniteBand, besov_seminorm,
                                    compactness_diagnostic, tail_bound_check)
 from uniconsist.kernel import KernelTestConfig, builtin_kernel
 from uniconsist.quad import build_profile, dimension_exponent
-from uniconsist.signals import DENSITY_TOL, Basis, DensitySpec, SignalSpec
+from uniconsist.signals import (DENSITY_TOL, Basis, DensitySpec, SignalSpec,
+                                density_minimum)
 
 N_LIST = (64, 256, 1024, 4096)
 
@@ -351,75 +351,21 @@ def test_g1_report_gates():
                   c_eps=1.0, eps=0.05)
 
 
-def test_densitize_families_and_verdicts():
+def test_density_rows_are_checked_by_density_spec():
+    """A density row's admissibility report is DensitySpec(sig) or the
+    DensityError it raises. The rows of a cvm sequence at norm 0.5 n^{-1/4}
+    are densities with a zero tail past 2 k_n; a j = 1 cosine of amplitude
+    1.2 is one only once scaled down by n^{-1/4}."""
     ok_seq = make_consistent(cvm_fam(), 1.0, "lowest", N_LIST, norm_const=0.5)
-    rep = densitize(ok_seq)
-    assert rep.ok
     for n in N_LIST:
-        assert rep.rows[n]["full"]["ok"]
-        assert rep.rows[n]["tail"]["min"] == 1.0  # zero tail part
-    # norm_const above sqrt(2)/2... a j=1 cosine with amplitude 1.2 dips negative
-    bad = AlternativeSequence(
-        family=cvm_fam(), n_list=(64,),
-        signals={64: SignalSpec(Basis.COSINE_PI, np.array([1.2 * 64 ** -0.25]))},
-        norm_lo=1.2, norm_hi=1.2, kind="consistent")
-    # the scaled amplitude is small, so this one stays a density
-    assert densitize(bad).ok
-    tall = AlternativeSequence(
-        family=cvm_fam(), n_list=(64,),
-        signals={64: SignalSpec(Basis.COSINE_PI, np.array([1.2]))},
-        norm_lo=1.2 * 64 ** 0.25, norm_hi=1.2 * 64 ** 0.25, kind="raw")
-    rep_bad = densitize(tall)
-    assert not rep_bad.ok
-    assert rep_bad.rows[64]["full"]["min"] == pytest.approx(1 - 1.2 * math.sqrt(2),
-                                                            abs=1e-4)
-    with pytest.raises(ValidationError):
-        densitize(make_consistent(kernel_family(0.3), 1.0, "lowest", N_LIST))
-
-
-@pytest.mark.parametrize("gap", [1e-7, -1e-7], ids=["above", "below"])
-def test_densitize_agrees_with_density_spec_at_tolerance(gap):
-    """A one-term cosine whose minimum 1 - sqrt(2) c sits just above or just
-    below DENSITY_TOL: densitize passes it exactly when DensitySpec accepts it."""
-    c = (1.0 - DENSITY_TOL - gap) / math.sqrt(2.0)
-    sig = SignalSpec(Basis.COSINE_PI, np.array([c]))
-    seq = AlternativeSequence(family=cvm_fam(), n_list=(64,), signals={64: sig},
-                              norm_lo=c * 64 ** 0.25, norm_hi=c * 64 ** 0.25,
-                              kind="raw")
-    try:
-        DensitySpec(sig)
-        accepted = True
-    except DensityError:
-        accepted = False
-    assert accepted == (gap > 0)
-    assert densitize(seq).rows[64]["full"]["ok"] == accepted
-
-
-# densitize rows of the interaction suite's chi2 head-plus-spike sequence:
-# (min, argmin) of 1 + f for the full signal, its head and its tail, recorded
-# when each grid-local minimum was refined by its own
-# scipy.optimize.minimize_scalar call.
-PINNED_DENSITIZE = {
-    1024: {"full": (0.41397039234057786, 0.48750294672359556),
-           "head": (0.41397039234057786, 0.48750294672359556),
-           "tail": (1.0, 0.0001220703125)},
-    2048: {"full": (0.5477860188126988, 0.49509821679459953),
-           "head": (0.8759897175864972, 0.500000000004056),
-           "tail": (0.6717374877289631, 0.0049019607844113106)},
-    4096: {"full": (0.6512563781747522, 0.49816177242724324),
-           "head": (0.904375, 0.500000000003894),
-           "tail": (0.746875, 0.0018382352905768754)},
-}
-
-
-def test_densitize_rows_pinned():
-    family, n_list = chi2_family(0.375), [1024, 2048, 4096]
-    head = make_consistent(family, 1.0, "lowest", n_list, 1.53)
-    spike = make_inconsistent(family, [1.25, 2.25, 4.25], n_list, 4.05)
-    rep = densitize(combine(head, spike, kind="head-plus-spike"))
-    assert rep.ok
-    assert {n: {part: (row["min"], row["argmin"]) for part, row in entry.items()}
-            for n, entry in rep.rows.items()} == PINNED_DENSITIZE
+        sig = ok_seq.signals[n]
+        assert DensitySpec(sig).minimum >= DENSITY_TOL
+        tail = decompose(sig, 2.0 * ok_seq.family.k_of(n))[1]
+        assert density_minimum(tail)[0] == 1.0
+    DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([1.2 * 64 ** -0.25])))
+    with pytest.raises(DensityError) as err:
+        DensitySpec(SignalSpec(Basis.COSINE_PI, np.array([1.2])))
+    assert err.value.minimum == pytest.approx(1 - 1.2 * math.sqrt(2), abs=1e-4)
 
 
 def test_sequence_json_round_trip():

@@ -12,7 +12,7 @@ from oracles import (chi2_fourier_identity, chi2_population_bruteforce,
                      eval_signal, gauss01, modulus_projection_report,
                      projection_l2n, projection_norm_sq,
                      tail_projection_report)
-from uniconsist.chi2 import (Chi2Config, cell_counts, cell_integrals,
+from uniconsist.chi2 import (Chi2Config, cell_integrals,
                              chi2_population, chi2_predicted_beta,
                              chi2_statistic, decide_and_predict)
 from uniconsist.errors import ValidationError
@@ -21,17 +21,17 @@ from uniconsist.signals import Basis, SignalSpec
 RNG = np.random.default_rng(88)
 
 
-def test_cell_counts_and_boundary_rule():
+def test_statistic_boundary_rule():
+    """A point on a cell boundary goes right: 0.5 in the right cell gives the
+    counts (3, 3) at m = 2, so T = 0 (left: (4, 2), T = 2/3), and (1, 2, 1, 2)
+    at m = 4, so T = 2/3 (left: (1, 3, 0, 2), T = 10/3)."""
     pts = np.array([0.0, 0.25, 0.4999, 0.5, 0.75, 0.999])
-    counts = cell_counts(pts, 2)
-    # 0.5 sits on the boundary and goes right
-    assert np.array_equal(counts, np.array([3, 3]))
-    counts4 = cell_counts(pts, 4)
-    assert np.array_equal(counts4, np.array([1, 2, 1, 2]))
+    assert chi2_statistic(pts, 2) == 0.0
+    assert chi2_statistic(pts, 4) == pytest.approx(2.0 / 3.0, rel=1e-14)
     with pytest.raises(ValidationError):
-        cell_counts(pts, 1)
+        chi2_statistic(pts, 1)
     with pytest.raises(ValidationError):
-        cell_counts(np.array([]), 4)
+        chi2_statistic(np.array([]), 4)
 
 
 def test_statistic_one_point_per_cell():
@@ -53,7 +53,7 @@ def test_statistic_all_points_one_cell():
        st.integers(2, 12))
 def test_statistic_equals_pearson(pts, m):
     pts = np.array(pts)
-    counts = cell_counts(pts, m)
+    counts = np.bincount(np.floor(pts * m).astype(int), minlength=m)
     n = pts.size
     expected = n / m
     pearson = float(np.sum((counts - expected) ** 2 / expected))

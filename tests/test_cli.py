@@ -140,6 +140,28 @@ def test_threads_default_to_the_usable_cpus(tmp_path, monkeypatch, command):
     assert seen == [3, 2]
 
 
+@pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
+def test_threads_default_without_sched_getaffinity(tmp_path, monkeypatch,
+                                                   cpus, threads):
+    """Where os has no sched_getaffinity (macOS, Windows), the default is
+    os.cpu_count(), or one worker when that is unknown; the table's bytes
+    are those of --threads 1."""
+    seen = []
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    build = cli.build_cvm_null_table
+    monkeypatch.setattr(cli, "build_cvm_null_table",
+                        lambda *a, **k: seen.append(k["threads"])
+                        or build(*a, **k))
+    argv = ["nulltable", "cvm", "--alpha", "0.05", "--replicates", "200",
+            "--j-null", "16", "--out"]
+    assert main(argv + [str(tmp_path / "default.json")]) == 0
+    assert main(argv + [str(tmp_path / "one.json"), "--threads", "1"]) == 0
+    assert seen == [threads, 1]
+    assert ((tmp_path / "default.json").read_bytes()
+            == (tmp_path / "one.json").read_bytes())
+
+
 def test_suite_unknown_top_level_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "typo.json", {"replicats": 100})
     code = main(["suite", "consistency", "--config", cfg,

@@ -16,7 +16,7 @@ from uniconsist.mclab import MCConfig, quad_rejections
 from uniconsist.quad import (FixedKappa, QuadraticForm, QuadTestConfig,
                              build_profile, cumulative_k, decide_and_predict,
                              fixed_kappa_statistic, gaussian_upper_quantile,
-                             noncentrality, predict_beta, quad_statistic,
+                             noncentrality, predict_beta,
                              weighted_square_sums)
 from uniconsist.signals import Basis, SignalSpec
 
@@ -57,14 +57,15 @@ def test_build_profile_validations():
         build_profile(r=0.25, gamma=2.0, c=1.0, J=64, n_list=[16], sigma=0.0)
 
 
-def test_profile_exponent_relations():
+def test_profile_weight_formula():
+    """kappa_j^2 = n^{-lambda} / (j^gamma + c n^beta) with beta = (2 - 4r) gamma
+    and lambda = 2 - 2r - beta."""
     prof = small_profile(r=0.3, gamma=2.0)
-    assert prof.beta_exponent == pytest.approx((2 - 4 * 0.3) * 2.0)
-    assert prof.lambda_exponent == pytest.approx(2 - 2 * 0.3 - prof.beta_exponent)
-    # weight formula reproduced directly
+    beta = (2 - 4 * 0.3) * 2.0
+    lam = 2 - 2 * 0.3 - beta
     n = 64
     j = np.arange(1, prof.J + 1, dtype=float)
-    w = n ** (-prof.lambda_exponent) / (j ** 2.0 + 1.0 * n ** prof.beta_exponent)
+    w = n ** (-lam) / (j ** 2.0 + 1.0 * n ** beta)
     assert np.allclose(prof.kappa_sq[n], w, rtol=1e-14)
 
 
@@ -112,29 +113,29 @@ def test_non_finite_gamma_fails_a1(gamma):
     assert err.value.assumption == "A1"
 
 
-def test_quad_statistic_zero_observation():
+def test_profile_statistic_zero_observation():
     prof = small_profile()
     n = 64
-    assert quad_statistic(np.zeros(prof.J), prof, n) == pytest.approx(
+    assert prof.form(n).statistic(np.zeros(prof.J)) == pytest.approx(
         -prof.rho[n] / n)
 
 
-def test_quad_statistic_hand_value_J3():
+def test_profile_statistic_hand_value_J3():
     prof = build_profile(r=0.3, gamma=2.0, c=1.0, J=3, n_list=[4])
     y = np.array([0.5, -1.0, 2.0])
-    lam = prof.lambda_exponent
-    beta = prof.beta_exponent
+    beta = (2 - 4 * 0.3) * 2.0
+    lam = 2 - 2 * 0.3 - beta
     w = [4.0 ** (-lam) / (j ** 2 + 4.0 ** beta) for j in (1, 2, 3)]
     want = (w[0] * 0.25 + w[1] * 1.0 + w[2] * 4.0) - sum(w) / 4.0
-    assert quad_statistic(y, prof, 4) == pytest.approx(want, rel=1e-14)
+    assert prof.form(4).statistic(y) == pytest.approx(want, rel=1e-14)
 
 
-def test_quad_statistic_validations():
+def test_profile_statistic_validations():
     prof = small_profile()
     with pytest.raises(ValidationError):
-        quad_statistic(np.zeros(prof.J + 1), prof, 64)
+        prof.form(64).statistic(np.zeros(prof.J + 1))
     with pytest.raises(ValidationError):
-        quad_statistic(np.zeros(prof.J), prof, 65)
+        prof.form(65)
 
 
 @settings(max_examples=80, deadline=None)

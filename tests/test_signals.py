@@ -395,6 +395,21 @@ def test_density_spec_minimum_of_one_term(basis, j, c, phase):
         assert abs(DensitySpec(sig).minimum - analytic) <= 1e-9
 
 
+@pytest.mark.parametrize("gap", [1e-7, -1e-7], ids=["above", "below"])
+def test_density_spec_at_tolerance(gap):
+    """A one-term cosine whose minimum 1 - sqrt(2) c sits just above or just
+    below DENSITY_TOL: DensitySpec accepts it exactly when above, and its
+    DensityError reports the minimum below."""
+    c = (1.0 - signals.DENSITY_TOL - gap) / SQRT2
+    sig = SignalSpec(Basis.COSINE_PI, np.array([c]))
+    if gap > 0:
+        assert DensitySpec(sig).minimum >= signals.DENSITY_TOL
+    else:
+        with pytest.raises(DensityError) as err:
+            DensitySpec(sig)
+        assert err.value.minimum < signals.DENSITY_TOL
+
+
 @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf, -math.inf])
 def test_invert_cdf_rejects_uniforms_outside_unit_interval(bad):
     """A uniform outside [0, 1] (or nan) is refused before any Newton round,
@@ -474,7 +489,7 @@ def test_invert_cdf_matches_masked_oracle(dens, seed, at_mid, chunk):
     tables) and on random uniforms, in any mix, at the default chunk size
     and at one that splits the input many times."""
     rng = np.random.default_rng(seed)
-    mid_F = dens.inversion_tables()[2]
+    mid_F = dens.inversion_tables()[0]
     u = np.concatenate([[0.0, 1.0, 0.5, 1.0 - 2.0 ** -53, 5e-324],
                         mid_F[rng.integers(0, mid_F.size, at_mid)],
                         rng.random(600)])
@@ -494,7 +509,7 @@ def test_invert_cdf_done_points_wait_or_leave(monkeypatch, at_mid, first_F):
     point. More of them are written out and dropped: it takes only the
     rest. Either way the bytes are the masked-copy loop's."""
     dens = DensitySpec(_pinned_densities()["cvm-spike"])
-    mid_F = dens.inversion_tables()[2]
+    mid_F = dens.inversion_tables()[0]
     rng = np.random.default_rng(at_mid)
     u = rng.permutation(np.concatenate([
         mid_F[rng.choice(mid_F.size, at_mid, replace=False)],
@@ -567,12 +582,25 @@ def test_sorted_lookup_searches_every_point_of_an_unsorted_table(side):
 
 def _minimum_densities():
     """The pinned inversion densities; amplitudes 0 and 1e-300 (flat grids);
-    24 nonzero TrigFull pairs among 64 frequencies."""
+    24 nonzero TrigFull pairs among 64 frequencies; the interaction suite's
+    chi2 head-plus-spike rows at n = 1024 and 2048, and the head and tail of
+    each row (n = 4096 too) split at 2 k_n."""
     rng = np.random.default_rng(2024)
     pairs = np.zeros((64, 2))
     rows = rng.choice(64, 24, replace=False)
     pairs[rows] = rng.normal(0.0, 0.02, (24, 2))
-    return {**_pinned_densities(),
+    family, n_list = alternatives.chi2_family(0.375), [1024, 2048, 4096]
+    head = alternatives.make_consistent(family, 1.0, "lowest", n_list, 1.53)
+    spike = alternatives.make_inconsistent(family, [1.25, 2.25, 4.25], n_list, 4.05)
+    both = alternatives.combine(head, spike, kind="head-plus-spike").signals
+    rows = {}
+    for n in n_list:
+        name = f"chi2-head-plus-spike-{n}"
+        rows[f"{name}-head"], rows[f"{name}-tail"] = alternatives.decompose(
+            both[n], 2.0 * family.k_of(n))
+        if n != 4096:  # "chi2-head-plus-spike" is the 4096 row
+            rows[name] = both[n]
+    return {**_pinned_densities(), **rows,
             "flat": SignalSpec(Basis.COSINE_PI, np.array([0.0])),
             "flat-1e-300": SignalSpec(Basis.COSINE_PI, np.array([1e-300])),
             "trig-full-24-pairs": SignalSpec(Basis.TRIG_FULL, pairs)}
@@ -583,6 +611,14 @@ def _minimum_densities():
 PINNED_MINIMA = {
     "cvm-spike": (0.8232233047033631, 0.06250000025612384),
     "chi2-head-plus-spike": (0.6512563781747522, 0.49816177242724324),
+    "chi2-head-plus-spike-1024": (0.41397039234057786, 0.48750294672359556),
+    "chi2-head-plus-spike-1024-head": (0.41397039234057786, 0.48750294672359556),
+    "chi2-head-plus-spike-1024-tail": (1.0, 0.0001220703125),
+    "chi2-head-plus-spike-2048": (0.5477860188126988, 0.49509821679459953),
+    "chi2-head-plus-spike-2048-head": (0.8759897175864972, 0.500000000004056),
+    "chi2-head-plus-spike-2048-tail": (0.6717374877289631, 0.0049019607844113106),
+    "chi2-head-plus-spike-4096-head": (0.904375, 0.500000000003894),
+    "chi2-head-plus-spike-4096-tail": (0.746875, 0.0018382352905768754),
     "touches-zero": (0.0, 0.3333333333336536),
     "flat": (1.0, 0.0001220703125),
     "flat-1e-300": (1.0, 0.0001220703125),
