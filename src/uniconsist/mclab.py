@@ -30,8 +30,10 @@ and fixed take their coordinate map and their
 :class:`~uniconsist.quad.QuadraticForm` from the family module; ``_rows``
 packs the variants and ``_form_rejections`` scores every variant of one or
 more forms on the same coordinates from one slice (``weighted_square_sums``
-on ``QuadraticForm.fold``, the fold that ``exact_power`` reads, prepared
-once a call). A quad sweep (:func:`quad_sweep`) is one such call: the
+on one ``QuadraticForm.fold`` group per form, the fold that ``exact_power``
+reads, prepared once a call: each form's cross terms are one product on the
+coordinates where its cross weights are nonzero, and its sums do not depend
+on the other forms). A quad sweep (:func:`quad_sweep`) is one such call: the
 profile's J is the same at every n, so replicate i's xi is drawn once for
 all of them. chi2 and cvm score a slice in pieces of at most SLICE_VALUES
 noise values (one row when a row is wider), one variant column at a time
@@ -217,41 +219,27 @@ def _rows(variants, size: int, coordinates) -> np.ndarray:
     return rows
 
 
-def _fold(tests) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(form, critical, rows)`` of ``tests`` (one coordinate count), each
-    folded by ``form.fold``, as the rows and weights that score unscaled xi."""
+def _form_rejections(mc: MCConfig, tests) -> list[np.ndarray]:
+    """One decision matrix per ``(form, critical, rows)`` of ``tests``:
+    unit (Sum w y^2 - center) > critical on y = row + scale xi, every form
+    scored from the same unscaled xi of each replicate, so the forms must
+    share their coordinate count."""
     width = tests[0][0].weights.size
     for k, (form, _, _) in enumerate(tests):
         if form.weights.size != width:
             raise ValidationError(
                 f"forms scored together must share their coordinates: form {k} "
                 f"has {form.weights.size}, form 0 has {width}")
-    rows, w = zip(*(form.fold(r) for form, _, r in tests))
-    if len(w) == 1:
-        return rows[0], w[0]
-    return np.concatenate(rows), np.concatenate(
-        [np.broadcast_to(wf, r.shape) for r, wf in zip(rows, w)])
-
-
-def _form_rejections(mc: MCConfig, tests) -> list[np.ndarray]:
-    """One decision matrix per ``(form, critical, rows)`` of ``tests``:
-    unit (Sum w y^2 - center) > critical on y = row + scale xi, every form
-    scored from the same unscaled xi of each replicate (:func:`_fold`)."""
-    rows, w = _fold(tests)
-    bounds = np.cumsum([0] + [r.shape[0] for _, _, r in tests])
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    sums_of = weighted_square_sums(rows, w)
+    sums_of = weighted_square_sums([form.fold(rows) for form, _, rows in tests])
 
     def reject_block(noise):
-        sums = sums_of(noise)
-        out = np.empty(sums.shape, dtype=bool)
-        for (form, critical, _), (lo, hi) in zip(tests, spans):
-            out[:, lo:hi] = form.unit * (sums[:, lo:hi] - form.center) > critical
-        return out
+        return np.concatenate(
+            [form.unit * (sums - form.center) > critical
+             for (form, critical, _), sums in zip(tests, sums_of(noise))], axis=1)
 
-    rej = _rejections(mc, STREAM_SEQUENCE_MODEL, rows.shape[1], _normals,
-                      reject_block)
-    return [rej[:, lo:hi] for lo, hi in spans]
+    rej = _rejections(mc, STREAM_SEQUENCE_MODEL, width, _normals, reject_block)
+    return np.split(rej, np.cumsum([rows.shape[0] for _, _, rows in tests])[:-1],
+                    axis=1)
 
 
 def quad_sweep(mc: MCConfig, config: QuadTestConfig,

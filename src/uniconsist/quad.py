@@ -3,7 +3,8 @@
 Each test here, and the kernel test, is one :class:`QuadraticForm`, read
 alike by its ``statistic``, by the exact law of :mod:`~uniconsist.wchisq`
 (``exact_power``, ``exact_critical``) and by the engine, which scores the
-rows and weights of ``fold`` on unscaled xi (:func:`weighted_square_sums`);
+rows and weights of ``fold`` on unscaled xi, one group per form, its cross
+terms only where they are nonzero (:func:`weighted_square_sums`);
 ``noncentrality`` and the engine read one coordinate map, ``quad_coordinates``.
 
 The quad test at n (``KappaProfile.form``, scale sigma / sqrt(n)) centres
@@ -216,40 +217,37 @@ class QuadTestConfig:
         object.__setattr__(self, "x_alpha", x)
 
 
-def weighted_square_sums(rows: np.ndarray, w: np.ndarray):
+def weighted_square_sums(groups):
     """The scorer of Sum_j w_j (rows_v + noise_i)_j^2 for every noise row i
-    and variant row v: a function of a noise matrix that returns its
-    (i, v) matrix.
+    and, in each ``(rows, w)`` of ``groups`` (one weight vector per group,
+    as ``QuadraticForm.fold`` returns it), every variant row v: a function
+    of a noise matrix that returns one (i, v) matrix per group.
 
-    ``w`` is one weight vector for every row, or one per row (shape
-    ``rows.shape``). Expands the square, so the (i, v) matrix costs one GEMM
-    for the cross terms and one for the weighted sums of squares, whatever
-    the number of variants:
-
-        Sum w xi^2 + 2 xi . (w theta) + Sum w theta^2.
-
-    The folded cross weights and the Sum w theta^2 term depend only on the
-    rows and weights, so they are computed once here, however many noise
-    matrices are scored. With one weight vector, a zero variant row gives
-    exactly ``np.square(noise) @ w``. ``noise`` is overwritten with its
-    square.
+    Expands the square, Sum w xi^2 + 2 xi . (w theta) + Sum w theta^2, and
+    reads the cross terms only where they are nonzero: a group costs one
+    product on the coordinates where any of its cross weights w theta is
+    nonzero (none for a group of zero rows), then, once the noise is
+    squared in place, one gemv against its weights. The supports, the cross
+    weights and the Sum w theta^2 terms depend only on the groups, so they
+    are computed once here, however many noise matrices are scored. A
+    group's sums depend only on its own rows and weights, and a zero row
+    gives exactly ``np.square(noise) @ w``. ``noise`` is overwritten with
+    its square.
     """
-    cross = (rows * w).T
-    if w.ndim == 1:
-        theta_sums = np.square(rows) @ w
-    else:
-        theta_sums = np.einsum("vj,vj->v", np.square(rows), w)
+    folded = []
+    for rows, w in groups:
+        support = np.flatnonzero(np.any(rows * w != 0.0, axis=0))
+        folded.append((support, (rows[:, support] * w[support]).T, w,
+                       np.square(rows) @ w))
 
-    def sums_of(noise: np.ndarray) -> np.ndarray:
-        sums = noise @ cross
-        sums *= 2.0
+    def sums_of(noise: np.ndarray) -> list[np.ndarray]:
+        out = [noise[:, support] @ cross for support, cross, _, _ in folded]
         np.square(noise, out=noise)
-        if w.ndim == 1:
+        for sums, (_, _, w, theta_sums) in zip(out, folded):
+            sums *= 2.0
             sums += (noise @ w)[:, None]
-        else:
-            sums += noise @ w.T
-        sums += theta_sums
-        return sums
+            sums += theta_sums
+        return out
 
     return sums_of
 

@@ -261,10 +261,10 @@ sums = {}
 for width, replicates in %r:
     j = np.arange(1, width + 1, dtype=float)
     form = QuadraticForm(1.0 / j ** 2, 0.5)
-    sums_of = weighted_square_sums(*form.fold(np.full((1, width), 0.05)))
+    sums_of = weighted_square_sums([form.fold(np.full((1, width), 0.05))])
     sums[f"{width}-{replicates}"] = np.concatenate([sums_of(np.array([
         substream(9, STREAM_SEQUENCE_MODEL, i).standard_normal(width)
-        for i in range(lo, min(lo + 512, replicates))]))
+        for i in range(lo, min(lo + 512, replicates))]))[0]
         for lo in range(0, replicates, 512)])
 np.savez(sys.argv[1], **sums)
 """
@@ -297,8 +297,8 @@ def test_one_vector_slices_keep_block_bits(monkeypatch, block_shaped_sums,
     16 rows and a one-row BLAS dot."""
     seen = []
 
-    def recording(rows, w):
-        sums_of = weighted_square_sums(rows, w)
+    def recording(groups):
+        sums_of = weighted_square_sums(groups)
         return lambda noise: seen.append(sums_of(noise)) or seen[-1]
 
     monkeypatch.setattr(mclab, "weighted_square_sums", recording)
@@ -307,7 +307,7 @@ def test_one_vector_slices_keep_block_bits(monkeypatch, block_shaped_sums,
     mclab._form_rejections(MCConfig(replicates, seed=9),
                            [(form, 0.0, np.full((1, width), 0.05))])
     want = block_shaped_sums[f"{width}-{replicates}"]
-    assert np.concatenate(seen).tobytes() == want.tobytes()
+    assert np.concatenate([sums for sums, in seen]).tobytes() == want.tobytes()
 
 
 # Engine sums of one variant row, scored in the engine's row slices, at the
@@ -319,8 +319,8 @@ import numpy as np
 from uniconsist import mclab
 from uniconsist.quad import QuadraticForm, weighted_square_sums
 seen = []
-def recording(rows, w):
-    sums_of = weighted_square_sums(rows, w)
+def recording(groups):
+    sums_of = weighted_square_sums(groups)
     return lambda noise: seen.append(sums_of(noise)) or seen[-1]
 mclab.weighted_square_sums = recording
 sums = {}
@@ -331,7 +331,7 @@ for width in %r:
         seen.clear()
         mclab._form_rejections(mclab.MCConfig(rows, seed=9),
                                [(form, 0.0, np.full((1, width), 0.05))])
-        sums[f"{width}-{rows}"] = np.concatenate(seen)
+        sums[f"{width}-{rows}"] = np.concatenate([s for s, in seen])
 np.savez(sys.argv[1], **sums)
 """
 
@@ -1108,14 +1108,14 @@ def test_folded_scorer_matches_direct_statistic(case):
     tests, rows_n, seed = case
     xi = np.random.default_rng(seed).standard_normal(
         (rows_n, tests[0][0].weights.size))
-    got = weighted_square_sums(*mclab._fold(tests))(xi.copy())
-    col = 0
-    for form, _, rows in tests:
-        for row in rows:
+    got = weighted_square_sums([form.fold(rows) for form, _, rows in tests])(
+        xi.copy())
+    assert len(got) == len(tests)
+    for (form, _, rows), sums in zip(tests, got):
+        assert sums.shape == (rows_n, rows.shape[0])
+        for row, col in zip(rows, sums.T):
             direct = form.statistic(row + form.scale * xi)
             size = (np.square(form.scale * xi) @ form.weights
                     + np.square(row) @ form.weights + form.center)
             bound = 16.0 * (xi.shape[1] + 2) * np.finfo(float).eps * size
-            assert np.all(np.abs(got[:, col] - form.center - direct) <= bound)
-            col += 1
-    assert col == got.shape[1]
+            assert np.all(np.abs(col - form.center - direct) <= bound)

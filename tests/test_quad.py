@@ -141,21 +141,24 @@ def test_profile_statistic_validations():
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(st.integers(1, 64), st.sampled_from([1, 2, 1023, 8191, 8192])),
        st.integers(1, 6), st.integers(1, 4), st.sampled_from([0.0, 1.0, 1e3, 1e8]),
-       st.booleans(), st.integers(0, 2 ** 32 - 1))
+       st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_weighted_square_sums_match_direct_squares(J, rows_n, V, theta_scale,
-                                                   banded, seed):
+                                                   banded, sparse, seed):
     """The expanded form Sum w xi^2 + 2 xi.(w theta) + Sum w theta^2 equals
-    the direct Sum w (theta + xi)^2 within float64 rounding of the terms."""
+    the direct Sum w (theta + xi)^2 within float64 rounding of the terms,
+    on dense rows and on rows nonzero at a few coordinates only."""
     gen = np.random.default_rng(seed)
     noise = gen.standard_normal((rows_n, J))
     rows = theta_scale * gen.standard_normal((V, J))
+    if sparse:
+        rows[:, gen.random(J) < 0.9] = 0.0
     rows[0] = 0.0                                  # the null variant
     w = 1.0 / np.arange(1, J + 1) ** 2
     if banded:
         w[gen.integers(0, J + 1):] = 0.0           # zero tail, possibly all
     direct = np.stack([np.square(row + noise) @ w for row in rows], axis=1)
     scale = (np.square(noise) @ w)[:, None] + np.square(rows) @ w
-    got = weighted_square_sums(rows, w)(noise.copy())
+    [got] = weighted_square_sums([(rows, w)])(noise.copy())
     assert got.shape == (rows_n, V)
     bound = 8.0 * (J + 2) * np.finfo(float).eps * scale
     assert np.all(np.abs(got - direct) <= bound)
@@ -167,9 +170,34 @@ def test_weighted_square_sums_consume_noise():
     noise = np.array([[1.0, -2.0], [0.5, 3.0]])
     w = np.array([1.0, 0.25])
     rows = np.array([[0.0, 0.0], [1.0, -1.0]])
-    got = weighted_square_sums(rows, w)(noise)
+    [got] = weighted_square_sums([(rows, w)])(noise)
     assert np.array_equal(noise, [[1.0, 4.0], [0.25, 9.0]])
     assert got.tolist() == [[2.0, 6.25], [2.5, 3.25]]
+
+
+def test_weighted_square_sums_of_a_group_ignore_the_other_groups():
+    """A group's sums have the same bytes scored alone or beside other
+    groups (a head, a spike, dense rows, zero rows), and a group of zero
+    rows gives np.square(noise) @ w in every column."""
+    gen = np.random.default_rng(5)
+    J = 8192
+    noise = gen.standard_normal((31, J))
+    head = np.zeros((3, J))
+    head[:, :705] = gen.standard_normal((3, 705))
+    spike = np.zeros((2, J))
+    spike[1, 700] = 4.0
+    groups = [(head, 1.0 / np.arange(1, J + 1) ** 2),
+              (spike, np.full(J, 1e-3)),
+              (gen.standard_normal((7, J)), gen.uniform(0.0, 1.0, J)),
+              (np.zeros((4, J)), gen.uniform(0.0, 1.0, J))]
+    together = weighted_square_sums(groups)(noise.copy())
+    assert [s.shape for s in together] == [(31, 3), (31, 2), (31, 7), (31, 4)]
+    for group, sums in zip(groups, together):
+        [alone] = weighted_square_sums([group])(noise.copy())
+        assert alone.tobytes() == sums.tobytes()
+    squares = np.square(noise) @ groups[3][1]
+    assert all(np.array_equal(col, squares) for col in together[3].T)
+    assert np.array_equal(together[1][:, 0], np.square(noise) @ groups[1][1])
 
 
 def test_noncentrality_single_spike():
